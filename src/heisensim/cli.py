@@ -7,12 +7,14 @@ Examples::
     heisensim run --circuit mine.qc --tree out.dot --report json
 
 The default verdict/check tolerance is 1e-9, overridable with
-``--tolerance`` or the ``HEISENSIM_TOLERANCE`` environment variable.
+``--tolerance`` or the ``HEISENSIM_TOLERANCE`` environment variable;
+either must be a finite number above zero.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,14 +38,22 @@ __all__ = ["main", "build_parser", "render_table"]
 TOLERANCE_ENV = "HEISENSIM_TOLERANCE"
 
 
-def _default_tolerance() -> float:
-    raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return DEFAULT_TOLERANCE
+def _parse_tolerance(raw: str, source: str) -> float:
+    """``raw`` as a tolerance; anything but a finite number > 0 exits naming it."""
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise SystemExit(f"bad {TOLERANCE_ENV} value: {raw!r}")
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise SystemExit(f"bad {source} value: {raw!r} (need a finite number > 0)")
+    return tol
+
+
+def _tolerance(flag: str | None) -> float:
+    if flag is not None:
+        return _parse_tolerance(flag, "--tolerance")
+    raw = os.environ.get(TOLERANCE_ENV)
+    return DEFAULT_TOLERANCE if raw is None else _parse_tolerance(raw, TOLERANCE_ENV)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", choices=("table", "json"), help="print the foliation table or the trace JSON")
     run.add_argument("--tree", metavar="PATH", help="write the branching tree (.dot or .json)")
     run.add_argument("--check", action="store_true", help="cross-check against the dense oracle")
-    run.add_argument("--tolerance", type=float, default=None, help="verdict/check tolerance (default 1e-9)")
+    run.add_argument("--tolerance", default=None, help="verdict/check tolerance, finite and > 0 (default 1e-9)")
     run.add_argument(
         "--watch",
         default=None,
@@ -126,7 +136,7 @@ def _write_text(path: str, text: str):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = _tolerance(args.tolerance)
 
     circuit = _load_circuit(args)
     trace = run_circuit(circuit)

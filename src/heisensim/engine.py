@@ -142,6 +142,13 @@ class Circuit:
     def max_slot(self) -> int:
         return max((s.slot for s in self.steps), default=-1)
 
+    def slot_groups(self) -> list[tuple[GateStep, ...]]:
+        """The gates of each slot 0..max_slot, in list order; empty slots give ``()``."""
+        groups: list[list[GateStep]] = [[] for _ in range(self.max_slot + 1)]
+        for step in self.steps:
+            groups[step.slot].append(step)
+        return [tuple(group) for group in groups]
+
     def label(self, qubit: int) -> str:
         if self.labels and qubit in self.labels:
             return self.labels[qubit]
@@ -308,15 +315,12 @@ def run_circuit(circuit: Circuit) -> Trace:
     gate sits in slot k yields k + 2 states.  Deterministic: within a slot
     gates act on disjoint qubits, so list order cannot matter.
     """
-    by_slot: dict[int, list[GateStep]] = {}
-    for step in circuit.steps:
-        by_slot.setdefault(step.slot, []).append(step)
     state = init_network(circuit.n_qubits)
     trace = [state]
-    for slot in range(circuit.max_slot + 1):
+    for slot, group in enumerate(circuit.slot_groups()):
         time = slot + 1
         descriptors = state.descriptors
-        for step in by_slot.get(slot, ()):
+        for step in group:
             try:
                 descriptors = _apply_step(descriptors, step, time)
             except Exception as exc:

@@ -1,10 +1,26 @@
 """Dense-matrix validation route: state vectors and generic conjugation.
 
 Everything here is the straightforward (exponentially sized) reference
-implementation used to cross-check the sparse descriptor engine: Kronecker
+implementation used to cross-check the sparse descriptor engine: dense
 expansion of operators, full gate unitaries, Schrodinger state evolution,
 and descriptor construction by conjugating bare Pauli matrices with the
 accumulated circuit unitary.
+
+A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
+P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>, so :func:`expand` writes one
+entry per column and term, and sigma U is a signed row permutation of U.
+Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix, so the
+accumulated unitary U stays real orthogonal and each conjugation
+U^T (sigma U) is one real product; a Y component is i times a real matrix.
+
+:func:`cross_check` walks the slot boundaries once, applying each slot's
+gates to U as the boundary is reached, and compares one component at a
+time, so its working set is a few 2^n x 2^n arrays.  A site whose qubit no
+gate of the previous slot touched, and whose engine descriptor is the very
+object of the previous boundary, keeps its previous matrix deviation: for
+a gate G acting off q, G^dagger sigma_q G = sigma_q exactly.
+:func:`conjugate_descriptor` still returns all 3n conjugated matrices of
+one boundary.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -42,14 +58,15 @@ LETTER_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_H2 = (LETTER_MATRICES["X"] + LETTER_MATRICES["Z"]) / math.sqrt(2)
+_H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 # 4x4 blocks indexed by (control_bit * 2 + target_bit)
-_CNOT4 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CH4 = np.block(
-    [[np.eye(2, dtype=complex), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]]
-)
+_CNOT4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+_CH4 = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]])
+
+# i^k for k = #Y mod 4; real where it can be, so X/Z-only strings stay real.
+_I_POWERS = (1, 1j, -1, -1j)
+
+_COMPONENT_LETTERS = (("x", "X"), ("y", "Y"), ("z", "Z"))
 
 
 def _check_cap(n_qubits: int, cap: int):
@@ -57,23 +74,46 @@ def _check_cap(n_qubits: int, cap: int):
         raise ValueError(f"dense route capped at {cap} qubits, got {n_qubits}")
 
 
+def _masks(letters) -> tuple[int, int, int]:
+    """(x, z, #Y) of a letter map: P = i^{#Y} X^x Z^z."""
+    x = z = n_y = 0
+    for qubit, letter in letters:
+        bit = 1 << qubit
+        if letter != "Z":
+            x |= bit
+        if letter != "X":
+            z |= bit
+        n_y += letter == "Y"
+    return x, z, n_y
+
+
+def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
+    """(-1)^{popcount(row & z)} per row, by XOR-folding the rows at z's bits."""
+    parity = np.zeros_like(rows)
+    bit = 0
+    while z:
+        if z & 1:
+            parity ^= rows >> bit
+        z >>= 1
+        bit += 1
+    return 1 - 2 * (parity & 1)
+
+
 def expand(a: PauliSum, cap: int = SIZE_CAP) -> np.ndarray:
-    """Kronecker expansion of an operator to a dense 2^n x 2^n matrix."""
+    """Dense 2^n x 2^n matrix of an operator, one signed permutation per term."""
     _check_cap(a.n_qubits, cap)
-    n = a.n_qubits
-    dim = 2 ** n
+    dim = 2 ** a.n_qubits
+    cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for term in a.terms:
-        mat = np.array([[1]], dtype=complex)
-        for k in range(n):
-            mat = np.kron(LETTER_MATRICES[term.letter_at(k)], mat)
-        out += term.coeff * mat
+        x, z, n_y = _masks(term.letters)
+        out[cols ^ x, cols] += term.coeff * _I_POWERS[n_y % 4] * _z_signs(cols, z)
     return out
 
 
 def _ry2(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]])
 
 
 def _small_matrix(step: GateStep) -> np.ndarray:
@@ -118,11 +158,11 @@ def gate_unitary(step: GateStep, n_qubits: int, cap: int = SIZE_CAP) -> np.ndarr
     return _apply_small(_small_matrix(step), step.qubits, eye, n_qubits)
 
 
-def _slot_groups(circuit: Circuit) -> list[list[GateStep]]:
-    groups: list[list[GateStep]] = [[] for _ in range(circuit.max_slot + 1)]
-    for step in circuit.steps:
-        groups[step.slot].append(step)
-    return groups
+def _advance(array: np.ndarray, group: tuple[GateStep, ...], n: int) -> np.ndarray:
+    """Apply one slot's gates to a state vector or to a stack of columns."""
+    for step in group:
+        array = _apply_small(_small_matrix(step), step.qubits, array, n)
+    return array
 
 
 def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
@@ -132,9 +172,8 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
     states = [psi.copy()]
-    for group in _slot_groups(circuit):
-        for step in group:
-            psi = _apply_small(_small_matrix(step), step.qubits, psi, n)
+    for group in circuit.slot_groups():
+        psi = _advance(psi, group, n)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"state norm drifted to {norm}")
@@ -142,14 +181,17 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     return states
 
 
-def _accumulated_unitaries(circuit: Circuit, upto_slot: int, cap: int) -> np.ndarray:
-    _check_cap(circuit.n_qubits, cap)
-    n = circuit.n_qubits
-    total = np.eye(2 ** n, dtype=complex)
-    for group in _slot_groups(circuit)[:upto_slot]:
-        for step in group:
-            total = _apply_small(_small_matrix(step), step.qubits, total, n)
-    return total
+def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
+    """U^dagger sigma U for the single-qubit Pauli ``letter`` on ``qubit``.
+
+    sigma U is the signed row permutation (sigma U)[r] = i^{#Y} s(r ^ x) U[r ^ x],
+    so one matrix product remains; it is real when U is real and the letter
+    is X or Z.
+    """
+    x, z, n_y = _masks(((qubit, letter),))
+    rows = np.arange(total.shape[0]) ^ x
+    sigma_total = _z_signs(rows, z)[:, None] * total[rows]
+    return _I_POWERS[n_y] * (total.conj().T @ sigma_total)
 
 
 def conjugate_descriptor(
@@ -161,16 +203,15 @@ def conjugate_descriptor(
     to U^dagger sigma U for the ordered product U of all gates in slots
     0..upto_slot-1.
     """
+    _check_cap(circuit.n_qubits, cap)
     n = circuit.n_qubits
-    total = _accumulated_unitaries(circuit, upto_slot, cap)
-    out = []
-    for q in range(n):
-        triple = {}
-        for comp, letter in (("x", "X"), ("y", "Y"), ("z", "Z")):
-            sigma = expand(PauliSum.single(n, q, letter), cap)
-            triple[comp] = total.conj().T @ sigma @ total
-        out.append(triple)
-    return out
+    total = np.eye(2 ** n)
+    for group in circuit.slot_groups()[:upto_slot]:
+        total = _advance(total, group, n)
+    return [
+        {comp: _conjugated(total, q, letter).astype(complex) for comp, letter in _COMPONENT_LETTERS}
+        for q in range(n)
+    ]
 
 
 def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
@@ -201,27 +242,38 @@ def cross_check(trace: Trace, circuit: Circuit, cap: int = SIZE_CAP) -> CrossChe
 
     For every slot, qubit, and component this measures the gap between the
     engine's vacuum expectation and the evolved state's expectation, and
-    between the Kronecker-expanded engine operator and the conjugated bare
-    Pauli.  Both maxima should sit at numerical noise.
+    between the dense engine operator and the conjugated bare Pauli.  Both
+    maxima should sit at numerical noise.  The matrix gap of a site is
+    carried over from the previous boundary when no gate of the previous
+    slot touched its qubit and its engine descriptor is the same object;
+    every expectation gap is computed afresh.
     """
     states = evolve_state(circuit, cap)
     if len(states) != len(trace):
         raise ValueError("trace and circuit disagree on slot count")
+    from .pauli import vacuum_expectation  # local import keeps module deps one-way
+
+    n = circuit.n_qubits
+    groups = [()] + circuit.slot_groups()  # groups[t]: the gates that end at boundary t
+    total = np.eye(2 ** n)
+    mat_devs: dict[tuple[int, str], float] = {}
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
-    from .pauli import vacuum_expectation  # local import keeps module deps one-way
-
     for t, state in enumerate(trace):
-        dense = conjugate_descriptor(circuit, t, cap)
-        for q in range(circuit.n_qubits):
+        total = _advance(total, groups[t], n)
+        touched = {q for step in groups[t] for q in step.qubits}
+        for q in range(n):
             d = state.descriptor(q)
-            for comp, letter in (("x", "X"), ("y", "Y"), ("z", "Z")):
-                engine_val = vacuum_expectation(d.component(comp))
-                dev = abs(engine_val - state_expectation(states[t], q, letter))
-                mat_dev = float(
-                    np.max(np.abs(expand(d.component(comp), cap) - dense[q][comp]))
-                )
+            fresh = t == 0 or q in touched or d is not trace[t - 1].descriptor(q)
+            for comp, letter in _COMPONENT_LETTERS:
+                op = d.component(comp)
+                dev = abs(vacuum_expectation(op) - state_expectation(states[t], q, letter))
+                if fresh:
+                    mat_devs[q, comp] = float(
+                        np.max(np.abs(expand(op, cap) - _conjugated(total, q, letter)))
+                    )
+                mat_dev = mat_devs[q, comp]
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

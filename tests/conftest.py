@@ -46,3 +46,22 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int) -> hs.Circui
             step = hs.cx(c, t, slot=slot) if kind == "cx" else hs.ch(c, t, slot=slot)
             steps.append(step)
     return hs.Circuit(n_qubits, tuple(steps))
+
+
+def random_parallel_circuit(rng: random.Random, n_qubits: int, n_slots: int) -> hs.Circuit:
+    """Several gates per slot on disjoint qubits, with some qubits left idle."""
+    steps = []
+    for slot in range(n_slots):
+        free = rng.sample(range(n_qubits), n_qubits)
+        while free:
+            kind = rng.choices(("idle", "ry", "h", "cx", "ch"), weights=(20, 35, 20, 30, 15))[0]
+            if kind == "idle" or (kind in ("cx", "ch") and len(free) < 2):
+                free.pop()
+            elif kind == "ry":
+                steps.append(hs.ry(free.pop(), rng.uniform(0, 6.283), slot=slot))
+            elif kind == "h":
+                steps.append(hs.h(free.pop(), slot=slot))
+            else:
+                c, t = free.pop(), free.pop()
+                steps.append(hs.cx(c, t, slot=slot) if kind == "cx" else hs.ch(c, t, slot=slot))
+    return hs.Circuit(n_qubits, tuple(steps))

@@ -1,5 +1,6 @@
 """Command-line driver tests, run in-process via cli.main."""
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,21 @@ def test_tolerance_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv(TOLERANCE_ENV, "not-a-float")
     code, _ = run_cli(capsys, "run", "--preset", "fr", "--tolerance", "1e-9", "--check")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_flag_rejects_non_positive_or_non_finite(value, capsys):
+    with pytest.raises(SystemExit, match=rf"--tolerance value: '{re.escape(value)}'"):
+        main(["run", "--preset", "fr", "--report", "table", "--check", "--tolerance", value])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_env_rejects_non_positive_or_non_finite(value, monkeypatch, capsys):
+    monkeypatch.setenv(TOLERANCE_ENV, value)
+    with pytest.raises(SystemExit, match=rf"{TOLERANCE_ENV} value: '{re.escape(value)}'"):
+        main(["run", "--preset", "fr", "--report", "table", "--check"])
+    assert capsys.readouterr().out == ""
 
 
 def test_check_fails_beyond_impossible_tolerance(capsys):

@@ -1,4 +1,5 @@
 """Dense-route tests: expansions, unitaries, state evolution, cross-checks."""
+import dataclasses
 import math
 import random
 
@@ -17,7 +18,7 @@ from heisensim.oracle import (
 )
 from heisensim.pauli import PauliString, PauliSum
 
-from conftest import A, R, S, U_R, random_circuit
+from conftest import A, R, S, U_R, random_circuit, random_parallel_circuit
 
 
 def kron_chain(*mats):
@@ -63,6 +64,22 @@ def test_expand_linear():
     a = PauliSum.single(2, 0, "X", 0.5)
     b = PauliSum.single(2, 1, "Y", -2.0)
     assert np.allclose(expand(a + b), expand(a) + expand(b))
+
+
+def test_expand_matches_kron_chain_with_y_letters():
+    rng = random.Random(17)
+    for n in range(1, 6):
+        for _ in range(20):
+            strings = []
+            for _ in range(rng.randrange(1, 4)):
+                letters = {q: rng.choice("XYZ") for q in rng.sample(range(n), rng.randrange(n + 1))}
+                letters[rng.randrange(n)] = "Y"
+                strings.append(PauliString(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), letters))
+            reference = sum(
+                s.coeff * kron_chain(*(LETTER_MATRICES[s.letter_at(k)] for k in range(n)))
+                for s in strings
+            )
+            assert np.allclose(expand(PauliSum(n, strings)), reference, rtol=0, atol=1e-15)
 
 
 def test_expand_size_cap():
@@ -216,3 +233,49 @@ def test_cross_check_report_json(fr_crosscheck):
     doc = fr_crosscheck.to_json()
     assert doc["format_version"] == 1
     assert doc["max_expectation_dev"] <= 1e-9
+
+
+def test_cross_check_parallel_slot_circuits():
+    rng = random.Random(29)
+    for _ in range(4):
+        circuit = random_parallel_circuit(rng, 5, 6)
+        assert max(len(group) for group in circuit.slot_groups()) >= 2
+        report = cross_check(hs.run_circuit(circuit), circuit)
+        assert report.max_expectation_dev <= 1e-9
+        assert report.max_matrix_dev <= 1e-9
+
+
+def _with_fault(trace, t, q):
+    """``trace`` with qubit q's descriptor at boundary t replaced by a copy
+    whose x carries an extra Hermitian term 1e-6 * X on another qubit."""
+    d = trace[t].descriptor(q)
+    other = (q + 4) % d.x.n_qubits
+    faulty = dataclasses.replace(d, x=d.x + PauliSum.single(d.x.n_qubits, other, "X", 1e-6))
+    descriptors = list(trace[t].descriptors)
+    descriptors[q] = faulty
+    out = list(trace)
+    out[t] = hs.NetworkState(trace[t].time, tuple(descriptors))
+    return out
+
+
+@pytest.mark.parametrize("qubit", [A, R], ids=["untouched", "touched"])
+def test_cross_check_finds_fault_at_any_qubit(fr_circuit, fr_trace, qubit):
+    # slot 5 holds h on R and S only, so A is untouched from boundary 5 to 6
+    touched = {q for step in fr_circuit.slot_groups()[5] for q in step.qubits}
+    assert (qubit in touched) == (qubit == R)
+    report = cross_check(_with_fault(fr_trace, 6, qubit), fr_circuit)
+    assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-12)
+    assert report.max_expectation_dev <= 1e-9
+    assert report.worst_site == {"slot": 6, "qubit": qubit, "component": "x"}
+
+
+def test_cross_check_finds_stale_descriptor_at_touched_qubit(fr_circuit, fr_trace):
+    # an engine that skipped slot 5's h on R would hand on R's previous
+    # descriptor object unchanged; the dense route must still compare it
+    descriptors = list(fr_trace[6].descriptors)
+    descriptors[R] = fr_trace[5].descriptor(R)
+    trace = list(fr_trace)
+    trace[6] = hs.NetworkState(fr_trace[6].time, tuple(descriptors))
+    report = cross_check(trace, fr_circuit)
+    assert report.max_matrix_dev > 0.5
+    assert report.worst_site["slot"] == 6 and report.worst_site["qubit"] == R
