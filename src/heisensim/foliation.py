@@ -159,12 +159,13 @@ def sharp_foliation(
         raise ValueError("foliation test needs two distinct qubits")
     dc = state.descriptor(control)
     dt = state.descriptor(target)
-    zz = vacuum_expectation(dc.z @ dt.z, tol)
+    witness = entangled(state, control, target, tol)
+    # a scan that got as far as (z, z) has already formed dc.z @ dt.z
+    zz = witness.joint if witness.component_pair == ("z", "z") else vacuum_expectation(dc.z @ dt.z, tol)
     z_mean_c = vacuum_expectation(dc.z, tol)
     z_mean_t = vacuum_expectation(dt.z, tol)
     proj_plus = (1.0 + z_mean_c) / 2.0
     proj_minus = (1.0 - z_mean_c) / 2.0
-    witness = entangled(state, control, target, tol)
 
     correlated = abs(zz - z_mean_c * z_mean_t) > tol or _z_record(state, control, target)
     verdict = UNENTANGLED

@@ -74,19 +74,6 @@ def _check_cap(n_qubits: int, cap: int):
         raise ValueError(f"dense route capped at {cap} qubits, got {n_qubits}")
 
 
-def _masks(letters) -> tuple[int, int, int]:
-    """(x, z, #Y) of a letter map: P = i^{#Y} X^x Z^z."""
-    x = z = n_y = 0
-    for qubit, letter in letters:
-        bit = 1 << qubit
-        if letter != "Z":
-            x |= bit
-        if letter != "X":
-            z |= bit
-        n_y += letter == "Y"
-    return x, z, n_y
-
-
 def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
     """(-1)^{popcount(row & z)} per row, by XOR-folding the rows at z's bits."""
     parity = np.zeros_like(rows)
@@ -105,9 +92,8 @@ def expand(a: PauliSum, cap: int = SIZE_CAP) -> np.ndarray:
     dim = 2 ** a.n_qubits
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for term in a.terms:
-        x, z, n_y = _masks(term.letters)
-        out[cols ^ x, cols] += term.coeff * _I_POWERS[n_y % 4] * _z_signs(cols, z)
+    for (x, z), coeff in a._terms.items():
+        out[cols ^ x, cols] += coeff * _I_POWERS[(x & z).bit_count() % 4] * _z_signs(cols, z)
     return out
 
 
@@ -188,10 +174,10 @@ def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
     so one matrix product remains; it is real when U is real and the letter
     is X or Z.
     """
-    x, z, n_y = _masks(((qubit, letter),))
+    ((x, z),) = PauliSum.single(total.shape[0].bit_length() - 1, qubit, letter)._terms
     rows = np.arange(total.shape[0]) ^ x
     sigma_total = _z_signs(rows, z)[:, None] * total[rows]
-    return _I_POWERS[n_y] * (total.conj().T @ sigma_total)
+    return _I_POWERS[(x & z).bit_count()] * (total.conj().T @ sigma_total)
 
 
 def conjugate_descriptor(

@@ -1,13 +1,18 @@
 """Sparse algebra of Pauli operators on an n-qubit register.
 
-Operators are linear combinations of Pauli strings: a complex coefficient
-times one letter of {I, X, Y, Z} per qubit, with identity letters elided so
-the stored support stays sparse.  Every construction path canonicalises the
-result: like strings are merged (with order-insensitive ``fsum``
-accumulation), coefficients below :data:`DROP_TOLERANCE` are dropped, and
-the term order is fixed lexicographically by (qubit index, letter rank).
-Two equal operators therefore always have identical representations, which
-keeps serialised output byte-stable.
+Operators are linear combinations of Pauli strings, a complex coefficient
+times one letter of {I, X, Y, Z} per qubit, stored as a dict from each
+string's bit masks (x, z) to its coefficient: bit q of x is set for X or Y
+on qubit q, bit q of z for Z or Y, so the string is i^{#Y} X^x Z^z with
+#Y = popcount(x & z) (Aaronson & Gottesman, quant-ph/0406196).  Python
+integers have no width, so any register size works the same way.
+:func:`_mul_into` is the one product rule.
+
+Construction merges like strings (from strings, with order-insensitive
+``fsum``) and drops coefficients below :data:`DROP_TOLERANCE`.  The
+canonical term order, by (qubit index, letter rank), is computed when
+output first reads it and then cached, so equal operators always
+serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
@@ -45,15 +50,14 @@ DROP_TOLERANCE = 1e-12
 #: flip a comparison.
 DEFAULT_TOLERANCE = 1e-9
 
-_RANK = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+# (x bit, z bit) of each letter, and the letter of each x + 2z.
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER_OF = ("I", "X", "Z", "Y")
 
-# Single-qubit products a*b = phase * c, tabulated for all 16 pairs.
-_LETTER_MUL: dict[tuple[str, str], tuple[complex, str]] = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# i^k for k mod 4; the phases are exact, so products stay bit-reproducible.
+_I_POWERS = (1, 1j, -1, -1j)
+
+Key = tuple[int, int]
 
 
 class DimensionMismatch(ValueError):
@@ -64,15 +68,18 @@ class HermiticityError(ValueError):
     """An expectation value came out with a non-negligible imaginary part."""
 
 
-def letter_mul(a: str, b: str) -> tuple[complex, str]:
-    """Product of two single-qubit letters: ``a*b = phase*c``.
+def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -> None:
+    """Add ``c1 * (x1, z1)`` times each ``((x2, z2), c2)`` of ``right`` into ``terms``.
 
-    Total on {I, X, Y, Z}; the phase is one of 1, -1, i, -i.
+    The product is i^{#Y1 + #Y2 - #Y3 + 2 popcount(z1 & x2)} (x1 ^ x2, z1 ^ z2):
+    moving Z^z1 past X^x2 costs a sign per shared qubit.
     """
-    try:
-        return _LETTER_MUL[(a, b)]
-    except KeyError:
-        raise ValueError(f"not Pauli letters: {a!r}, {b!r}") from None
+    y1 = (x1 & z1).bit_count()
+    for (x2, z2), c2 in right:
+        x, z = x1 ^ x2, z1 ^ z2
+        k = y1 + (x2 & z2).bit_count() - (x & z).bit_count() + 2 * (z1 & x2).bit_count()
+        key = (x, z)
+        terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
 
 
 LetterMap = tuple[tuple[int, str], ...]
@@ -87,7 +94,7 @@ def _normalize_letters(letters) -> LetterMap:
     for qubit, letter in sorted(items):
         if letter == "I":
             continue
-        if letter not in _RANK:
+        if letter not in _BITS:
             raise ValueError(f"not a Pauli letter: {letter!r}")
         if not isinstance(qubit, int) or qubit < 0:
             raise ValueError(f"bad qubit index: {qubit!r}")
@@ -95,6 +102,23 @@ def _normalize_letters(letters) -> LetterMap:
             raise ValueError(f"duplicate qubit index: {qubit}")
         out.append((qubit, letter))
     return tuple(out)
+
+
+def _key(letters: LetterMap) -> Key:
+    """(x, z) masks of a normalised letter map."""
+    x = z = 0
+    for qubit, letter in letters:
+        xb, zb = _BITS[letter]
+        x |= xb << qubit
+        z |= zb << qubit
+    return x, z
+
+
+def _letters(key: Key) -> LetterMap:
+    """Letter map of (x, z) masks, in qubit order."""
+    x, z = key
+    bits = enumerate(bin(x | z)[:1:-1])  # (qubit, "0" or "1"), lowest qubit first
+    return tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -131,79 +155,59 @@ class PauliString:
         return f"({self.coeff:g})*{body}"
 
 
-def _mul_keys(k1: LetterMap, k2: LetterMap) -> tuple[complex, LetterMap]:
-    """Merge two sorted letter maps, accumulating the product phase."""
-    phase: complex = 1
-    out = []
-    i, j = 0, 0
-    n1, n2 = len(k1), len(k2)
-    while i < n1 and j < n2:
-        q1, a = k1[i]
-        q2, b = k2[j]
-        if q1 == q2:
-            p, c = _LETTER_MUL[(a, b)]
-            phase *= p
-            if c != "I":
-                out.append((q1, c))
-            i += 1
-            j += 1
-        elif q1 < q2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return phase, tuple(out)
-
-
 def string_mul(s1: PauliString, s2: PauliString) -> PauliString:
     """Qubit-wise product of two strings, phases folded into the coefficient."""
-    phase, key = _mul_keys(s1.letters, s2.letters)
-    return PauliString(s1.coeff * s2.coeff * phase, key)
+    product: dict[Key, complex] = {}
+    _mul_into(product, *_key(s1.letters), s1.coeff, {_key(s2.letters): s2.coeff}.items())
+    (key, coeff), = product.items()
+    return PauliString(coeff, _letters(key))
 
 
-def _sort_key(key: LetterMap):
-    return tuple((q, _RANK[letter]) for q, letter in key)
+def letter_mul(a: str, b: str) -> tuple[complex, str]:
+    """Product of two single-qubit letters: ``a*b = phase*c``.
+
+    Total on {I, X, Y, Z}; the phase is one of 1, -1, i, -i.
+    """
+    s = string_mul(PauliString(1, ((0, a),)), PauliString(1, ((0, b),)))
+    return s.coeff, s.letter_at(0)
 
 
 class PauliSum:
-    """Canonicalised linear combination of Pauli strings on ``n_qubits``.
+    """Linear combination of Pauli strings on ``n_qubits``.
 
-    The terms are stored keyed by letter map, in a fixed lexicographic
-    order.  Construction merges like terms with ``fsum`` so any permutation
-    of the input yields the identical canonical form.
+    The terms are a dict from (x, z) masks to coefficient.  Construction from
+    strings merges with ``fsum``, so any permutation of the input yields the
+    same operator; the canonical order is computed on first output and cached.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_keys")
+    __slots__ = ("n_qubits", "_terms", "_order")
 
     def __init__(self, n_qubits: int, strings: Iterable[PauliString] = ()):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        buckets: dict[LetterMap, list[complex]] = {}
+        buckets: dict[Key, list[complex]] = {}
         for s in strings:
             if s.letters and s.letters[-1][0] >= n_qubits:
                 raise DimensionMismatch(
                     f"string on qubit {s.letters[-1][0]} does not fit in {n_qubits} qubits"
                 )
-            buckets.setdefault(s.letters, []).append(s.coeff)
-        terms: dict[LetterMap, complex] = {}
+            buckets.setdefault(_key(s.letters), []).append(s.coeff)
+        terms: dict[Key, complex] = {}
         for key, coeffs in buckets.items():
             c = complex(fsum(z.real for z in coeffs), fsum(z.imag for z in coeffs))
             if abs(c) >= DROP_TOLERANCE:
                 terms[key] = c
         self.n_qubits = n_qubits
         self._terms = terms
-        self._keys = tuple(sorted(terms, key=_sort_key))
+        self._order = None
 
     @classmethod
-    def _from_dict(cls, n_qubits: int, terms: dict[LetterMap, complex]) -> "PauliSum":
+    def _from_dict(cls, n_qubits: int, terms: dict[Key, complex]) -> "PauliSum":
         """Internal fast path: keys already valid, just drop tiny coefficients."""
         self = object.__new__(cls)
         self.n_qubits = n_qubits
         self._terms = {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE}
-        self._keys = tuple(sorted(self._terms, key=_sort_key))
+        self._order = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -223,18 +227,28 @@ class PauliSum:
 
     # -- views -------------------------------------------------------------
 
+    def _ordered(self) -> tuple[tuple[LetterMap, complex], ...]:
+        """(letters, coefficient) per term in canonical order, sorted on first use and cached."""
+        if self._order is None:
+            # letter ranks X < Y < Z sort like the letters themselves
+            self._order = tuple(sorted((_letters(k), c) for k, c in self._terms.items()))
+        return self._order
+
     @property
     def terms(self) -> tuple[PauliString, ...]:
         """Terms in canonical order."""
-        return tuple(PauliString(self._terms[k], k) for k in self._keys)
+        return tuple(PauliString(c, letters) for letters, c in self._ordered())
 
     def coefficient(self, letters) -> complex:
-        return self._terms.get(_normalize_letters(letters), 0j)
+        return self._terms.get(_key(_normalize_letters(letters)), 0j)
 
     @property
     def support(self) -> frozenset[int]:
         """Qubits on which any stored term acts non-trivially."""
-        return frozenset(q for key in self._terms for q, _ in key)
+        rest = 0
+        for x, z in self._terms:
+            rest |= x | z
+        return frozenset(q for q, _ in _letters((rest, 0)))
 
     def __len__(self):
         return len(self._terms)
@@ -248,16 +262,16 @@ class PauliSum:
         return self.n_qubits == other.n_qubits and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.n_qubits, tuple((k, self._terms[k]) for k in self._keys)))
+        return hash((self.n_qubits, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:
             return f"<PauliSum n={self.n_qubits}: 0>"
         parts = []
-        for k in self._keys[:6]:
-            body = " ".join(f"{letter}{q}" for q, letter in k) or "I"
-            parts.append(f"({self._terms[k]:.4g})*{body}")
-        tail = " + ..." if len(self._keys) > 6 else ""
+        for letters, c in self._ordered()[:6]:
+            body = " ".join(f"{letter}{q}" for q, letter in letters) or "I"
+            parts.append(f"({c:.4g})*{body}")
+        tail = " + ..." if len(self._terms) > 6 else ""
         return f"<PauliSum n={self.n_qubits}: {' + '.join(parts)}{tail}>"
 
     # -- algebra -----------------------------------------------------------
@@ -295,11 +309,10 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)
-        terms: dict[LetterMap, complex] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                phase, key = _mul_keys(k1, k2)
-                terms[key] = terms.get(key, 0j) + c1 * c2 * phase
+        terms: dict[Key, complex] = {}
+        right = other._terms.items()
+        for (x1, z1), c1 in self._terms.items():
+            _mul_into(terms, x1, z1, c1, right)
         return PauliSum._from_dict(self.n_qubits, terms)
 
     def commutes_with(self, other: "PauliSum", tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -318,11 +331,8 @@ class PauliSum:
     def to_json(self) -> list[dict]:
         """Terms in canonical order as JSON-ready dicts."""
         return [
-            {
-                "coeff": [self._terms[k].real, self._terms[k].imag],
-                "letters": {str(q): letter for q, letter in k},
-            }
-            for k in self._keys
+            {"coeff": [c.real, c.imag], "letters": {str(q): letter for q, letter in letters}}
+            for letters, c in self._ordered()
         ]
 
 
@@ -337,7 +347,7 @@ def linear_combine(pairs: Iterable[tuple[complex, PauliSum]]) -> PauliSum:
     if not pairs:
         raise ValueError("linear_combine needs at least one operand")
     n = pairs[0][1].n_qubits
-    terms: dict[LetterMap, list[complex]] = {}
+    terms: dict[Key, list[complex]] = {}
     for w, a in pairs:
         if a.n_qubits != n:
             raise DimensionMismatch(f"operands on {n} and {a.n_qubits} qubits")
@@ -358,11 +368,11 @@ def canonicalize(a: PauliSum) -> PauliSum:
 def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     """Expectation in the all-zeros product state.
 
-    Only terms whose letters are all Z (or identity) contribute, each with
+    Only terms with no X or Y letter (x mask 0) contribute, each with
     weight equal to its coefficient.  The operator must be Hermitian up to
     ``tol``: a larger imaginary residue raises :class:`HermiticityError`.
     """
-    vals = [c for key, c in a._terms.items() if all(l == "Z" for _, l in key)]
+    vals = [c for (x, _), c in a._terms.items() if not x]
     re = fsum(v.real for v in vals)
     im = fsum(v.imag for v in vals)
     if abs(im) >= tol:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from heisensim.cli import TOLERANCE_ENV, main, render_table
+from heisensim.oracle import SIZE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,14 @@ def test_check_fails_beyond_impossible_tolerance(capsys):
     code, out = run_cli(capsys, "run", "--preset", "fr", "--check", "--tolerance", "1e-30")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_check_refuses_circuit_above_dense_cap(tmp_path, capsys):
+    big = tmp_path / "big.qc"
+    big.write_text(f"qubits {SIZE_CAP + 1}\nh 0\n")
+    with pytest.raises(SystemExit, match=rf"capped at {SIZE_CAP} qubits, circuit has {SIZE_CAP + 1}"):
+        main(["run", "--circuit", str(big), "--report", "table", "--check"])
+    assert capsys.readouterr().out == ""
 
 
 def test_render_table_alignment():

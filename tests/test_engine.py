@@ -1,4 +1,5 @@
 """Descriptor engine tests against frozen protocol values and the dense oracle."""
+import hashlib
 import json
 import math
 import random
@@ -295,3 +296,19 @@ def test_trace_json_shape(fr_circuit, fr_trace):
     assert len(doc["slots"]) == 8
     first = doc["slots"][0]["descriptors"][0]
     assert first["z"] == [{"coeff": [1.0, 0.0], "letters": {"0": "Z"}}]
+
+
+# SHA-256 of json.dumps(trace_json_doc(...)) for random_circuit(Random(seed),
+# n, 40); the operators reach 1620 and 800 terms per component, beyond the
+# few-term operators the fr goldens cover.
+LARGE_TRACE_DIGESTS = [
+    (4, 8, "24eee2d07d029e8f066ccf377f4723dd00b9d5317b4c63cf28592a7e66240843"),
+    (2, 12, "5e105bfb19445c9352c1ff60c1097e7bf2b4338595fdd22b1c34b275b7c9dee1"),
+]
+
+
+@pytest.mark.parametrize("seed,n_qubits,digest", LARGE_TRACE_DIGESTS)
+def test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest):
+    circuit = random_circuit(random.Random(seed), n_qubits, 40)
+    text = json.dumps(trace_json_doc(circuit, hs.run_circuit(circuit)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -97,6 +97,43 @@ def test_string_mul_matches_dense_product(s1, s2):
     assert np.allclose(product, left @ right, atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [63, 64, 130])
+def test_product_rule_on_multiword_masks(q):
+    n = q + 2
+    x, y, z = (PauliSum.single(n, q, letter) for letter in "XYZ")
+    assert x @ y == PauliSum.single(n, q, "Z", 1j)
+    assert y @ x == PauliSum.single(n, q, "Z", -1j)
+    assert y @ y == PauliSum.identity(n)
+    far = PauliSum(n, [PauliString(0.5, {0: "Y", q + 1: "X"})])
+    assert x @ far == far @ x == PauliSum(n, [PauliString(0.5, {0: "Y", q: "X", q + 1: "X"})])
+    left = PauliString(1.0, {3: "X", q: "X"})
+    right = PauliString(2.0, {3: "Z", q: "Y"})
+    assert string_mul(left, right) == PauliString(2.0, {3: "Y", q: "Z"})
+
+
+@st.composite
+def sum_pairs_with_y(draw):
+    n = draw(st.integers(1, 5))
+    part = st.floats(-2, 2, allow_nan=False)
+
+    def one():
+        out = []
+        for _ in range(draw(st.integers(1, 4))):
+            letters = {q: draw(st.sampled_from("IXYZ")) for q in range(n)}
+            letters[draw(st.integers(0, n - 1))] = "Y"
+            out.append(PauliString(complex(draw(part), draw(part)), letters))
+        return PauliSum(n, out)
+
+    return one(), one()
+
+
+@given(sum_pairs_with_y())
+@settings(max_examples=80)
+def test_sum_product_matches_dense_product(pair):
+    a, b = pair
+    assert np.allclose(expand(a @ b), expand(a) @ expand(b), rtol=0, atol=1e-12)
+
+
 # -- sums --------------------------------------------------------------------
 
 
@@ -215,23 +252,44 @@ def test_canonical_form_is_permutation_invariant(triple, rng):
 
 
 def test_term_order_is_deterministic():
+    # qubits 64 and up sit beyond one machine word of the masks
     a = PauliSum(
-        2,
+        70,
         [
+            PauliString(1.0, {65: "X"}),
             PauliString(1.0, {1: "Z"}),
+            PauliString(1.0, {64: "Z"}),
+            PauliString(1.0, {1: "Z", 64: "Y"}),
             PauliString(1.0, {0: "X", 1: "Z"}),
+            PauliString(1.0, {64: "Y"}),
             PauliString(0.5, {}),
         ],
     )
     keys = [term.letters for term in a.terms]
-    assert keys == [(), ((0, "X"), (1, "Z")), ((1, "Z"),)]
+    assert keys == [
+        (),
+        ((0, "X"), (1, "Z")),
+        ((1, "Z"),),
+        ((1, "Z"), (64, "Y")),
+        ((64, "Y"),),
+        ((64, "Z"),),
+        ((65, "X"),),
+    ]
 
 
 def test_to_json_canonical_order():
-    a = PauliSum(2, [PauliString(1.0, {1: "Z"}), PauliString(2.0, {0: "X"})])
+    a = PauliSum(
+        101,
+        [
+            PauliString(3.0, {100: "Y", 2: "X"}),
+            PauliString(1.0, {1: "Z"}),
+            PauliString(2.0, {0: "X"}),
+        ],
+    )
     assert a.to_json() == [
         {"coeff": [2.0, 0.0], "letters": {"0": "X"}},
         {"coeff": [1.0, 0.0], "letters": {"1": "Z"}},
+        {"coeff": [3.0, 0.0], "letters": {"2": "X", "100": "Y"}},
     ]
 
 
