@@ -11,6 +11,7 @@ from .engine import (
     Descriptor,
     GateStep,
     NetworkState,
+    SlotError,
     apply_cnot,
     apply_controlled_hadamard,
     apply_hadamard,
@@ -76,6 +77,7 @@ __all__ = [
     "GateStep",
     "Descriptor",
     "NetworkState",
+    "SlotError",
     "ry",
     "h",
     "cx",

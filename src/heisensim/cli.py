@@ -21,10 +21,11 @@ import sys
 from .engine import Circuit, run_circuit, trace_json_doc
 from .foliation import (
     ReportRow,
-    build_branch_tree,
     default_watch_pairs,
+    foliation_timeline,
     format_weight,
-    report_rows,
+    timeline_rows,
+    timeline_tree,
     tree_json_doc,
     tree_to_dot,
 )
@@ -148,14 +149,17 @@ def main(argv: list[str] | None = None) -> int:
         else default_watch_pairs(circuit)
     )
 
+    # one fold feeds both the table and the tree
+    timeline = foliation_timeline(trace, watch, tol) if args.report == "table" or args.tree else None
+
     if args.report == "table":
-        rows = report_rows(circuit, trace, watch, tol)
+        rows = timeline_rows(circuit, watch, timeline)
         sys.stdout.write(render_table(rows))
     elif args.report == "json":
         sys.stdout.write(json.dumps(trace_json_doc(circuit, trace), indent=2) + "\n")
 
     if args.tree:
-        tree = build_branch_tree(trace, watch, tol, labels=dict(circuit.labels or {}))
+        tree = timeline_tree(timeline, tol, labels=dict(circuit.labels or {}))
         if args.tree.endswith(".json"):
             _write_text(args.tree, json.dumps(tree_json_doc(tree), indent=2) + "\n")
         else:

@@ -31,6 +31,7 @@ from .pauli import PauliSum
 __all__ = [
     "GATE_KINDS",
     "GateStep",
+    "SlotError",
     "Circuit",
     "Descriptor",
     "NetworkState",
@@ -53,6 +54,20 @@ GATE_KINDS = ("ry", "h", "cx", "ch")
 COMPONENTS = ("x", "y", "z")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+class SlotError(ValueError):
+    """A gate failed while the engine applied one time slot.
+
+    ``slot`` is the failing slot; the original exception is ``__cause__``.
+    """
+
+    def __init__(self, slot: int, exc: Exception):
+        super().__init__(slot, exc)  # args rebuild the error when it is pickled
+        self.slot = slot
+
+    def __str__(self) -> str:
+        return f"slot {self.slot}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -324,7 +339,7 @@ def run_circuit(circuit: Circuit) -> Trace:
             try:
                 descriptors = _apply_step(descriptors, step, time)
             except Exception as exc:
-                raise type(exc)(f"slot {slot}: {exc}") from exc
+                raise SlotError(slot, exc) from exc
         state = NetworkState(time, descriptors)
         trace.append(state)
     return trace
@@ -335,7 +350,10 @@ def projector(state: NetworkState, qubit: int, sign: int) -> PauliSum:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_qubit(state, qubit)
-    z = state.descriptor(qubit).z
+    return _branch_projector(state.descriptor(qubit).z, sign)
+
+
+def _branch_projector(z: PauliSum, sign: int) -> PauliSum:
     return (_identity(z.n_qubits) + z * sign) * 0.5
 
 

@@ -20,6 +20,7 @@ Verdicts for a pair, in order:
 * ``sharp`` / ``anti-sharp`` -- conditions above; the report carries the
   branch projector weights, the relative descriptors, and per-branch
   conditional expectations (branches of non-negligible weight only).
+  The last two are computed from the pair's descriptors on first read.
 * ``non-sharp`` -- no sharp z-z product, but the pair is inside one
   interference bubble: entangled, or their descriptor supports meet.
 * ``unentangled`` -- everything else.
@@ -32,14 +33,20 @@ branching tree therefore runs a per-pair status machine over the trace --
 trunk, sharp, bubble -- in which leaving ``sharp`` always lands in
 ``bubble``.  That diffusion rule is this library's own convention; the
 instantaneous verdict function stays pure.
+
+One fold of that machine, :func:`foliation_timeline`, feeds both the
+table (:func:`timeline_rows`) and the tree (:func:`timeline_tree`).  The
+fold evaluates a pair afresh only when one of its two descriptors changed
+since the previous boundary and carries the earlier report over otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _cartesian
 
-from .engine import Circuit, Descriptor, NetworkState, Trace, projector
+from .engine import Circuit, Descriptor, NetworkState, Trace, _branch_projector
 from .pauli import DEFAULT_TOLERANCE, vacuum_expectation
 
 __all__ = [
@@ -57,14 +64,17 @@ __all__ = [
     "conditional_expectation",
     "default_watch_pairs",
     "PairEvent",
+    "Timeline",
     "foliation_timeline",
     "TreeNode",
     "TreeEdge",
     "BranchTree",
+    "timeline_tree",
     "build_branch_tree",
     "tree_json_doc",
     "tree_to_dot",
     "ReportRow",
+    "timeline_rows",
     "report_rows",
     "format_weight",
 ]
@@ -108,11 +118,12 @@ def entangled(
     if q1 == q2:
         raise ValueError("entanglement test needs two distinct qubits")
     d1, d2 = state.descriptor(q1), state.descriptor(q2)
+    means1 = {c: vacuum_expectation(d1.component(c)) for c in _COMPONENTS}
+    means2 = {c: vacuum_expectation(d2.component(c)) for c in _COMPONENTS}
     zz_joint = zz_product = 0.0
     for i, j in _cartesian(_COMPONENTS, repeat=2):
-        a, b = d1.component(i), d2.component(j)
-        joint = vacuum_expectation(a @ b)
-        prod = vacuum_expectation(a) * vacuum_expectation(b)
+        joint = vacuum_expectation(d1.component(i) @ d2.component(j))
+        prod = means1[i] * means2[j]
         if i == j == "z":
             zz_joint, zz_product = joint, prod
         if abs(joint - prod) > tol:
@@ -122,7 +133,13 @@ def entangled(
 
 @dataclass(frozen=True)
 class FoliationReport:
-    """Verdict and branch data for an ordered (control, target) pair."""
+    """Verdict and branch data for an ordered (control, target) pair.
+
+    The verdict depends only on the two descriptors and ``tol``, which the
+    report keeps.  ``relatives`` and ``conditionals`` are computed from
+    them on first read, and are ``None`` unless the verdict is sharp or
+    anti-sharp.
+    """
 
     pair: tuple[int, int]
     slot: int
@@ -131,8 +148,32 @@ class FoliationReport:
     proj_minus: float
     zz_product: float
     witness: EntanglementWitness
-    relatives: dict[int, Descriptor] | None = None
-    conditionals: dict[int, float] | None = None
+    control_descriptor: Descriptor = field(compare=False, repr=False)
+    target_descriptor: Descriptor = field(compare=False, repr=False)
+    tol: float = field(compare=False, repr=False)
+
+    @cached_property
+    def relatives(self) -> dict[int, Descriptor] | None:
+        """Target descriptor restricted to each branch of the control."""
+        if self.verdict not in (SHARP, ANTI_SHARP):
+            return None
+        return {
+            sign: _relative(self.control_descriptor, sign, self.target_descriptor)
+            for sign in (1, -1)
+        }
+
+    @cached_property
+    def conditionals(self) -> dict[int, float] | None:
+        """Branch expectation of the target's z, per branch of non-negligible weight."""
+        if self.verdict not in (SHARP, ANTI_SHARP):
+            return None
+        conditionals = {}
+        for sign, weight in ((1, self.proj_plus), (-1, self.proj_minus)):
+            if weight > self.tol:
+                conditionals[sign] = _conditional(
+                    self.control_descriptor, sign, self.target_descriptor, "z", self.tol
+                )
+        return conditionals
 
 
 def _z_record(state: NetworkState, control: int, target: int) -> bool:
@@ -176,17 +217,6 @@ def sharp_foliation(
     elif witness.entangled or _supports_meet(state, control, target):
         verdict = NON_SHARP
 
-    relatives = conditionals = None
-    if verdict in (SHARP, ANTI_SHARP):
-        relatives = {
-            sign: _relative(state, target, control, sign) for sign in (1, -1)
-        }
-        conditionals = {}
-        for sign, weight in ((1, proj_plus), (-1, proj_minus)):
-            if weight > tol:
-                conditionals[sign] = conditional_expectation(
-                    state, target, "z", control, sign, tol
-                )
     return FoliationReport(
         pair=(control, target),
         slot=state.time,
@@ -195,15 +225,26 @@ def sharp_foliation(
         proj_minus=proj_minus,
         zz_product=zz,
         witness=witness,
-        relatives=relatives,
-        conditionals=conditionals,
+        control_descriptor=dc,
+        target_descriptor=dt,
+        tol=tol,
     )
 
 
-def _relative(state: NetworkState, target: int, control: int, sign: int) -> Descriptor:
-    p = projector(state, control, sign)
-    d = state.descriptor(target)
-    return Descriptor(d.qubit, d.time, d.x @ p, d.y @ p, d.z @ p)
+def _relative(dc: Descriptor, sign: int, dt: Descriptor) -> Descriptor:
+    p = _branch_projector(dc.z, sign)
+    return Descriptor(dt.qubit, dt.time, dt.x @ p, dt.y @ p, dt.z @ p)
+
+
+def _conditional(dc: Descriptor, sign: int, dt: Descriptor, component: str, tol: float) -> float:
+    p = _branch_projector(dc.z, sign)
+    weight = vacuum_expectation(p, tol)
+    if weight <= tol:
+        raise ZeroWeightBranch(
+            f"branch {sign:+d} of qubit {dc.qubit} has weight {weight:g}"
+        )
+    value = vacuum_expectation(dt.component(component) @ p, tol)
+    return value / weight
 
 
 def relative_descriptor(
@@ -223,7 +264,7 @@ def relative_descriptor(
         raise FoliationPrecondition(
             f"pair ({control}, {target}) is {report.verdict} at t={state.time}"
         )
-    return _relative(state, target, control, sign)
+    return report.relatives[sign]
 
 
 def conditional_expectation(
@@ -237,14 +278,7 @@ def conditional_expectation(
     """Branch expectation <q_T P_sign>/<P_sign> of one target component."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    p = projector(state, control, sign)
-    weight = vacuum_expectation(p, tol)
-    if weight <= tol:
-        raise ZeroWeightBranch(
-            f"branch {sign:+d} of qubit {control} has weight {weight:g}"
-        )
-    value = vacuum_expectation(state.descriptor(target).component(component) @ p, tol)
-    return value / weight
+    return _conditional(state.descriptor(control), sign, state.descriptor(target), component, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +311,48 @@ class PairEvent:
     report: FoliationReport
 
 
+#: What :func:`foliation_timeline` returns: per-slot statuses, the
+#: transition events, and the per-slot instantaneous reports.
+Timeline = tuple[
+    list[dict[tuple[int, int], str]],
+    list[PairEvent],
+    list[dict[tuple[int, int], FoliationReport]],
+]
+
+
 def foliation_timeline(
     trace: Trace,
     watch: tuple[tuple[int, int], ...],
     tol: float = DEFAULT_TOLERANCE,
-) -> tuple[list[dict[tuple[int, int], str]], list[PairEvent], list[dict[tuple[int, int], FoliationReport]]]:
+) -> Timeline:
     """Fold the status machine over every slot boundary.
 
     Returns per-slot statuses, the transition events, and the per-slot
     instantaneous reports.  Statuses: ``trunk`` (never foliated), ``sharp``,
-    ``bubble`` (non-sharp, or sharp in the past and since diffused).
+    ``bubble`` (non-sharp, or sharp in the past and since diffused).  A
+    pair whose two descriptors are the same objects as at the previous
+    boundary keeps that boundary's report, restamped with the new slot.
     """
     status = {pair: _TRUNK for pair in watch}
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
     events: list[PairEvent] = []
+    previous: dict[tuple[int, int], FoliationReport] = {}
     for state in trace:
         slot_reports = {}
         for pair in watch:
-            report = sharp_foliation(state, pair[0], pair[1], tol)
+            report = previous.get(pair)
+            # A verdict reads only the pair's two descriptors and tol, and
+            # run_circuit hands a descriptor no gate touched on as the same
+            # object, so an unchanged pair's earlier report still holds.
+            if (
+                report is not None
+                and report.control_descriptor is state.descriptor(pair[0])
+                and report.target_descriptor is state.descriptor(pair[1])
+            ):
+                report = replace(report, slot=state.time)
+            else:
+                report = sharp_foliation(state, pair[0], pair[1], tol)
             slot_reports[pair] = report
             prev = status[pair]
             if report.verdict in (SHARP, ANTI_SHARP):
@@ -314,6 +371,7 @@ def foliation_timeline(
                     status[pair] = _BUBBLE
         statuses.append(dict(status))
         reports.append(slot_reports)
+        previous = slot_reports
     return statuses, events, reports
 
 
@@ -365,6 +423,18 @@ def build_branch_tree(
 ) -> BranchTree:
     """Event graph of foliation creation and diffusion across the trace.
 
+    Folds the timeline, then builds the tree with :func:`timeline_tree`.
+    """
+    return timeline_tree(foliation_timeline(trace, watch, tol), tol, labels)
+
+
+def timeline_tree(
+    timeline: Timeline,
+    tol: float = DEFAULT_TOLERANCE,
+    labels: dict[int, str] | None = None,
+) -> BranchTree:
+    """Event graph of foliation creation and diffusion from a folded timeline.
+
     Each watch pair's transitions become nodes; a node hangs off the
     pair's previous event when it has one (a creation feeding its own
     diffusion contributes one signed edge per branch, weighted by the
@@ -374,7 +444,7 @@ def build_branch_tree(
     def name(q: int) -> str:
         return labels[q] if labels and q in labels else f"q{q}"
 
-    _, events, _ = foliation_timeline(trace, watch, tol)
+    _, events, _ = timeline
     events = sorted(events, key=lambda e: (e.slot, e.pair))
 
     trunk = TreeNode("trunk", "trunk", 0, None, ())
@@ -501,6 +571,21 @@ def report_rows(
 ) -> list[ReportRow]:
     """Summary table: one row per gate, tagged with the affected pair's status.
 
+    Folds the timeline over ``watch`` (default: every pair sharing a
+    gate), then builds the rows with :func:`timeline_rows`.
+    """
+    if watch is None:
+        watch = default_watch_pairs(circuit)
+    return timeline_rows(circuit, watch, foliation_timeline(trace, watch, tol))
+
+
+def timeline_rows(
+    circuit: Circuit,
+    watch: tuple[tuple[int, int], ...],
+    timeline: Timeline,
+) -> list[ReportRow]:
+    """Summary table of a timeline folded over ``watch``: one row per gate.
+
     Two-qubit gates report their own (control, target) pair.  A
     single-qubit gate reports the live (sharp or bubble) watch pairs led by
     its qubit -- the pairs whose printed projections it steers -- falling
@@ -509,9 +594,7 @@ def report_rows(
     weights at the end of the interval.  Anti-sharp verdicts surface as
     ``Anti-sharp``.
     """
-    if watch is None:
-        watch = default_watch_pairs(circuit)
-    statuses, _, reports = foliation_timeline(trace, watch, tol)
+    statuses, _, reports = timeline
 
     def pair_verdict(pair: tuple[int, int], t: int) -> str:
         if reports[t][pair].verdict == ANTI_SHARP:

@@ -147,6 +147,23 @@ def test_check_refuses_circuit_above_dense_cap(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_table_and_tree_share_one_fold(tmp_path, monkeypatch, capsys):
+    # one fold over fr: 8 boundaries x 7 pairs, 41 of them with a changed descriptor
+    from heisensim import foliation
+
+    calls = []
+    original = foliation.sharp_foliation
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(foliation, "sharp_foliation", counted)
+    code, _ = run_cli(capsys, "run", "--preset", "fr", "--report", "table", "--tree", str(tmp_path / "t.dot"))
+    assert code == 0
+    assert len(calls) == 41
+
+
 def test_render_table_alignment():
     from heisensim.foliation import ReportRow
 

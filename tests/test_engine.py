@@ -187,6 +187,30 @@ def test_same_slot_gates_commute_bytewise(fr_circuit):
     assert doc1 == doc2
 
 
+class _TwoArgumentError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def test_run_circuit_names_failing_slot_and_chains_cause(fr_circuit, monkeypatch):
+    from heisensim import engine
+
+    original = engine._apply_step
+
+    def failing(descriptors, step, time):
+        if step.slot == 3:
+            raise _TwoArgumentError(7, "no such rule")
+        return original(descriptors, step, time)
+
+    monkeypatch.setattr(engine, "_apply_step", failing)
+    with pytest.raises(hs.SlotError) as info:
+        hs.run_circuit(fr_circuit)
+    assert isinstance(info.value, ValueError)
+    assert info.value.slot == 3
+    assert "slot 3" in str(info.value) and "7: no such rule" in str(info.value)
+    assert isinstance(info.value.__cause__, _TwoArgumentError)
+
+
 def test_gate_locality_shares_untouched_descriptors(fr_trace):
     before, after = fr_trace[2], fr_trace[3]  # slot 2 touches only A and S
     for q in range(8):

@@ -1,5 +1,6 @@
 """Foliation verdicts, relative descriptors, conditionals, and tree building."""
 import math
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from heisensim.foliation import (
 from heisensim.oracle import evolve_state, state_expectation
 from heisensim.pauli import PauliSum, allclose, vacuum_expectation
 
-from conftest import A, B, R, S, U_A, U_R, W_B, W_S
+from conftest import A, B, R, S, U_A, U_R, W_B, W_S, random_circuit, random_parallel_circuit
 
 SIN = math.sin(hs.FR_ANGLE)
 
@@ -288,6 +289,44 @@ def test_timeline_event_sequence(fr_trace, fr_watch):
         (7, (S, W_S), "created-sharp"),
         (7, (B, W_B), "created-sharp"),
     ]
+
+
+def _carry_over_cases():
+    fr = hs.preset_fr()
+    yield pytest.param(fr, hs.default_watch_pairs(fr), id="fr")
+    rng = random.Random(29)
+    every_pair = tuple((c, t) for c in range(5) for t in range(5) if c != t)
+    for k in range(4):
+        yield pytest.param(random_parallel_circuit(rng, 5, 6), every_pair, id=f"parallel-{k}")
+    for seed in (0, 5, 6):  # each folds in well under a second
+        circuit = random_circuit(random.Random(seed), 8, 40)
+        yield pytest.param(circuit, hs.default_watch_pairs(circuit), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("circuit, watch", list(_carry_over_cases()))
+def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
+    # the fold re-evaluates only pairs with a changed descriptor; every
+    # report it carries over must equal a fresh evaluation at that boundary
+    trace = hs.run_circuit(circuit)
+    _, _, reports = foliation_timeline(trace, watch)
+    for state, slot_reports in zip(trace, reports):
+        for (control, target), report in slot_reports.items():
+            fresh = hs.sharp_foliation(state, control, target)
+            assert report.slot == fresh.slot == state.time
+            assert report.verdict == fresh.verdict
+            assert (report.proj_plus, report.proj_minus) == (fresh.proj_plus, fresh.proj_minus)
+            assert report.zz_product == fresh.zz_product
+            assert report.witness == fresh.witness
+            if report.verdict in (SHARP, ANTI_SHARP):
+                for sign in (1, -1):
+                    carried, again = report.relatives[sign], fresh.relatives[sign]
+                    assert (carried.qubit, carried.time) == (again.qubit, again.time)
+                    for comp in "xyz":
+                        assert carried.component(comp).terms == again.component(comp).terms
+                assert report.conditionals == fresh.conditionals
+            else:
+                assert report.relatives is fresh.relatives is None
+                assert report.conditionals is fresh.conditionals is None
 
 
 def test_branch_tree_structure(fr_trace, fr_watch, fr_circuit):
