@@ -12,10 +12,6 @@ from .engine import (
     GateStep,
     NetworkState,
     SlotError,
-    apply_cnot,
-    apply_controlled_hadamard,
-    apply_hadamard,
-    apply_rotation_y,
     ch,
     cx,
     h,
@@ -47,11 +43,8 @@ from .pauli import (
     PauliString,
     PauliSum,
     allclose,
-    canonicalize,
     letter_mul,
-    linear_combine,
     string_mul,
-    sum_mul,
     vacuum_expectation,
 )
 from .presets import FR_ANGLE, get_preset, preset_fr
@@ -65,9 +58,6 @@ __all__ = [
     "PauliSum",
     "letter_mul",
     "string_mul",
-    "sum_mul",
-    "linear_combine",
-    "canonicalize",
     "vacuum_expectation",
     "allclose",
     "DEFAULT_TOLERANCE",
@@ -83,10 +73,6 @@ __all__ = [
     "cx",
     "ch",
     "init_network",
-    "apply_rotation_y",
-    "apply_hadamard",
-    "apply_cnot",
-    "apply_controlled_hadamard",
     "run_circuit",
     "projector",
     "trace_json_doc",

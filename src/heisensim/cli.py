@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a circuit and emit reports")
     src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=sorted(PRESETS), help="bundled circuit")
+    src.add_argument("--preset", choices=PRESETS, help="bundled circuit")
     src.add_argument("--circuit", metavar="PATH", help="circuit description file")
     run.add_argument("--report", choices=("table", "json"), help="print the foliation table or the trace JSON")
     run.add_argument("--tree", metavar="PATH", help="write the branching tree (.dot or .json)")
@@ -108,7 +108,10 @@ def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
                 raise SystemExit(f"unknown qubit {name!r} in --watch")
         if resolved[0] == resolved[1]:
             raise SystemExit(f"watch pair {chunk!r} names one qubit twice")
-        pairs.append(tuple(resolved))
+        pair = tuple(resolved)
+        if pair in pairs or pair[::-1] in pairs:
+            raise SystemExit(f"watch pair {chunk!r} is given twice")
+        pairs.append(pair)
     return tuple(pairs)
 
 

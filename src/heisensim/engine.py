@@ -17,8 +17,14 @@ and serves as an independent cross-check):
 
 Gates occupy integer time slots; a slot's gates act on disjoint qubits, so
 their application order inside the slot is irrelevant.  A run produces one
-network state per slot boundary t = 0..max_slot+1.  States are immutable;
-untouched descriptors are shared between consecutive states.
+network state per slot boundary t = 0..max_slot+1; :func:`run_circuit` is
+the one way to apply gates.  States are immutable; untouched descriptors
+are shared between consecutive states.
+
+:func:`check_step` and :func:`check_label` are the one circuit validation
+path: :class:`Circuit` and the circuit-file parser both run them, so qubit
+range, slot order, slot clashes and unique labels are checked in one place.
+:class:`GateStep` checks each gate on its own (kind, arity, finite angle).
 """
 from __future__ import annotations
 
@@ -40,11 +46,9 @@ __all__ = [
     "h",
     "cx",
     "ch",
+    "check_step",
+    "check_label",
     "init_network",
-    "apply_rotation_y",
-    "apply_hadamard",
-    "apply_cnot",
-    "apply_controlled_hadamard",
     "run_circuit",
     "projector",
     "trace_json_doc",
@@ -91,6 +95,8 @@ class GateStep:
         if self.kind == "ry":
             if self.angle is None:
                 raise ValueError("ry needs an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"ry angle must be finite, got {self.angle!r}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         if self.slot < 0:
@@ -121,6 +127,35 @@ def ch(control: int, target: int, slot: int = 0) -> GateStep:
     return GateStep("ch", (control, target), slot)
 
 
+def check_step(step: GateStep, n_qubits: int, prev_slot: int, held: set[int]) -> None:
+    """Admit ``step`` as the next gate of an ``n_qubits`` circuit.
+
+    ``prev_slot`` is the previous gate's slot (-1 before the first) and
+    ``held`` the qubits its slot already uses; ``held`` is updated in place.
+    """
+    for q in step.qubits:
+        if not 0 <= q < n_qubits:
+            raise IndexError(f"qubit {q} out of range (0..{n_qubits - 1})")
+    if step.slot < prev_slot:
+        raise ValueError(f"slot {step.slot} goes backwards (current slot is {prev_slot})")
+    if step.slot > prev_slot:
+        held.clear()
+    if not held.isdisjoint(step.qubits):
+        raise ValueError(f"slot {step.slot} already uses qubit(s) {sorted(held.intersection(step.qubits))}")
+    held.update(step.qubits)
+
+
+def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int) -> None:
+    """Admit ``name`` for ``qubit`` next to ``labels``: in range, each qubit and name once."""
+    if not 0 <= qubit < n_qubits:
+        raise IndexError(f"label for qubit {qubit} out of range (0..{n_qubits - 1})")
+    if qubit in labels:
+        raise ValueError(f"qubit {qubit} is already labelled {labels[qubit]!r}")
+    for q, other in labels.items():
+        if other == name:
+            raise ValueError(f"label {name!r} already names qubit {q}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list on ``n_qubits``, with optional qubit labels."""
@@ -131,27 +166,19 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", dict(self.labels))
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        held: dict[int, set[int]] = {}
+        held: set[int] = set()
         prev_slot = -1
         for step in self.steps:
-            for q in step.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise IndexError(f"qubit {q} out of range for {self.n_qubits} qubits")
-            if step.slot < prev_slot:
-                raise ValueError(f"slots must be nondecreasing, got {step.slot} after {prev_slot}")
+            check_step(step, self.n_qubits, prev_slot, held)
             prev_slot = step.slot
-            used = held.setdefault(step.slot, set())
-            if used & set(step.qubits):
-                raise ValueError(f"slot {step.slot}: qubits {sorted(used & set(step.qubits))} already in use")
-            used.update(step.qubits)
-        if self.labels:
-            for q in self.labels:
-                if not 0 <= q < self.n_qubits:
-                    raise IndexError(f"label for qubit {q} out of range")
+        if self.labels is not None:
+            labels: dict[int, str] = {}
+            for q, name in self.labels.items():
+                check_label(labels, q, name, self.n_qubits)
+                labels[q] = name
+            object.__setattr__(self, "labels", labels)
 
     @property
     def max_slot(self) -> int:
@@ -290,38 +317,6 @@ def _apply_step(descriptors: tuple[Descriptor, ...], step: GateStep, time: int) 
     return tuple(out)
 
 
-def _check_qubit(state: NetworkState, q: int):
-    if not 0 <= q < state.n_qubits:
-        raise IndexError(f"qubit {q} out of range for {state.n_qubits} qubits")
-
-
-def apply_rotation_y(state: NetworkState, qubit: int, angle: float) -> NetworkState:
-    """Rotate one qubit's descriptor about its y axis; time advances by 1."""
-    _check_qubit(state, qubit)
-    step = GateStep("ry", (qubit,), max(state.time, 0), angle)
-    return NetworkState(state.time + 1, _apply_step(state.descriptors, step, state.time + 1))
-
-
-def apply_hadamard(state: NetworkState, qubit: int) -> NetworkState:
-    _check_qubit(state, qubit)
-    step = GateStep("h", (qubit,), max(state.time, 0))
-    return NetworkState(state.time + 1, _apply_step(state.descriptors, step, state.time + 1))
-
-
-def apply_cnot(state: NetworkState, control: int, target: int) -> NetworkState:
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    step = GateStep("cx", (control, target), max(state.time, 0))
-    return NetworkState(state.time + 1, _apply_step(state.descriptors, step, state.time + 1))
-
-
-def apply_controlled_hadamard(state: NetworkState, control: int, target: int) -> NetworkState:
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    step = GateStep("ch", (control, target), max(state.time, 0))
-    return NetworkState(state.time + 1, _apply_step(state.descriptors, step, state.time + 1))
-
-
 def run_circuit(circuit: Circuit) -> Trace:
     """Evolve the network slot by slot; one state per slot boundary.
 
@@ -349,7 +344,6 @@ def projector(state: NetworkState, qubit: int, sign: int) -> PauliSum:
     """Branch projector (I + sign * q_z)/2 for one qubit's current z component."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    _check_qubit(state, qubit)
     return _branch_projector(state.descriptor(qubit).z, sign)
 
 

@@ -11,15 +11,21 @@
     h 0                 # no @slot: previous slot + 1
 
 * ``qubits <n>`` must come first; ``label <idx> <name>`` lines may follow
-  before any gate.
+  before any gate, one per qubit, each name used once.
 * Gate lines are ``ry <q> <angle-expr>``, ``h <q>``, ``cx <c> <t>``,
   ``ch <c> <t>``, optionally prefixed with ``@<slot>``.  Without a prefix a
   gate occupies the slot after the previous gate's; an explicit ``@<slot>``
   may repeat the current slot to run gates in parallel (on disjoint
   qubits) but may not go backwards.
 * Angle expressions allow numbers, ``pi``, arithmetic (+ - * / **), and
-  ``sqrt``, ``arcsin``, ``arccos``, ``arctan``, ``sin``, ``cos``, ``tan``.
+  ``sqrt``, ``arcsin``, ``arccos``, ``arctan``, ``sin``, ``cos``, ``tan``;
+  the value must be finite.
 
+The parser checks only the syntax.  Each gate line becomes a
+:class:`~heisensim.engine.GateStep` and each gate and label line goes
+through :func:`~heisensim.engine.check_step` or
+:func:`~heisensim.engine.check_label`, the checks :class:`Circuit` itself
+makes, so a file and a hand-built circuit are held to the same rules.
 Every diagnostic carries the offending line number.
 """
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import ast
 import math
 
-from .engine import Circuit, GateStep
+from .engine import GATE_KINDS, Circuit, GateStep, check_label, check_step
 
 __all__ = ["CircuitSyntaxError", "parse_circuit", "serialize_circuit"]
 
@@ -106,14 +112,11 @@ def _eval_angle(expr: str, line: int) -> float:
         raise CircuitSyntaxError(f"cannot evaluate {expr!r}: {exc}", line) from None
 
 
-def _parse_index(token: str, n_qubits: int, line: int) -> int:
+def _parse_index(token: str, line: int) -> int:
     try:
-        q = int(token)
+        return int(token)
     except ValueError:
         raise CircuitSyntaxError(f"bad qubit index {token!r}", line) from None
-    if not 0 <= q < n_qubits:
-        raise CircuitSyntaxError(f"qubit {q} out of range (0..{n_qubits - 1})", line)
-    return q
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -122,8 +125,7 @@ def parse_circuit(text: str) -> Circuit:
     labels: dict[int, str] = {}
     steps: list[GateStep] = []
     slot = -1
-    slot_qubits: dict[int, set[int]] = {}
-    gates_seen = False
+    held: set[int] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,7 +137,7 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             if n_qubits is not None:
                 raise CircuitSyntaxError("duplicate qubits directive", lineno)
-            if gates_seen or labels:
+            if steps or labels:
                 raise CircuitSyntaxError("qubits must come first", lineno)
             if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
                 raise CircuitSyntaxError("expected: qubits <positive integer>", lineno)
@@ -146,71 +148,47 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError("qubits directive must come before anything else", lineno)
 
         if head == "label":
-            if gates_seen:
+            if steps:
                 raise CircuitSyntaxError("labels must come before gates", lineno)
             if len(tokens) != 3:
                 raise CircuitSyntaxError("expected: label <index> <name>", lineno)
-            q = _parse_index(tokens[1], n_qubits, lineno)
-            labels[q] = tokens[2]
+            q, name = _parse_index(tokens[1], lineno), tokens[2]
+            try:
+                check_label(labels, q, name, n_qubits)
+            except (ValueError, IndexError) as exc:
+                raise CircuitSyntaxError(str(exc), lineno) from None
+            labels[q] = name
             continue
 
         # gate line, with optional @slot prefix
-        explicit = None
+        next_slot = slot + 1
         if head.startswith("@"):
             try:
-                explicit = int(head[1:])
+                next_slot = int(head[1:])
             except ValueError:
                 raise CircuitSyntaxError(f"bad slot {head!r}", lineno) from None
-            if explicit < 0:
-                raise CircuitSyntaxError("slots are non-negative", lineno)
             tokens = tokens[1:]
             if not tokens:
                 raise CircuitSyntaxError("slot prefix without a gate", lineno)
             head = tokens[0]
 
-        if head not in ("ry", "h", "cx", "ch"):
+        if head not in GATE_KINDS:
             raise CircuitSyntaxError(f"unknown gate {head!r}", lineno)
-
-        if explicit is not None:
-            if explicit < slot:
-                raise CircuitSyntaxError(
-                    f"slot {explicit} goes backwards (current slot is {slot})", lineno
-                )
-            slot = explicit
-        else:
-            slot += 1
-
+        angle = None
         if head == "ry":
             if len(tokens) < 3:
                 raise CircuitSyntaxError("expected: ry <q> <angle-expr>", lineno)
-            q = _parse_index(tokens[1], n_qubits, lineno)
             angle = _eval_angle(" ".join(tokens[2:]), lineno)
-            qubits: tuple[int, ...] = (q,)
-            step = GateStep("ry", qubits, slot, angle)
-        elif head == "h":
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("expected: h <q>", lineno)
-            qubits = (_parse_index(tokens[1], n_qubits, lineno),)
-            step = GateStep("h", qubits, slot)
-        else:
-            if len(tokens) != 3:
-                raise CircuitSyntaxError(f"expected: {head} <control> <target>", lineno)
-            c = _parse_index(tokens[1], n_qubits, lineno)
-            t = _parse_index(tokens[2], n_qubits, lineno)
-            if c == t:
-                raise CircuitSyntaxError(f"{head} control and target must differ", lineno)
-            qubits = (c, t)
-            step = GateStep(head, qubits, slot)
+            tokens = tokens[:2]
+        qubits = tuple(_parse_index(token, lineno) for token in tokens[1:])
 
-        used = slot_qubits.setdefault(slot, set())
-        clash = used & set(qubits)
-        if clash:
-            raise CircuitSyntaxError(
-                f"slot {slot} already uses qubit(s) {sorted(clash)}", lineno
-            )
-        used.update(qubits)
+        try:
+            step = GateStep(head, qubits, next_slot, angle)
+            check_step(step, n_qubits, slot, held)
+        except (ValueError, IndexError) as exc:
+            raise CircuitSyntaxError(str(exc), lineno) from None
         steps.append(step)
-        gates_seen = True
+        slot = next_slot
 
     if n_qubits is None:
         raise CircuitSyntaxError("missing qubits directive", 1)

@@ -8,11 +8,13 @@ on qubit q, bit q of z for Z or Y, so the string is i^{#Y} X^x Z^z with
 integers have no width, so any register size works the same way.
 :func:`_mul_into` is the one product rule.
 
-Construction merges like strings (from strings, with order-insensitive
-``fsum``) and drops coefficients below :data:`DROP_TOLERANCE`.  The
-canonical term order, by (qubit index, letter rank), is computed when
-output first reads it and then cached, so equal operators always
-serialise identically.
+The operators are the algebra: ``+``, ``-``, unary ``-``, scalar ``*`` and
+``/``, and ``@`` for the operator product.  Construction merges like
+strings (from strings, with order-insensitive ``fsum``) and every result
+drops coefficients below :data:`DROP_TOLERANCE`, so sums are always in
+canonical form.  The canonical term order, by (qubit index, letter rank),
+is computed when output first reads it and then cached, so equal
+operators always serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
@@ -33,9 +35,6 @@ __all__ = [
     "PauliSum",
     "letter_mul",
     "string_mul",
-    "sum_mul",
-    "linear_combine",
-    "canonicalize",
     "vacuum_expectation",
     "allclose",
 ]
@@ -334,35 +333,6 @@ class PauliSum:
             {"coeff": [c.real, c.imag], "letters": {str(q): letter for q, letter in letters}}
             for letters, c in self._ordered()
         ]
-
-
-def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Distributive operator product; canonicalised."""
-    return a @ b
-
-
-def linear_combine(pairs: Iterable[tuple[complex, PauliSum]]) -> PauliSum:
-    """Canonicalised weighted sum of operators sharing one qubit count."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("linear_combine needs at least one operand")
-    n = pairs[0][1].n_qubits
-    terms: dict[Key, list[complex]] = {}
-    for w, a in pairs:
-        if a.n_qubits != n:
-            raise DimensionMismatch(f"operands on {n} and {a.n_qubits} qubits")
-        for key, c in a._terms.items():
-            terms.setdefault(key, []).append(w * c)
-    merged = {
-        key: complex(fsum(z.real for z in cs), fsum(z.imag for z in cs))
-        for key, cs in terms.items()
-    }
-    return PauliSum._from_dict(n, merged)
-
-
-def canonicalize(a: PauliSum) -> PauliSum:
-    """Re-canonicalise an operator (idempotent: sums are always canonical)."""
-    return PauliSum(a.n_qubits, a.terms)
 
 
 def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:

@@ -1,18 +1,43 @@
-"""Bundled circuits."""
+"""Bundled circuits, each defined by one file under ``heisensim/data``.
+
+``fr`` is ``data/fr.qc``: the eight-qubit extended Wigner's-friend
+protocol (Frauchiger-Renner).  A preset's file is parsed once per process;
+every :func:`get_preset` call returns a fresh :class:`Circuit`.
+"""
 from __future__ import annotations
 
 import math
+from functools import cache
 from importlib import resources
 
-from .engine import Circuit, ch, cx, h, ry
+from .engine import Circuit
+from .lang import parse_circuit
 
-__all__ = ["FR_ANGLE", "FR_LABELS", "preset_fr", "get_preset", "preset_source", "PRESETS"]
+__all__ = ["FR_ANGLE", "preset_fr", "get_preset", "preset_source", "PRESETS"]
 
-#: Rotation angle of the preparation step: the prepared qubit lands on the
-#: +1 branch with probability 1/3.
+#: Rotation angle of the preparation step in ``fr.qc``: the prepared qubit
+#: lands on the +1 branch with probability 1/3.
 FR_ANGLE = 2.0 * math.asin(math.sqrt(2.0 / 3.0))
 
-FR_LABELS = {0: "R", 1: "A", 2: "S", 3: "B", 4: "U_R", 5: "U_A", 6: "W_S", 7: "W_B"}
+PRESETS = ("fr",)
+
+
+def preset_source(name: str) -> str:
+    """The shipped text of a preset."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (available: {', '.join(PRESETS)})")
+    return resources.files("heisensim").joinpath(f"data/{name}.qc").read_text()
+
+
+@cache
+def _parsed(name: str) -> Circuit:
+    return parse_circuit(preset_source(name))
+
+
+def get_preset(name: str) -> Circuit:
+    """A bundled circuit; each call returns a new one with its own ``labels`` dict."""
+    circuit = _parsed(name)
+    return Circuit(circuit.n_qubits, circuit.steps, circuit.labels)
 
 
 def preset_fr() -> Circuit:
@@ -24,36 +49,4 @@ def preset_fr() -> Circuit:
     followed by a Hadamard) and record the outcomes into U_R, U_A, W_S,
     W_B with final controlled-nots.
     """
-    r, a, s, b, u_r, u_a, w_s, w_b = range(8)
-    steps = (
-        ry(r, FR_ANGLE, slot=0),
-        cx(r, a, slot=1),
-        ch(a, s, slot=2),
-        cx(s, b, slot=3),
-        cx(r, a, slot=4),
-        cx(s, b, slot=4),
-        h(r, slot=5),
-        h(s, slot=5),
-        cx(r, u_r, slot=6),
-        cx(a, u_a, slot=6),
-        cx(s, w_s, slot=6),
-        cx(b, w_b, slot=6),
-    )
-    return Circuit(8, steps, dict(FR_LABELS))
-
-
-PRESETS = {"fr": preset_fr}
-
-
-def get_preset(name: str) -> Circuit:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})") from None
-
-
-def preset_source(name: str) -> str:
-    """The shipped text form of a preset (parses to the same circuit)."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}")
-    return resources.files("heisensim").joinpath(f"data/{name}.qc").read_text()
+    return get_preset("fr")

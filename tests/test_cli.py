@@ -91,6 +91,14 @@ def test_watch_rejects_unknown_names(capsys):
         main(["run", "--preset", "fr", "--watch", "R,NOPE"])
 
 
+@pytest.mark.parametrize("spec", ["R,A;R,A", "R,A;A,R", "0,1;R,A"])
+def test_watch_rejects_repeated_pair(spec, capsys):
+    repeat = spec.split(";")[1]
+    with pytest.raises(SystemExit, match=rf"watch pair '{repeat}' is given twice"):
+        main(["run", "--preset", "fr", "--report", "table", "--watch", spec])
+    assert capsys.readouterr().out == ""
+
+
 def test_circuit_file_diagnostics_surface(tmp_path):
     bad = tmp_path / "bad.qc"
     bad.write_text("qubits 2\ncx 0 0\n")

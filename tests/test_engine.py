@@ -23,6 +23,11 @@ def proj_plus_weight(state, qubit):
     return vacuum_expectation(hs.projector(state, qubit, +1))
 
 
+def after_gates(n_qubits, *steps):
+    """The network after the last slot of a circuit of ``steps``."""
+    return hs.run_circuit(hs.Circuit(n_qubits, steps))[-1]
+
+
 # -- initialisation ----------------------------------------------------------
 
 
@@ -61,7 +66,7 @@ def test_init_network_rejects_empty():
 
 
 def test_rotation_prepares_third_weight():
-    state = hs.apply_rotation_y(hs.init_network(1), 0, PHI)
+    state = after_gates(1, hs.ry(0, PHI))
     d = state.descriptor(0)
     expected_z = PauliSum(1, [PauliString(C, {0: "Z"}), PauliString(-SIN, {0: "X"})])
     assert allclose(d.z, expected_z, 1e-12)
@@ -70,14 +75,14 @@ def test_rotation_prepares_third_weight():
 
 def test_rotation_zero_angle_is_identity():
     before = hs.init_network(2)
-    after = hs.apply_rotation_y(before, 1, 0.0)
+    after = after_gates(2, hs.ry(1, 0.0))
     for comp in "xyz":
         assert allclose(after.descriptor(1).component(comp), before.descriptor(1).component(comp), 1e-15)
 
 
 def test_rotation_pi_flips_x_and_z():
     before = hs.init_network(1)
-    after = hs.apply_rotation_y(before, 0, math.pi)
+    after = after_gates(1, hs.ry(0, math.pi))
     assert allclose(after.descriptor(0).x, -before.descriptor(0).x, 1e-12)
     assert allclose(after.descriptor(0).z, -before.descriptor(0).z, 1e-12)
     assert allclose(after.descriptor(0).y, before.descriptor(0).y, 1e-15)
@@ -87,7 +92,7 @@ def test_rotation_pi_flips_x_and_z():
 
 
 def test_hadamard_swaps_x_and_z():
-    state = hs.apply_hadamard(hs.init_network(1), 0)
+    state = after_gates(1, hs.h(0))
     d = state.descriptor(0)
     assert d.x == PauliSum.single(1, 0, "Z")
     assert d.z == PauliSum.single(1, 0, "X")
@@ -95,8 +100,8 @@ def test_hadamard_swaps_x_and_z():
 
 
 def test_hadamard_involution():
-    start = hs.apply_rotation_y(hs.init_network(1), 0, 0.7)
-    twice = hs.apply_hadamard(hs.apply_hadamard(start, 0), 0)
+    start = after_gates(1, hs.ry(0, 0.7))
+    twice = after_gates(1, hs.ry(0, 0.7), hs.h(0, slot=1), hs.h(0, slot=2))
     for comp in "xyz":
         assert allclose(twice.descriptor(0).component(comp), start.descriptor(0).component(comp), 1e-12)
 
@@ -116,7 +121,7 @@ def test_cnot_records_sharp_product(fr_trace):
 
 
 def test_cnot_fresh_pair_keeps_target_sharp():
-    state = hs.apply_cnot(hs.init_network(2), 0, 1)
+    state = after_gates(2, hs.cx(0, 1))
     assert vacuum_expectation(state.descriptor(1).z) == pytest.approx(1.0)
 
 
@@ -138,7 +143,7 @@ def test_controlled_hadamard_bubble_product(fr_trace):
 
 
 def test_controlled_hadamard_sharp_control_leaves_target():
-    state = hs.apply_controlled_hadamard(hs.init_network(2), 0, 1)
+    state = after_gates(2, hs.ch(0, 1))
     assert vacuum_expectation(state.descriptor(1).z) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -290,11 +295,23 @@ def test_picture_equivalence(fr_crosscheck):
 
 
 def test_apply_out_of_range():
-    state = hs.init_network(2)
     with pytest.raises(IndexError):
-        hs.apply_hadamard(state, 5)
+        hs.Circuit(2, (hs.h(5),))
     with pytest.raises(IndexError):
-        hs.apply_rotation_y(state, -1, 0.3)
+        hs.Circuit(2, (hs.ry(-1, 0.3),))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_gate_step_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="finite"):
+        hs.ry(0, angle)
+
+
+def test_circuit_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="'R' already names qubit 0"):
+        hs.Circuit(2, (), {0: "R", 1: "R"})
+    with pytest.raises(IndexError):
+        hs.Circuit(2, (), {2: "R"})
 
 
 def test_gate_step_rejects_self_control():

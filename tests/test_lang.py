@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import heisensim as hs
 from heisensim.lang import CircuitSyntaxError, parse_circuit, serialize_circuit
-from heisensim.presets import preset_source
 
 from conftest import random_circuit
 
@@ -21,8 +20,16 @@ def test_parse_minimal_two_qubit_document():
     assert circuit.steps[1].kind == "cx"
 
 
-def test_shipped_preset_file_matches_builtin():
-    assert parse_circuit(preset_source("fr")) == hs.preset_fr()
+def test_preset_file_angle_is_fr_angle():
+    assert hs.preset_fr().steps[0].angle == hs.FR_ANGLE  # bit-exact
+
+
+def test_preset_calls_return_fresh_circuits():
+    first, second = hs.preset_fr(), hs.preset_fr()
+    assert first == second
+    assert first.labels is not second.labels
+    first.labels[0] = "changed"
+    assert hs.preset_fr().labels[0] == "R"
 
 
 def test_self_controlled_gate_diagnostic_line():
@@ -62,6 +69,28 @@ def test_unknown_gate_diagnostic():
 def test_index_out_of_range_diagnostic():
     with pytest.raises(CircuitSyntaxError, match="line 2.*out of range"):
         parse_circuit("qubits 2\nh 7\n")
+
+
+@pytest.mark.parametrize("expr", ["1e999", "1e999-1e999"])
+def test_non_finite_angle_diagnostic(expr):
+    with pytest.raises(CircuitSyntaxError, match="line 2.*finite") as err:
+        parse_circuit(f"qubits 1\nry 0 {expr}\n")
+    assert err.value.line == 2
+
+
+def test_duplicate_label_name_diagnostic():
+    with pytest.raises(CircuitSyntaxError, match="line 3.*'R' already names qubit 0"):
+        parse_circuit("qubits 2\nlabel 0 R\nlabel 1 R\n")
+
+
+def test_qubit_labelled_twice_diagnostic():
+    with pytest.raises(CircuitSyntaxError, match="line 4.*qubit 0 is already labelled 'R'"):
+        parse_circuit("qubits 2\nlabel 0 R\nlabel 1 A\nlabel 0 S\n")
+
+
+def test_label_index_out_of_range_diagnostic():
+    with pytest.raises(CircuitSyntaxError, match="line 2.*out of range"):
+        parse_circuit("qubits 2\nlabel 2 R\n")
 
 
 def test_labels_round_trip():

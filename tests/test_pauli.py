@@ -14,11 +14,8 @@ from heisensim.pauli import (
     PauliString,
     PauliSum,
     allclose,
-    canonicalize,
     letter_mul,
-    linear_combine,
     string_mul,
-    sum_mul,
     vacuum_expectation,
 )
 
@@ -114,14 +111,19 @@ def test_product_rule_on_multiword_masks(q):
 @st.composite
 def sum_pairs_with_y(draw):
     n = draw(st.integers(1, 5))
-    part = st.floats(-2, 2, allow_nan=False)
+
+    # as in sum_triples: a product coefficient inside the drop band is
+    # truncated by construction, so keep the factors well above it
+    def part():
+        v = draw(st.floats(-2, 2, allow_nan=False))
+        return 0.0 if abs(v) < 1e-5 else v
 
     def one():
         out = []
         for _ in range(draw(st.integers(1, 4))):
             letters = {q: draw(st.sampled_from("IXYZ")) for q in range(n)}
             letters[draw(st.integers(0, n - 1))] = "Y"
-            out.append(PauliString(complex(draw(part), draw(part)), letters))
+            out.append(PauliString(complex(part(), part()), letters))
         return PauliSum(n, out)
 
     return one(), one()
@@ -150,7 +152,7 @@ def test_sum_mul_rotated_component_squares_to_identity():
 
 def test_sum_mul_identity_neutral():
     a = rotated_z()
-    assert allclose(sum_mul(a, PauliSum.identity(1)), a, 1e-15)
+    assert allclose(a @ PauliSum.identity(1), a, 1e-15)
 
 
 def test_sum_mul_disjoint_supports():
@@ -161,7 +163,7 @@ def test_sum_mul_disjoint_supports():
 
 def test_sum_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        sum_mul(PauliSum.identity(2), PauliSum.identity(3))
+        PauliSum.identity(2) @ PauliSum.identity(3)
 
 
 @st.composite
@@ -198,28 +200,26 @@ def test_sum_mul_associative_and_distributive(triple):
 
 
 def test_linear_combine_projector():
-    p_plus = linear_combine([(0.5, PauliSum.identity(1)), (0.5, PauliSum.single(1, 0, "Z"))])
+    p_plus = 0.5 * PauliSum.identity(1) + 0.5 * PauliSum.single(1, 0, "Z")
     assert vacuum_expectation(p_plus) == pytest.approx(1.0)
 
 
 def test_linear_combine_cancellation():
     a = rotated_z()
-    assert len(linear_combine([(1.0, a), (-1.0, a)])) == 0
+    assert len(1.0 * a + -1.0 * a) == 0
 
 
 def test_linear_combine_keeps_unlike_terms():
     zi = PauliSum.single(2, 0, "Z")
     xz = PauliSum(2, [PauliString(1.0, {0: "X", 1: "Z"})])
-    out = linear_combine([(1 / 3, zi), (2 / 3, xz)])
+    out = (1 / 3) * zi + (2 / 3) * xz
     assert len(out) == 2
     assert out.coefficient({0: "Z"}) == pytest.approx(1 / 3)
 
 
-def test_linear_combine_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
-        linear_combine([])
+def test_linear_combine_rejects_mismatched():
     with pytest.raises(DimensionMismatch):
-        linear_combine([(1.0, PauliSum.identity(1)), (1.0, PauliSum.identity(2))])
+        1.0 * PauliSum.identity(1) + 1.0 * PauliSum.identity(2)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -234,11 +234,6 @@ def test_canonicalize_drops_negligible_terms():
     a = PauliSum(1, [PauliString(1e-15, {0: "Z"})])
     assert len(a) == 0
     assert a == PauliSum.zero(1)
-
-
-def test_canonicalize_idempotent():
-    a = rotated_z(2, 1) + PauliSum.single(2, 0, "Y", 0.25j)
-    assert canonicalize(a) == a
 
 
 @given(sum_triples(), st.randoms(use_true_random=False))
@@ -328,7 +323,7 @@ def test_vacuum_expectation_hermiticity_guard():
 @settings(max_examples=60)
 def test_vacuum_expectation_linear(triple, alpha, beta):
     a, b, _ = triple
-    lhs = vacuum_expectation(linear_combine([(alpha, a), (beta, b)]))
+    lhs = vacuum_expectation(alpha * a + beta * b)
     rhs = alpha * vacuum_expectation(a) + beta * vacuum_expectation(b)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
