@@ -472,10 +472,68 @@ def test_format_weight_fractions():
 # -- report rows ----------------------------------------------------------------------
 
 
-def test_report_row_without_live_pair():
-    circuit = hs.Circuit(2, (hs.h(0, slot=0),), {0: "P", 1: "Q"})
-    rows = hs.report_rows(circuit, hs.run_circuit(circuit))
-    assert rows == [ReportRow((0, 1), "-", "Hadamard on P", "-", None)]
+def _row_rule_cases():
+    # P is put in superposition and copied onto Q, so every live pair has
+    # branch weights (1/2, 1/2); the last gate of each circuit is the case
+    prepared = (hs.h(0, slot=0), hs.cx(0, 1, slot=1))
+    labels = {0: "P", 1: "Q", 2: "S"}
+    prep_rows = [
+        ReportRow((0, 1), "-", "Hadamard on P", "-", None),
+        ReportRow((1, 2), "P,Q", "Controlled-not", "Sharp", (0.5, 0.5)),
+    ]
+    half = (0.5, 0.5)
+    yield pytest.param(
+        hs.Circuit(2, (hs.h(0, slot=0),), {0: "P", 1: "Q"}),
+        None,
+        [ReportRow((0, 1), "-", "Hadamard on P", "-", None)],
+        id="fresh-qubit",
+    )
+    yield pytest.param(
+        hs.Circuit(2, prepared, {0: "P", 1: "Q"}),
+        ((1, 0),),  # --watch Q,P
+        [prep_rows[0], ReportRow((1, 2), "Q,P", "Controlled-not", "Sharp", half)],
+        id="reversed-pair",
+    )
+    yield pytest.param(
+        hs.Circuit(3, prepared + (hs.cx(1, 2, slot=2),), labels),
+        ((0, 1),),
+        prep_rows + [ReportRow((2, 3), "-", "Controlled-not", "-", None)],
+        id="unwatched-pair",
+    )
+    yield pytest.param(
+        hs.Circuit(3, prepared + (hs.cx(0, 2, slot=2), hs.h(0, slot=3)), labels),
+        ((0, 1), (0, 2)),
+        prep_rows
+        + [
+            ReportRow((2, 3), "P,S", "Controlled-not", "Sharp", half),
+            ReportRow((3, 4), "P,Q", "Hadamard on P", "Non-sharp", half),
+            ReportRow((3, 4), "P,S", "Hadamard on P", "Non-sharp", half),
+        ],
+        id="leads-two-pairs",
+    )
+    yield pytest.param(
+        hs.Circuit(2, prepared + (hs.h(1, slot=2),), {0: "P", 1: "Q"}),
+        None,
+        prep_rows + [ReportRow((2, 3), "P,Q", "Hadamard on Q", "Non-sharp", half)],
+        id="trails-a-pair",
+    )
+    yield pytest.param(
+        hs.Circuit(2, prepared + (hs.ry(1, math.pi, slot=2),), {0: "P", 1: "Q"}),
+        None,
+        prep_rows + [ReportRow((2, 3), "P,Q", "Rotation on Q", "Anti-sharp", half)],
+        id="trails-anti-sharp",
+    )
+    yield pytest.param(
+        hs.Circuit(3, prepared + (hs.h(2, slot=2),), labels),
+        None,
+        prep_rows + [ReportRow((2, 3), "-", "Hadamard on S", "-", None)],
+        id="in-no-live-pair",
+    )
+
+
+@pytest.mark.parametrize("circuit, watch, expected", list(_row_rule_cases()))
+def test_report_row_rule(circuit, watch, expected):
+    assert hs.report_rows(circuit, hs.run_circuit(circuit), watch) == expected
 
 
 def test_report_projection_columns_sum_to_one(fr_circuit, fr_trace):
