@@ -24,7 +24,9 @@ from .engine import (
 from .foliation import (
     BranchTree,
     EntanglementWitness,
+    FoliationPrecondition,
     FoliationReport,
+    ZeroWeightBranch,
     build_branch_tree,
     conditional_expectation,
     default_watch_pairs,
@@ -79,6 +81,8 @@ __all__ = [
     # foliation
     "EntanglementWitness",
     "FoliationReport",
+    "FoliationPrecondition",
+    "ZeroWeightBranch",
     "BranchTree",
     "entangled",
     "sharp_foliation",

@@ -23,12 +23,14 @@ are shared between consecutive states.
 
 :func:`check_step` and :func:`check_label` are the one circuit validation
 path: :class:`Circuit` and the circuit-file parser both run them, so qubit
-range, slot order, slot clashes and unique labels are checked in one place.
+range, slot order, slot clashes and unique, addressable labels are checked
+in one place.
 :class:`GateStep` checks each gate on its own (kind, arity, finite angle).
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +60,7 @@ GATE_KINDS = ("ry", "h", "cx", "ch")
 COMPONENTS = ("x", "y", "z")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_DEFAULT_LABEL = re.compile(r"q(0|[1-9][0-9]*)")
 
 
 class SlotError(ValueError):
@@ -146,11 +149,21 @@ def check_step(step: GateStep, n_qubits: int, prev_slot: int, held: set[int]) ->
 
 
 def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int) -> None:
-    """Admit ``name`` for ``qubit`` next to ``labels``: in range, each qubit and name once."""
+    """Admit ``name`` for ``qubit`` next to ``labels``: in range, each qubit and name once.
+
+    A name is one circuit-file token that ``--watch`` can address: non-empty,
+    with no whitespace, ``#``, ``,`` or ``;``, and not ``q<k>`` for another
+    qubit k, which is how an unlabelled qubit k prints.
+    """
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"label for qubit {qubit} out of range (0..{n_qubits - 1})")
     if qubit in labels:
         raise ValueError(f"qubit {qubit} is already labelled {labels[qubit]!r}")
+    if not isinstance(name, str) or not name or any(ch.isspace() or ch in "#,;" for ch in name):
+        raise ValueError(f"label {name!r} must be a non-empty name without whitespace, '#', ',' or ';'")
+    default = _DEFAULT_LABEL.fullmatch(name)
+    if default and int(default[1]) != qubit and int(default[1]) < n_qubits:
+        raise ValueError(f"label {name!r} is the default name of qubit {default[1]}")
     for q, other in labels.items():
         if other == name:
             raise ValueError(f"label {name!r} already names qubit {q}")
@@ -267,10 +280,6 @@ def init_network(n_qubits: int) -> NetworkState:
     return NetworkState(0, descriptors)
 
 
-def _identity(n: int) -> PauliSum:
-    return PauliSum.identity(n)
-
-
 def _rotated(d: Descriptor, angle: float, time: int) -> Descriptor:
     c, s = math.cos(angle), math.sin(angle)
     return Descriptor(d.qubit, time, d.x * c + d.z * s, d.y, d.z * c - d.x * s)
@@ -288,9 +297,8 @@ def _cnotted(dc: Descriptor, dt: Descriptor, time: int) -> tuple[Descriptor, Des
 
 def _chadamarded(dc: Descriptor, dt: Descriptor, time: int) -> tuple[Descriptor, Descriptor]:
     u = (dt.x + dt.z) * _SQRT_HALF
-    ident = _identity(dc.z.n_qubits)
-    p_plus = (ident + dc.z) * 0.5
-    p_minus = (ident - dc.z) * 0.5
+    p_plus = _branch_projector(dc.z, 1)
+    p_minus = _branch_projector(dc.z, -1)
     control = Descriptor(dc.qubit, time, dc.x @ u, dc.y @ u, dc.z)
     target = Descriptor(
         dt.qubit,
@@ -348,7 +356,8 @@ def projector(state: NetworkState, qubit: int, sign: int) -> PauliSum:
 
 
 def _branch_projector(z: PauliSum, sign: int) -> PauliSum:
-    return (_identity(z.n_qubits) + z * sign) * 0.5
+    ident = PauliSum.identity(z.n_qubits)
+    return (ident + z if sign > 0 else ident - z) * 0.5
 
 
 def trace_json_doc(circuit: Circuit, trace: Trace) -> dict:

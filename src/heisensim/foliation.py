@@ -18,9 +18,9 @@ fresh qubits.
 Verdicts for a pair, in order:
 
 * ``sharp`` / ``anti-sharp`` -- conditions above; the report carries the
-  branch projector weights, the relative descriptors, and per-branch
-  conditional expectations (branches of non-negligible weight only).
-  The last two are computed from the pair's descriptors on first read.
+  control's branch projector weights.  Branch data -- the relative
+  descriptors and per-branch conditional expectations -- comes from
+  :func:`relative_descriptor` and :func:`conditional_expectation`.
 * ``non-sharp`` -- no sharp z-z product, but the pair is inside one
   interference bubble: entangled, or their descriptor supports meet.
 * ``unentangled`` -- everything else.
@@ -41,9 +41,8 @@ since the previous boundary and carries the earlier report over otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as _cartesian
 
 from .engine import Circuit, Descriptor, NetworkState, Trace, _branch_projector
@@ -133,12 +132,11 @@ def entangled(
 
 @dataclass(frozen=True)
 class FoliationReport:
-    """Verdict and branch data for an ordered (control, target) pair.
+    """Verdict of an ordered (control, target) pair at one slot boundary.
 
-    The verdict depends only on the two descriptors and ``tol``, which the
-    report keeps.  ``relatives`` and ``conditionals`` are computed from
-    them on first read, and are ``None`` unless the verdict is sharp or
-    anti-sharp.
+    ``proj_plus``/``proj_minus`` are the control's branch weights and
+    ``zz_product`` is <q_Cz q_Tz>.  The report holds no branch data: ask
+    :func:`relative_descriptor` or :func:`conditional_expectation`.
     """
 
     pair: tuple[int, int]
@@ -148,32 +146,6 @@ class FoliationReport:
     proj_minus: float
     zz_product: float
     witness: EntanglementWitness
-    control_descriptor: Descriptor = field(compare=False, repr=False)
-    target_descriptor: Descriptor = field(compare=False, repr=False)
-    tol: float = field(compare=False, repr=False)
-
-    @cached_property
-    def relatives(self) -> dict[int, Descriptor] | None:
-        """Target descriptor restricted to each branch of the control."""
-        if self.verdict not in (SHARP, ANTI_SHARP):
-            return None
-        return {
-            sign: _relative(self.control_descriptor, sign, self.target_descriptor)
-            for sign in (1, -1)
-        }
-
-    @cached_property
-    def conditionals(self) -> dict[int, float] | None:
-        """Branch expectation of the target's z, per branch of non-negligible weight."""
-        if self.verdict not in (SHARP, ANTI_SHARP):
-            return None
-        conditionals = {}
-        for sign, weight in ((1, self.proj_plus), (-1, self.proj_minus)):
-            if weight > self.tol:
-                conditionals[sign] = _conditional(
-                    self.control_descriptor, sign, self.target_descriptor, "z", self.tol
-                )
-        return conditionals
 
 
 def _z_record(state: NetworkState, control: int, target: int) -> bool:
@@ -225,26 +197,7 @@ def sharp_foliation(
         proj_minus=proj_minus,
         zz_product=zz,
         witness=witness,
-        control_descriptor=dc,
-        target_descriptor=dt,
-        tol=tol,
     )
-
-
-def _relative(dc: Descriptor, sign: int, dt: Descriptor) -> Descriptor:
-    p = _branch_projector(dc.z, sign)
-    return Descriptor(dt.qubit, dt.time, dt.x @ p, dt.y @ p, dt.z @ p)
-
-
-def _conditional(dc: Descriptor, sign: int, dt: Descriptor, component: str, tol: float) -> float:
-    p = _branch_projector(dc.z, sign)
-    weight = vacuum_expectation(p, tol)
-    if weight <= tol:
-        raise ZeroWeightBranch(
-            f"branch {sign:+d} of qubit {dc.qubit} has weight {weight:g}"
-        )
-    value = vacuum_expectation(dt.component(component) @ p, tol)
-    return value / weight
 
 
 def relative_descriptor(
@@ -264,7 +217,9 @@ def relative_descriptor(
         raise FoliationPrecondition(
             f"pair ({control}, {target}) is {report.verdict} at t={state.time}"
         )
-    return report.relatives[sign]
+    p = _branch_projector(state.descriptor(control).z, sign)
+    dt = state.descriptor(target)
+    return Descriptor(dt.qubit, dt.time, dt.x @ p, dt.y @ p, dt.z @ p)
 
 
 def conditional_expectation(
@@ -275,10 +230,18 @@ def conditional_expectation(
     sign: int,
     tol: float = DEFAULT_TOLERANCE,
 ) -> float:
-    """Branch expectation <q_T P_sign>/<P_sign> of one target component."""
+    """Branch expectation <q_T P_sign>/<P_sign> of one target component.
+
+    Raises :class:`ZeroWeightBranch` when the branch weight <P_sign> is at
+    most ``tol``.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _conditional(state.descriptor(control), sign, state.descriptor(target), component, tol)
+    p = _branch_projector(state.descriptor(control).z, sign)
+    weight = vacuum_expectation(p, tol)
+    if weight <= tol:
+        raise ZeroWeightBranch(f"branch {sign:+d} of qubit {control} has weight {weight:g}")
+    return vacuum_expectation(state.descriptor(target).component(component) @ p, tol) / weight
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +300,22 @@ def foliation_timeline(
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
     events: list[PairEvent] = []
-    previous: dict[tuple[int, int], FoliationReport] = {}
+    previous: NetworkState | None = None
     for state in trace:
         slot_reports = {}
         for pair in watch:
-            report = previous.get(pair)
+            control, target = pair
             # A verdict reads only the pair's two descriptors and tol, and
             # run_circuit hands a descriptor no gate touched on as the same
             # object, so an unchanged pair's earlier report still holds.
             if (
-                report is not None
-                and report.control_descriptor is state.descriptor(pair[0])
-                and report.target_descriptor is state.descriptor(pair[1])
+                previous is not None
+                and state.descriptor(control) is previous.descriptor(control)
+                and state.descriptor(target) is previous.descriptor(target)
             ):
-                report = replace(report, slot=state.time)
+                report = replace(reports[-1][pair], slot=state.time)
             else:
-                report = sharp_foliation(state, pair[0], pair[1], tol)
+                report = sharp_foliation(state, control, target, tol)
             slot_reports[pair] = report
             prev = status[pair]
             if report.verdict in (SHARP, ANTI_SHARP):
@@ -371,7 +334,7 @@ def foliation_timeline(
                     status[pair] = _BUBBLE
         statuses.append(dict(status))
         reports.append(slot_reports)
-        previous = slot_reports
+        previous = state
     return statuses, events, reports
 
 
@@ -451,7 +414,6 @@ def timeline_tree(
     nodes = [trunk]
     edges: list[TreeEdge] = []
     last_for_pair: dict[tuple[int, int], TreeNode] = {}
-    last_report_for_pair: dict[tuple[int, int], FoliationReport] = {}
     last_for_qubit: dict[int, tuple[int, TreeNode]] = {}
 
     for seq, event in enumerate(events):
@@ -477,15 +439,13 @@ def timeline_tree(
             shared = [last_for_qubit[q] for q in pair if q in last_for_qubit]
             pred = max(shared, key=lambda item: item[0])[1] if shared else trunk
         if pred.kind == "created-sharp" and pred.pair == pair:
-            creation = last_report_for_pair[pair]
-            for sign, weight in ((1, creation.proj_plus), (-1, creation.proj_minus)):
+            for sign, weight in zip((1, -1), pred.weights):
                 if weight > tol:
                     edges.append(TreeEdge(pred.id, node.id, sign, weight))
         else:
             edges.append(TreeEdge(pred.id, node.id, None, 1.0))
 
         last_for_pair[pair] = node
-        last_report_for_pair[pair] = event.report
         for q in pair:
             last_for_qubit[q] = (seq, node)
 
@@ -586,7 +546,8 @@ def timeline_rows(
 ) -> list[ReportRow]:
     """Summary table of a timeline folded over ``watch``: one row per gate.
 
-    Two-qubit gates report their own (control, target) pair.  A
+    Two-qubit gates report their own (control, target) pair, or its
+    reverse when that is the watched one, and no parties when neither is.  A
     single-qubit gate reports the live (sharp or bubble) watch pairs led by
     its qubit -- the pairs whose printed projections it steers -- falling
     back to any live pair containing it, and carries no parties when the
@@ -595,62 +556,24 @@ def timeline_rows(
     ``Anti-sharp``.
     """
     statuses, _, reports = timeline
-
-    def pair_verdict(pair: tuple[int, int], t: int) -> str:
-        if reports[t][pair].verdict == ANTI_SHARP:
-            return "Anti-sharp"
-        return _VERDICT_TEXT[statuses[t][pair]]
-
-    def first_party_proj(pair: tuple[int, int], t: int) -> tuple[float, float]:
-        report = reports[t][pair]
-        return (report.proj_plus, report.proj_minus)
-
     rows = []
     for step in circuit.steps:
         t_end = step.slot + 1
-        interval = (step.slot, t_end)
-        gate = circuit.gate_text(step)
+        status = statuses[t_end]
         if len(step.qubits) == 2:
-            pair = (step.control, step.target)
-            if pair not in statuses[t_end]:
-                key = (pair[1], pair[0])
-                pair = key if key in statuses[t_end] else pair
-            if pair in statuses[t_end]:
-                rows.append(
-                    ReportRow(
-                        interval,
-                        f"{circuit.label(pair[0])},{circuit.label(pair[1])}",
-                        gate,
-                        pair_verdict(pair, t_end),
-                        first_party_proj(pair, t_end),
-                    )
-                )
-            else:
-                rows.append(ReportRow(interval, "-", gate, "-", None))
+            own = (step.control, step.target)
+            pairs = [pair for pair in (own, own[::-1]) if pair in status][:1]
         else:
             q = step.qubits[0]
-            live = [
-                pair
-                for pair in watch
-                if q == pair[0] and statuses[t_end][pair] != _TRUNK
-            ]
-            if not live:
-                # no live pair led by this qubit; fall back to any live pair holding it
-                live = [
-                    pair
-                    for pair in watch
-                    if q in pair and statuses[t_end][pair] != _TRUNK
-                ]
-            if not live:
-                rows.append(ReportRow(interval, "-", gate, "-", None))
-            for pair in live:
-                rows.append(
-                    ReportRow(
-                        interval,
-                        f"{circuit.label(pair[0])},{circuit.label(pair[1])}",
-                        gate,
-                        pair_verdict(pair, t_end),
-                        first_party_proj(pair, t_end),
-                    )
-                )
+            live = [pair for pair in watch if q in pair and status[pair] != _TRUNK]
+            pairs = [pair for pair in live if pair[0] == q] or live
+        interval = (step.slot, t_end)
+        gate = circuit.gate_text(step)
+        if not pairs:
+            rows.append(ReportRow(interval, "-", gate, "-", None))
+        for pair in pairs:
+            report = reports[t_end][pair]
+            verdict = "Anti-sharp" if report.verdict == ANTI_SHARP else _VERDICT_TEXT[status[pair]]
+            parties = ",".join(circuit.label(q) for q in pair)
+            rows.append(ReportRow(interval, parties, gate, verdict, (report.proj_plus, report.proj_minus)))
     return rows

@@ -11,7 +11,8 @@
     h 0                 # no @slot: previous slot + 1
 
 * ``qubits <n>`` must come first; ``label <idx> <name>`` lines may follow
-  before any gate, one per qubit, each name used once.
+  before any gate, one per qubit, each name used once.  A name is one token
+  without ``#``, ``,`` or ``;``, and not ``q<k>`` for another qubit k.
 * Gate lines are ``ry <q> <angle-expr>``, ``h <q>``, ``cx <c> <t>``,
   ``ch <c> <t>``, optionally prefixed with ``@<slot>``.  Without a prefix a
   gate occupies the slot after the previous gate's; an explicit ``@<slot>``

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,12 @@ def test_circuit_rejects_repeated_labels():
         hs.Circuit(2, (), {0: "R", 1: "R"})
     with pytest.raises(IndexError):
         hs.Circuit(2, (), {2: "R"})
+
+
+@pytest.mark.parametrize("name", ["", "my R", "a\tb", "a#b", "a,b", "a;b", "q1", "q2"])
+def test_circuit_rejects_unaddressable_label(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        hs.Circuit(3, (), {0: name})
 
 
 def test_gate_step_rejects_self_control():

@@ -10,9 +10,7 @@ from heisensim.foliation import (
     NON_SHARP,
     SHARP,
     UNENTANGLED,
-    FoliationPrecondition,
     ReportRow,
-    ZeroWeightBranch,
     foliation_timeline,
     format_weight,
     tree_json_doc,
@@ -68,7 +66,9 @@ def test_interference_bubble_is_non_sharp(fr_trace):
     report = hs.sharp_foliation(fr_trace[3], A, S)
     assert report.verdict == NON_SHARP
     assert report.zz_product == pytest.approx(1 / 3, abs=1e-9)
-    assert report.relatives is None
+    for sign in (1, -1):
+        with pytest.raises(hs.FoliationPrecondition):
+            hs.relative_descriptor(fr_trace[3], S, A, sign)
 
 
 def test_diffused_pair_reports_non_sharp(fr_trace):
@@ -93,7 +93,9 @@ def test_deterministic_record_is_single_branch_sharp(fr_trace):
     assert report.proj_plus == pytest.approx(1.0, abs=1e-9)
     assert report.proj_minus == pytest.approx(0.0, abs=1e-9)
     assert not report.witness.entangled
-    assert list(report.conditionals) == [1]
+    assert hs.conditional_expectation(fr_trace[7], U_A, "z", A, 1) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(hs.ZeroWeightBranch):
+        hs.conditional_expectation(fr_trace[7], U_A, "z", A, -1)
 
 
 def test_fresh_pair_is_unentangled(fr_trace):
@@ -115,8 +117,8 @@ def test_anti_sharp_verdict():
     report = hs.sharp_foliation(trace[3], 0, 1)
     assert report.verdict == ANTI_SHARP
     assert report.zz_product == pytest.approx(-1.0, abs=1e-9)
-    assert report.conditionals[1] == pytest.approx(-1.0, abs=1e-9)
-    assert report.conditionals[-1] == pytest.approx(1.0, abs=1e-9)
+    assert hs.conditional_expectation(trace[3], 1, "z", 0, 1) == pytest.approx(-1.0, abs=1e-9)
+    assert hs.conditional_expectation(trace[3], 1, "z", 0, -1) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- relative descriptors ---------------------------------------------------------
@@ -145,7 +147,7 @@ def test_relative_z_squares_to_projector(fr_trace):
 
 
 def test_relative_descriptor_requires_sharp_pair(fr_trace):
-    with pytest.raises(FoliationPrecondition):
+    with pytest.raises(hs.FoliationPrecondition):
         hs.relative_descriptor(fr_trace[3], S, A, +1)
 
 
@@ -184,7 +186,7 @@ def test_conditional_on_fresh_pair():
 
 
 def test_conditional_zero_weight_branch_guard(fr_trace):
-    with pytest.raises(ZeroWeightBranch):
+    with pytest.raises(hs.ZeroWeightBranch):
         hs.conditional_expectation(fr_trace[7], U_A, "z", A, -1)
 
 
@@ -222,8 +224,13 @@ def test_sharp_branch_weights_sum_to_one(fr_trace, fr_watch):
     for state, control, target in sharp_pairs_in_trace(fr_trace, fr_watch):
         report = hs.sharp_foliation(state, control, target)
         assert report.proj_plus + report.proj_minus == pytest.approx(1.0, abs=1e-9)
-        for sign, value in report.conditionals.items():
-            assert value == pytest.approx(float(sign), abs=1e-9)
+        for sign, weight in ((1, report.proj_plus), (-1, report.proj_minus)):
+            if weight > 1e-9:
+                value = hs.conditional_expectation(state, target, "z", control, sign)
+                assert value == pytest.approx(float(sign), abs=1e-9)
+            else:
+                with pytest.raises(hs.ZeroWeightBranch):
+                    hs.conditional_expectation(state, target, "z", control, sign)
 
 
 def test_entangled_verdict_survives_appended_rotations(fr_circuit, fr_trace):
@@ -311,22 +318,7 @@ def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
     _, _, reports = foliation_timeline(trace, watch)
     for state, slot_reports in zip(trace, reports):
         for (control, target), report in slot_reports.items():
-            fresh = hs.sharp_foliation(state, control, target)
-            assert report.slot == fresh.slot == state.time
-            assert report.verdict == fresh.verdict
-            assert (report.proj_plus, report.proj_minus) == (fresh.proj_plus, fresh.proj_minus)
-            assert report.zz_product == fresh.zz_product
-            assert report.witness == fresh.witness
-            if report.verdict in (SHARP, ANTI_SHARP):
-                for sign in (1, -1):
-                    carried, again = report.relatives[sign], fresh.relatives[sign]
-                    assert (carried.qubit, carried.time) == (again.qubit, again.time)
-                    for comp in "xyz":
-                        assert carried.component(comp).terms == again.component(comp).terms
-                assert report.conditionals == fresh.conditionals
-            else:
-                assert report.relatives is fresh.relatives is None
-                assert report.conditionals is fresh.conditionals is None
+            assert report == hs.sharp_foliation(state, control, target)
 
 
 def test_branch_tree_structure(fr_trace, fr_watch, fr_circuit):
@@ -510,6 +502,16 @@ def _row_rule_cases():
             ReportRow((3, 4), "P,S", "Hadamard on P", "Non-sharp", half),
         ],
         id="leads-two-pairs",
+    )
+    yield pytest.param(
+        hs.Circuit(3, prepared + (hs.cx(1, 2, slot=2), hs.h(1, slot=3)), labels),
+        ((0, 1), (1, 2)),
+        prep_rows
+        + [
+            ReportRow((2, 3), "Q,S", "Controlled-not", "Sharp", half),
+            ReportRow((3, 4), "Q,S", "Hadamard on Q", "Non-sharp", half),
+        ],
+        id="leads-one-trails-one",
     )
     yield pytest.param(
         hs.Circuit(2, prepared + (hs.h(1, slot=2),), {0: "P", 1: "Q"}),

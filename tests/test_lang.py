@@ -1,6 +1,7 @@
 """Circuit grammar: parsing, diagnostics, expression evaluation, round-trips."""
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,22 @@ def test_labels_round_trip():
     circuit = parse_circuit("qubits 2\nlabel 0 R\nlabel 1 A\ncx 0 1\n")
     assert circuit.labels == {0: "R", 1: "A"}
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+@pytest.mark.parametrize("name", ["a,b", "a;b", "q1"])
+def test_unaddressable_label_diagnostic(name):
+    with pytest.raises(CircuitSyntaxError, match=f"line 3.*label {re.escape(repr(name))}") as err:
+        parse_circuit(f"qubits 2\n# labels\nlabel 0 {name}\n")
+    assert err.value.line == 3
+
+
+def test_accepted_label_names_round_trip():
+    # q0 is qubit 0's own default name, q9 names no qubit of five, q01 no qubit at all
+    labels = {0: "q0", 1: "U_R", 2: "q01", 3: "q9", 4: "état.2"}
+    circuit = hs.Circuit(5, (hs.h(0), hs.cx(0, 4, slot=1)), labels)
+    again = parse_circuit(serialize_circuit(circuit))
+    assert again == circuit
+    assert again.labels == labels
 
 
 def test_label_after_gate_rejected():
