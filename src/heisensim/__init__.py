@@ -31,6 +31,7 @@ from .foliation import (
     conditional_expectation,
     default_watch_pairs,
     entangled,
+    foliation_timeline,
     relative_descriptor,
     report_rows,
     sharp_foliation,
@@ -89,6 +90,7 @@ __all__ = [
     "relative_descriptor",
     "conditional_expectation",
     "default_watch_pairs",
+    "foliation_timeline",
     "build_branch_tree",
     "report_rows",
     "tree_json_doc",

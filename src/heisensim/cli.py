@@ -21,11 +21,11 @@ import sys
 from .engine import Circuit, run_circuit, trace_json_doc
 from .foliation import (
     ReportRow,
+    build_branch_tree,
     default_watch_pairs,
     foliation_timeline,
     format_weight,
-    timeline_rows,
-    timeline_tree,
+    report_rows,
     tree_json_doc,
     tree_to_dot,
 )
@@ -102,7 +102,7 @@ def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
         for name in names:
             if name in by_name:
                 resolved.append(by_name[name])
-            elif name.isdigit() and int(name) < circuit.n_qubits:
+            elif name.isascii() and name.isdigit() and int(name) < circuit.n_qubits:
                 resolved.append(int(name))
             else:
                 raise SystemExit(f"unknown qubit {name!r} in --watch")
@@ -156,13 +156,13 @@ def main(argv: list[str] | None = None) -> int:
     timeline = foliation_timeline(trace, watch, tol) if args.report == "table" or args.tree else None
 
     if args.report == "table":
-        rows = timeline_rows(circuit, watch, timeline)
+        rows = report_rows(circuit, timeline)
         sys.stdout.write(render_table(rows))
     elif args.report == "json":
         sys.stdout.write(json.dumps(trace_json_doc(circuit, trace), indent=2) + "\n")
 
     if args.tree:
-        tree = timeline_tree(timeline, tol, labels=dict(circuit.labels or {}))
+        tree = build_branch_tree(circuit, timeline, tol)
         if args.tree.endswith(".json"):
             _write_text(args.tree, json.dumps(tree_json_doc(tree), indent=2) + "\n")
         else:

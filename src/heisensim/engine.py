@@ -152,8 +152,9 @@ def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int)
     """Admit ``name`` for ``qubit`` next to ``labels``: in range, each qubit and name once.
 
     A name is one circuit-file token that ``--watch`` can address: non-empty,
-    with no whitespace, ``#``, ``,`` or ``;``, and not ``q<k>`` for another
-    qubit k, which is how an unlabelled qubit k prints.
+    with no whitespace, ``#``, ``,`` or ``;``, not all ASCII digits, which
+    ``--watch`` reads as a qubit index, and not ``q<k>`` for another qubit
+    k, which is how an unlabelled qubit k prints.
     """
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"label for qubit {qubit} out of range (0..{n_qubits - 1})")
@@ -161,6 +162,8 @@ def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int)
         raise ValueError(f"qubit {qubit} is already labelled {labels[qubit]!r}")
     if not isinstance(name, str) or not name or any(ch.isspace() or ch in "#,;" for ch in name):
         raise ValueError(f"label {name!r} must be a non-empty name without whitespace, '#', ',' or ';'")
+    if name.isascii() and name.isdigit():
+        raise ValueError(f"label {name!r} is all digits, which reads as a qubit index")
     default = _DEFAULT_LABEL.fullmatch(name)
     if default and int(default[1]) != qubit and int(default[1]) < n_qubits:
         raise ValueError(f"label {name!r} is the default name of qubit {default[1]}")
@@ -220,15 +223,9 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Descriptor:
-    """The (x, y, z) observable triple attached to one qubit.
-
-    ``time`` records the slot boundary at which the components were last
-    updated; states share untouched descriptors, so it can lag the state's
-    own clock.
-    """
+    """The (x, y, z) observable triple attached to one qubit."""
 
     qubit: int
-    time: int
     x: PauliSum
     y: PauliSum
     z: PauliSum
@@ -270,7 +267,6 @@ def init_network(n_qubits: int) -> NetworkState:
     descriptors = tuple(
         Descriptor(
             qubit=q,
-            time=0,
             x=PauliSum.single(n_qubits, q, "X"),
             y=PauliSum.single(n_qubits, q, "Y"),
             z=PauliSum.single(n_qubits, q, "Z"),
@@ -280,29 +276,28 @@ def init_network(n_qubits: int) -> NetworkState:
     return NetworkState(0, descriptors)
 
 
-def _rotated(d: Descriptor, angle: float, time: int) -> Descriptor:
+def _rotated(d: Descriptor, angle: float) -> Descriptor:
     c, s = math.cos(angle), math.sin(angle)
-    return Descriptor(d.qubit, time, d.x * c + d.z * s, d.y, d.z * c - d.x * s)
+    return Descriptor(d.qubit, d.x * c + d.z * s, d.y, d.z * c - d.x * s)
 
 
-def _hadamarded(d: Descriptor, time: int) -> Descriptor:
-    return Descriptor(d.qubit, time, d.z, -d.y, d.x)
+def _hadamarded(d: Descriptor) -> Descriptor:
+    return Descriptor(d.qubit, d.z, -d.y, d.x)
 
 
-def _cnotted(dc: Descriptor, dt: Descriptor, time: int) -> tuple[Descriptor, Descriptor]:
-    control = Descriptor(dc.qubit, time, dc.x @ dt.x, dc.y @ dt.x, dc.z)
-    target = Descriptor(dt.qubit, time, dt.x, dt.y @ dc.z, dt.z @ dc.z)
+def _cnotted(dc: Descriptor, dt: Descriptor) -> tuple[Descriptor, Descriptor]:
+    control = Descriptor(dc.qubit, dc.x @ dt.x, dc.y @ dt.x, dc.z)
+    target = Descriptor(dt.qubit, dt.x, dt.y @ dc.z, dt.z @ dc.z)
     return control, target
 
 
-def _chadamarded(dc: Descriptor, dt: Descriptor, time: int) -> tuple[Descriptor, Descriptor]:
+def _chadamarded(dc: Descriptor, dt: Descriptor) -> tuple[Descriptor, Descriptor]:
     u = (dt.x + dt.z) * _SQRT_HALF
     p_plus = _branch_projector(dc.z, 1)
     p_minus = _branch_projector(dc.z, -1)
-    control = Descriptor(dc.qubit, time, dc.x @ u, dc.y @ u, dc.z)
+    control = Descriptor(dc.qubit, dc.x @ u, dc.y @ u, dc.z)
     target = Descriptor(
         dt.qubit,
-        time,
         dt.x @ p_plus + dt.z @ p_minus,
         dt.y @ dc.z,
         dt.z @ p_plus + dt.x @ p_minus,
@@ -310,18 +305,18 @@ def _chadamarded(dc: Descriptor, dt: Descriptor, time: int) -> tuple[Descriptor,
     return control, target
 
 
-def _apply_step(descriptors: tuple[Descriptor, ...], step: GateStep, time: int) -> tuple[Descriptor, ...]:
+def _apply_step(descriptors: tuple[Descriptor, ...], step: GateStep) -> tuple[Descriptor, ...]:
     out = list(descriptors)
     if step.kind == "ry":
         q = step.qubits[0]
-        out[q] = _rotated(descriptors[q], step.angle, time)
+        out[q] = _rotated(descriptors[q], step.angle)
     elif step.kind == "h":
         q = step.qubits[0]
-        out[q] = _hadamarded(descriptors[q], time)
+        out[q] = _hadamarded(descriptors[q])
     else:
         c, t = step.qubits
         rule = _cnotted if step.kind == "cx" else _chadamarded
-        out[c], out[t] = rule(descriptors[c], descriptors[t], time)
+        out[c], out[t] = rule(descriptors[c], descriptors[t])
     return tuple(out)
 
 
@@ -336,14 +331,13 @@ def run_circuit(circuit: Circuit) -> Trace:
     state = init_network(circuit.n_qubits)
     trace = [state]
     for slot, group in enumerate(circuit.slot_groups()):
-        time = slot + 1
         descriptors = state.descriptors
         for step in group:
             try:
-                descriptors = _apply_step(descriptors, step, time)
+                descriptors = _apply_step(descriptors, step)
             except Exception as exc:
                 raise SlotError(slot, exc) from exc
-        state = NetworkState(time, descriptors)
+        state = NetworkState(slot + 1, descriptors)
         trace.append(state)
     return trace
 

@@ -35,9 +35,10 @@ trunk, sharp, bubble -- in which leaving ``sharp`` always lands in
 instantaneous verdict function stays pure.
 
 One fold of that machine, :func:`foliation_timeline`, feeds both the
-table (:func:`timeline_rows`) and the tree (:func:`timeline_tree`).  The
+table (:func:`report_rows`) and the tree (:func:`build_branch_tree`).  The
 fold evaluates a pair afresh only when one of its two descriptors changed
 since the previous boundary and carries the earlier report over otherwise.
+The tree's events are the fold's status changes, read off the timeline.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as _cartesian
 
-from .engine import Circuit, Descriptor, NetworkState, Trace, _branch_projector
+from .engine import Circuit, Descriptor, NetworkState, Trace, projector
 from .pauli import DEFAULT_TOLERANCE, vacuum_expectation
 
 __all__ = [
@@ -62,18 +63,15 @@ __all__ = [
     "relative_descriptor",
     "conditional_expectation",
     "default_watch_pairs",
-    "PairEvent",
     "Timeline",
     "foliation_timeline",
     "TreeNode",
     "TreeEdge",
     "BranchTree",
-    "timeline_tree",
     "build_branch_tree",
     "tree_json_doc",
     "tree_to_dot",
     "ReportRow",
-    "timeline_rows",
     "report_rows",
     "format_weight",
 ]
@@ -210,16 +208,14 @@ def relative_descriptor(
     Only defined on pairs whose instantaneous verdict is sharp or
     anti-sharp.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    p = projector(state, control, sign)
     report = sharp_foliation(state, control, target, tol)
     if report.verdict not in (SHARP, ANTI_SHARP):
         raise FoliationPrecondition(
             f"pair ({control}, {target}) is {report.verdict} at t={state.time}"
         )
-    p = _branch_projector(state.descriptor(control).z, sign)
     dt = state.descriptor(target)
-    return Descriptor(dt.qubit, dt.time, dt.x @ p, dt.y @ p, dt.z @ p)
+    return Descriptor(dt.qubit, dt.x @ p, dt.y @ p, dt.z @ p)
 
 
 def conditional_expectation(
@@ -235,9 +231,7 @@ def conditional_expectation(
     Raises :class:`ZeroWeightBranch` when the branch weight <P_sign> is at
     most ``tol``.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    p = _branch_projector(state.descriptor(control).z, sign)
+    p = projector(state, control, sign)
     weight = vacuum_expectation(p, tol)
     if weight <= tol:
         raise ZeroWeightBranch(f"branch {sign:+d} of qubit {control} has weight {weight:g}")
@@ -264,21 +258,10 @@ def default_watch_pairs(circuit: Circuit) -> tuple[tuple[int, int], ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class PairEvent:
-    """A status transition of one watch pair at one slot boundary."""
-
-    slot: int
-    pair: tuple[int, int]
-    kind: str  # "created-sharp" | "diffused" | "non-sharp-bubble"
-    report: FoliationReport
-
-
-#: What :func:`foliation_timeline` returns: per-slot statuses, the
-#: transition events, and the per-slot instantaneous reports.
+#: What :func:`foliation_timeline` returns: per-slot statuses and per-slot
+#: instantaneous reports, each dict keyed by the watch pairs in watch order.
 Timeline = tuple[
     list[dict[tuple[int, int], str]],
-    list[PairEvent],
     list[dict[tuple[int, int], FoliationReport]],
 ]
 
@@ -290,16 +273,18 @@ def foliation_timeline(
 ) -> Timeline:
     """Fold the status machine over every slot boundary.
 
-    Returns per-slot statuses, the transition events, and the per-slot
-    instantaneous reports.  Statuses: ``trunk`` (never foliated), ``sharp``,
-    ``bubble`` (non-sharp, or sharp in the past and since diffused).  A
-    pair whose two descriptors are the same objects as at the previous
-    boundary keeps that boundary's report, restamped with the new slot.
+    Returns per-slot statuses and per-slot instantaneous reports.
+    Statuses: ``trunk`` (never foliated), ``sharp``, ``bubble`` (non-sharp,
+    or sharp in the past and since diffused).  A sharp or anti-sharp
+    verdict makes a pair ``sharp``; a non-sharp verdict, or any other
+    verdict while the pair is ``sharp``, makes it ``bubble``; otherwise its
+    status stays.  A pair whose two descriptors are the same objects as at
+    the previous boundary keeps that boundary's report, restamped with the
+    new slot.
     """
     status = {pair: _TRUNK for pair in watch}
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
-    events: list[PairEvent] = []
     previous: NetworkState | None = None
     for state in trace:
         slot_reports = {}
@@ -317,25 +302,15 @@ def foliation_timeline(
             else:
                 report = sharp_foliation(state, control, target, tol)
             slot_reports[pair] = report
-            prev = status[pair]
             if report.verdict in (SHARP, ANTI_SHARP):
-                if prev != _STATUS_SHARP:
-                    events.append(PairEvent(state.time, pair, "created-sharp", report))
                 status[pair] = _STATUS_SHARP
-            elif report.verdict == NON_SHARP:
-                if prev == _STATUS_SHARP:
-                    events.append(PairEvent(state.time, pair, "diffused", report))
-                elif prev == _TRUNK:
-                    events.append(PairEvent(state.time, pair, "non-sharp-bubble", report))
+            elif report.verdict == NON_SHARP or status[pair] == _STATUS_SHARP:
+                # unentangled after sharp history still means the pair diffused
                 status[pair] = _BUBBLE
-            else:  # unentangled now; sharp history still means the pair diffused
-                if prev == _STATUS_SHARP:
-                    events.append(PairEvent(state.time, pair, "diffused", report))
-                    status[pair] = _BUBBLE
         statuses.append(dict(status))
         reports.append(slot_reports)
         previous = state
-    return statuses, events, reports
+    return statuses, reports
 
 
 @dataclass(frozen=True)
@@ -361,11 +336,14 @@ class BranchTree:
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
-    def node(self, node_id: str) -> TreeNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+
+#: Tree event kind of each status change (before, after) of a watch pair.
+_EVENT_KINDS = {
+    (_TRUNK, _STATUS_SHARP): "created-sharp",
+    (_BUBBLE, _STATUS_SHARP): "created-sharp",
+    (_STATUS_SHARP, _BUBBLE): "diffused",
+    (_TRUNK, _BUBBLE): "non-sharp-bubble",
+}
 
 
 def _branch_labels(report: FoliationReport, names: tuple[str, str], tol: float) -> tuple[str, ...]:
@@ -378,60 +356,46 @@ def _branch_labels(report: FoliationReport, names: tuple[str, str], tol: float) 
     return tuple(labels)
 
 
+def _events(timeline: Timeline):
+    """(kind, report) of every status change, by boundary, then sorted pair."""
+    statuses, reports = timeline
+    before: dict[tuple[int, int], str] = {}
+    for status, slot_reports in zip(statuses, reports):
+        for pair in sorted(status):
+            change = (before.get(pair, _TRUNK), status[pair])
+            if change in _EVENT_KINDS:
+                yield _EVENT_KINDS[change], slot_reports[pair]
+        before = status
+
+
 def build_branch_tree(
-    trace: Trace,
-    watch: tuple[tuple[int, int], ...],
-    tol: float = DEFAULT_TOLERANCE,
-    labels: dict[int, str] | None = None,
-) -> BranchTree:
-    """Event graph of foliation creation and diffusion across the trace.
-
-    Folds the timeline, then builds the tree with :func:`timeline_tree`.
-    """
-    return timeline_tree(foliation_timeline(trace, watch, tol), tol, labels)
-
-
-def timeline_tree(
+    circuit: Circuit,
     timeline: Timeline,
     tol: float = DEFAULT_TOLERANCE,
-    labels: dict[int, str] | None = None,
 ) -> BranchTree:
     """Event graph of foliation creation and diffusion from a folded timeline.
 
-    Each watch pair's transitions become nodes; a node hangs off the
+    Each status change of a watch pair becomes a node; a node hangs off the
     pair's previous event when it has one (a creation feeding its own
     diffusion contributes one signed edge per branch, weighted by the
     creation's projector values), and otherwise off the most recent event
     touching either qubit, or the trunk.  Node order is (slot, pair).
     """
-    def name(q: int) -> str:
-        return labels[q] if labels and q in labels else f"q{q}"
-
-    _, events, _ = timeline
-    events = sorted(events, key=lambda e: (e.slot, e.pair))
-
     trunk = TreeNode("trunk", "trunk", 0, None, ())
     nodes = [trunk]
     edges: list[TreeEdge] = []
     last_for_pair: dict[tuple[int, int], TreeNode] = {}
     last_for_qubit: dict[int, tuple[int, TreeNode]] = {}
 
-    for seq, event in enumerate(events):
-        pair = event.pair
-        names = (name(pair[0]), name(pair[1]))
-        node_id = f"{event.kind}:{names[0]}-{names[1]}@t{event.slot}"
-        if event.kind == "created-sharp":
-            node_labels = _branch_labels(event.report, names, tol)
+    for seq, (kind, report) in enumerate(_events(timeline)):
+        pair = report.pair
+        names = (circuit.label(pair[0]), circuit.label(pair[1]))
+        node_id = f"{kind}:{names[0]}-{names[1]}@t{report.slot}"
+        if kind == "created-sharp":
+            node_labels = _branch_labels(report, names, tol)
         else:
             node_labels = (f"{names[0]}/{names[1]}",)
-        node = TreeNode(
-            node_id,
-            event.kind,
-            event.slot,
-            pair,
-            node_labels,
-            (event.report.proj_plus, event.report.proj_minus),
-        )
+        node = TreeNode(node_id, kind, report.slot, pair, node_labels, (report.proj_plus, report.proj_minus))
         nodes.append(node)
 
         pred = last_for_pair.get(pair)
@@ -523,28 +487,8 @@ class ReportRow:
 _VERDICT_TEXT = {_STATUS_SHARP: "Sharp", _BUBBLE: "Non-sharp", _TRUNK: "-"}
 
 
-def report_rows(
-    circuit: Circuit,
-    trace: Trace,
-    watch: tuple[tuple[int, int], ...] | None = None,
-    tol: float = DEFAULT_TOLERANCE,
-) -> list[ReportRow]:
-    """Summary table: one row per gate, tagged with the affected pair's status.
-
-    Folds the timeline over ``watch`` (default: every pair sharing a
-    gate), then builds the rows with :func:`timeline_rows`.
-    """
-    if watch is None:
-        watch = default_watch_pairs(circuit)
-    return timeline_rows(circuit, watch, foliation_timeline(trace, watch, tol))
-
-
-def timeline_rows(
-    circuit: Circuit,
-    watch: tuple[tuple[int, int], ...],
-    timeline: Timeline,
-) -> list[ReportRow]:
-    """Summary table of a timeline folded over ``watch``: one row per gate.
+def report_rows(circuit: Circuit, timeline: Timeline) -> list[ReportRow]:
+    """Summary table of a folded timeline: one row per gate.
 
     Two-qubit gates report their own (control, target) pair, or its
     reverse when that is the watched one, and no parties when neither is.  A
@@ -555,7 +499,7 @@ def timeline_rows(
     weights at the end of the interval.  Anti-sharp verdicts surface as
     ``Anti-sharp``.
     """
-    statuses, _, reports = timeline
+    statuses, reports = timeline
     rows = []
     for step in circuit.steps:
         t_end = step.slot + 1
@@ -565,7 +509,7 @@ def timeline_rows(
             pairs = [pair for pair in (own, own[::-1]) if pair in status][:1]
         else:
             q = step.qubits[0]
-            live = [pair for pair in watch if q in pair and status[pair] != _TRUNK]
+            live = [pair for pair in status if q in pair and status[pair] != _TRUNK]
             pairs = [pair for pair in live if pair[0] == q] or live
         interval = (step.slot, t_end)
         gate = circuit.gate_text(step)

@@ -140,7 +140,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError("duplicate qubits directive", lineno)
             if steps or labels:
                 raise CircuitSyntaxError("qubits must come first", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()) or int(tokens[1]) < 1:
                 raise CircuitSyntaxError("expected: qubits <positive integer>", lineno)
             n_qubits = int(tokens[1])
             continue

@@ -86,9 +86,9 @@ def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
     return 1 - 2 * (parity & 1)
 
 
-def expand(a: PauliSum, cap: int = SIZE_CAP) -> np.ndarray:
+def expand(a: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of an operator, one signed permutation per term."""
-    _check_cap(a.n_qubits, cap)
+    _check_cap(a.n_qubits, SIZE_CAP)
     dim = 2 ** a.n_qubits
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
@@ -134,9 +134,9 @@ def _apply_small(small: np.ndarray, qubits: tuple[int, ...], array: np.ndarray, 
     return out[:, 0] if single else out
 
 
-def gate_unitary(step: GateStep, n_qubits: int, cap: int = SIZE_CAP) -> np.ndarray:
+def gate_unitary(step: GateStep, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n unitary of one gate."""
-    _check_cap(n_qubits, cap)
+    _check_cap(n_qubits, SIZE_CAP)
     for q in step.qubits:
         if not 0 <= q < n_qubits:
             raise IndexError(f"qubit {q} out of range")
@@ -180,16 +180,14 @@ def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
     return _I_POWERS[(x & z).bit_count()] * (total.conj().T @ sigma_total)
 
 
-def conjugate_descriptor(
-    circuit: Circuit, upto_slot: int, cap: int = SIZE_CAP
-) -> list[dict[str, np.ndarray]]:
+def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.ndarray]]:
     """Dense descriptor triples at boundary ``upto_slot`` via conjugation.
 
     Returns one ``{"x": matrix, "y": ..., "z": ...}`` per qubit, each equal
     to U^dagger sigma U for the ordered product U of all gates in slots
     0..upto_slot-1.
     """
-    _check_cap(circuit.n_qubits, cap)
+    _check_cap(circuit.n_qubits, SIZE_CAP)
     n = circuit.n_qubits
     total = np.eye(2 ** n)
     for group in circuit.slot_groups()[:upto_slot]:
@@ -223,7 +221,7 @@ class CrossCheckReport:
         }
 
 
-def cross_check(trace: Trace, circuit: Circuit, cap: int = SIZE_CAP) -> CrossCheckReport:
+def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     """Compare the engine trace against both dense routes.
 
     For every slot, qubit, and component this measures the gap between the
@@ -234,7 +232,7 @@ def cross_check(trace: Trace, circuit: Circuit, cap: int = SIZE_CAP) -> CrossChe
     slot touched its qubit and its engine descriptor is the same object;
     every expectation gap is computed afresh.
     """
-    states = evolve_state(circuit, cap)
+    states = evolve_state(circuit)
     if len(states) != len(trace):
         raise ValueError("trace and circuit disagree on slot count")
     from .pauli import vacuum_expectation  # local import keeps module deps one-way
@@ -257,7 +255,7 @@ def cross_check(trace: Trace, circuit: Circuit, cap: int = SIZE_CAP) -> CrossChe
                 dev = abs(vacuum_expectation(op) - state_expectation(states[t], q, letter))
                 if fresh:
                     mat_devs[q, comp] = float(
-                        np.max(np.abs(expand(op, cap) - _conjugated(total, q, letter)))
+                        np.max(np.abs(expand(op) - _conjugated(total, q, letter)))
                     )
                 mat_dev = mat_devs[q, comp]
                 if max(dev, mat_dev) > max(max_exp, max_mat):

@@ -32,6 +32,11 @@ def fr_watch(fr_circuit):
     return hs.default_watch_pairs(fr_circuit)
 
 
+@pytest.fixture(scope="session")
+def fr_timeline(fr_trace, fr_watch):
+    return hs.foliation_timeline(fr_trace, fr_watch)
+
+
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int) -> hs.Circuit:
     """One gate per slot, kinds weighted to keep term growth moderate."""
     steps = []

@@ -66,7 +66,7 @@ REFERENCE_ROWS = [
 
 @pytest.fixture(scope="module")
 def fr_rows(fr_circuit, fr_trace, fr_watch):
-    return hs.report_rows(fr_circuit, fr_trace, fr_watch, TOL)
+    return hs.report_rows(fr_circuit, hs.foliation_timeline(fr_trace, fr_watch, TOL))
 
 
 # -- 1: summary-table reproduction --------------------------------------------
@@ -252,9 +252,10 @@ def test_random_circuit_algebra_preservation():
 
 
 def _current_outputs(fr_circuit, fr_trace, fr_watch):
-    report = render_table(hs.report_rows(fr_circuit, fr_trace, fr_watch))
+    timeline = hs.foliation_timeline(fr_trace, fr_watch)
+    report = render_table(hs.report_rows(fr_circuit, timeline))
     trace_doc = json.dumps(trace_json_doc(fr_circuit, fr_trace), indent=2) + "\n"
-    tree = hs.build_branch_tree(fr_trace, fr_watch, labels=dict(fr_circuit.labels))
+    tree = hs.build_branch_tree(fr_circuit, timeline)
     dot = tree_to_dot(tree)
     return report, trace_doc, dot
 

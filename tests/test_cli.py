@@ -89,6 +89,9 @@ def test_watch_accepts_labels_and_indices(capsys):
 def test_watch_rejects_unknown_names(capsys):
     with pytest.raises(SystemExit, match="unknown qubit"):
         main(["run", "--preset", "fr", "--watch", "R,NOPE"])
+    # a Unicode digit is no qubit index
+    with pytest.raises(SystemExit, match="unknown qubit '²' in --watch"):
+        main(["run", "--preset", "fr", "--report", "table", "--watch", "²,1"])
 
 
 @pytest.mark.parametrize("spec", ["R,A;R,A", "R,A;A,R", "0,1;R,A"])
@@ -103,6 +106,9 @@ def test_circuit_file_diagnostics_surface(tmp_path):
     bad = tmp_path / "bad.qc"
     bad.write_text("qubits 2\ncx 0 0\n")
     with pytest.raises(SystemExit, match="line 2"):
+        main(["run", "--circuit", str(bad)])
+    bad.write_text("qubits ²\nh 0\n")
+    with pytest.raises(SystemExit, match="line 1: expected: qubits <positive integer>"):
         main(["run", "--circuit", str(bad)])
 
 

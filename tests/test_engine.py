@@ -203,10 +203,10 @@ def test_run_circuit_names_failing_slot_and_chains_cause(fr_circuit, monkeypatch
 
     original = engine._apply_step
 
-    def failing(descriptors, step, time):
+    def failing(descriptors, step):
         if step.slot == 3:
             raise _TwoArgumentError(7, "no such rule")
-        return original(descriptors, step, time)
+        return original(descriptors, step)
 
     monkeypatch.setattr(engine, "_apply_step", failing)
     with pytest.raises(hs.SlotError) as info:
@@ -315,7 +315,7 @@ def test_circuit_rejects_repeated_labels():
         hs.Circuit(2, (), {2: "R"})
 
 
-@pytest.mark.parametrize("name", ["", "my R", "a\tb", "a#b", "a,b", "a;b", "q1", "q2"])
+@pytest.mark.parametrize("name", ["", "my R", "a\tb", "a#b", "a,b", "a;b", "q1", "q2", "2", "01"])
 def test_circuit_rejects_unaddressable_label(name):
     with pytest.raises(ValueError, match=re.escape(repr(name))):
         hs.Circuit(3, (), {0: name})

@@ -282,9 +282,9 @@ def test_entangled_verdict_survives_prepended_rotations_on_copy_circuit():
 # -- timeline and tree ----------------------------------------------------------------
 
 
-def test_timeline_event_sequence(fr_trace, fr_watch):
-    _, events, _ = foliation_timeline(fr_trace, fr_watch)
-    summary = [(e.slot, e.pair, e.kind) for e in events]
+def test_timeline_event_sequence(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
+    summary = [(n.slot, n.pair, n.kind) for n in tree.nodes[1:]]
     assert summary == [
         (2, (R, A), "created-sharp"),
         (3, (A, S), "non-sharp-bubble"),
@@ -315,14 +315,14 @@ def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
     # the fold re-evaluates only pairs with a changed descriptor; every
     # report it carries over must equal a fresh evaluation at that boundary
     trace = hs.run_circuit(circuit)
-    _, _, reports = foliation_timeline(trace, watch)
+    _, reports = foliation_timeline(trace, watch)
     for state, slot_reports in zip(trace, reports):
         for (control, target), report in slot_reports.items():
             assert report == hs.sharp_foliation(state, control, target)
 
 
-def test_branch_tree_structure(fr_trace, fr_watch, fr_circuit):
-    tree = hs.build_branch_tree(fr_trace, fr_watch, labels=dict(fr_circuit.labels))
+def test_branch_tree_structure(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
     kinds = [(n.kind, n.slot) for n in tree.nodes]
     assert kinds == [
         ("trunk", 0),
@@ -349,16 +349,16 @@ def test_branch_tree_structure(fr_trace, fr_watch, fr_circuit):
     assert "A-1/U_A-1" not in labels  # zero-weight branch never materialises
 
 
-def test_branch_tree_weight_conservation(fr_trace, fr_watch):
-    tree = hs.build_branch_tree(fr_trace, fr_watch)
+def test_branch_tree_weight_conservation(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
     for node in tree.nodes:
         signed = [e.weight for e in tree.edges if e.src == node.id and e.sign is not None]
         if signed:
             assert sum(signed) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_branch_tree_connected_to_trunk(fr_trace, fr_watch):
-    tree = hs.build_branch_tree(fr_trace, fr_watch)
+def test_branch_tree_connected_to_trunk(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
     parents = {e.dst: e.src for e in tree.edges}
     for node in tree.nodes:
         if node.kind == "trunk":
@@ -373,7 +373,7 @@ def test_branch_tree_connected_to_trunk(fr_trace, fr_watch):
 
 def test_branch_tree_empty_circuit():
     circuit = hs.Circuit(2)
-    tree = hs.build_branch_tree(hs.run_circuit(circuit), ())
+    tree = hs.build_branch_tree(circuit, foliation_timeline(hs.run_circuit(circuit), ()))
     assert len(tree.nodes) == 1
     assert tree.nodes[0].kind == "trunk"
     assert tree.edges == ()
@@ -383,7 +383,7 @@ def test_branch_tree_weights_match_state_vector():
     theta = 0.7
     circuit = hs.Circuit(2, (hs.ry(0, theta, slot=0), hs.cx(0, 1, slot=1)))
     trace = hs.run_circuit(circuit)
-    tree = hs.build_branch_tree(trace, ((0, 1),))
+    tree = hs.build_branch_tree(circuit, foliation_timeline(trace, ((0, 1),)))
     created = [n for n in tree.nodes if n.kind == "created-sharp"]
     assert len(created) == 1
     # independent weights: Born marginals of the control from the state vector
@@ -400,7 +400,7 @@ def test_fresh_copy_creates_single_branch():
     report = hs.sharp_foliation(trace[1], 0, 1)
     assert report.verdict == SHARP
     assert report.proj_plus == pytest.approx(1.0)
-    tree = hs.build_branch_tree(trace, ((0, 1),))
+    tree = hs.build_branch_tree(circuit, foliation_timeline(trace, ((0, 1),)))
     created = [n for n in tree.nodes if n.kind == "created-sharp"]
     assert created[0].labels == ("q0+1/q1+1",)
 
@@ -414,14 +414,13 @@ def test_recreation_after_diffusion():
         hs.cx(0, 1, slot=2),
         hs.cx(0, 1, slot=3),
     )
-    trace = hs.run_circuit(hs.Circuit(2, steps))
-    _, events, _ = foliation_timeline(trace, ((0, 1),))
-    assert [(e.slot, e.kind) for e in events] == [
+    circuit = hs.Circuit(2, steps)
+    tree = hs.build_branch_tree(circuit, foliation_timeline(hs.run_circuit(circuit), ((0, 1),)))
+    assert [(n.slot, n.kind) for n in tree.nodes[1:]] == [
         (2, "created-sharp"),
         (3, "diffused"),
         (4, "created-sharp"),
     ]
-    tree = hs.build_branch_tree(trace, ((0, 1),))
     incoming = {e.dst: e for e in tree.edges if e.sign is None}
     assert incoming["created-sharp:q0-q1@t4"].src == "diffused:q0-q1@t3"
 
@@ -429,8 +428,8 @@ def test_recreation_after_diffusion():
 # -- exports ------------------------------------------------------------------------
 
 
-def test_tree_json_document(fr_trace, fr_watch, fr_circuit):
-    tree = hs.build_branch_tree(fr_trace, fr_watch, labels=dict(fr_circuit.labels))
+def test_tree_json_document(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
     doc = tree_json_doc(tree)
     assert doc["format_version"] == 1
     assert len(doc["nodes"]) == 10
@@ -443,8 +442,8 @@ def test_tree_json_document(fr_trace, fr_watch, fr_circuit):
     }
 
 
-def test_tree_dot_output(fr_trace, fr_watch, fr_circuit):
-    tree = hs.build_branch_tree(fr_trace, fr_watch, labels=dict(fr_circuit.labels))
+def test_tree_dot_output(fr_circuit, fr_timeline):
+    tree = hs.build_branch_tree(fr_circuit, fr_timeline)
     dot = tree_to_dot(tree)
     assert dot.startswith("digraph foliations {")
     assert '"created-sharp:R-A@t2" -> "diffused:R-A@t5" [label="+1 (1/3)"' in dot
@@ -535,17 +534,19 @@ def _row_rule_cases():
 
 @pytest.mark.parametrize("circuit, watch, expected", list(_row_rule_cases()))
 def test_report_row_rule(circuit, watch, expected):
-    assert hs.report_rows(circuit, hs.run_circuit(circuit), watch) == expected
+    if watch is None:
+        watch = hs.default_watch_pairs(circuit)
+    assert hs.report_rows(circuit, foliation_timeline(hs.run_circuit(circuit), watch)) == expected
 
 
-def test_report_projection_columns_sum_to_one(fr_circuit, fr_trace):
-    for row in hs.report_rows(fr_circuit, fr_trace):
+def test_report_projection_columns_sum_to_one(fr_circuit, fr_timeline):
+    for row in hs.report_rows(fr_circuit, fr_timeline):
         if row.proj is not None:
             assert row.proj[0] + row.proj[1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_report_rows_fr(fr_circuit, fr_trace):
-    rows = hs.report_rows(fr_circuit, fr_trace)
+def test_report_rows_fr(fr_circuit, fr_timeline):
+    rows = hs.report_rows(fr_circuit, fr_timeline)
     assert len(rows) == 12
     assert [row.verdict for row in rows] == [
         "-",

@@ -100,7 +100,7 @@ def test_labels_round_trip():
     assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
-@pytest.mark.parametrize("name", ["a,b", "a;b", "q1"])
+@pytest.mark.parametrize("name", ["a,b", "a;b", "q1", "1"])
 def test_unaddressable_label_diagnostic(name):
     with pytest.raises(CircuitSyntaxError, match=f"line 3.*label {re.escape(repr(name))}") as err:
         parse_circuit(f"qubits 2\n# labels\nlabel 0 {name}\n")
@@ -126,6 +126,12 @@ def test_missing_qubits_directive():
         parse_circuit("h 0\n")
     with pytest.raises(CircuitSyntaxError, match="line 1"):
         parse_circuit("")
+
+
+@pytest.mark.parametrize("count", ["0", "two", "²"])
+def test_bad_qubit_count_diagnostic(count):
+    with pytest.raises(CircuitSyntaxError, match="line 1.*expected: qubits <positive integer>"):
+        parse_circuit(f"qubits {count}\nh 0\n")
 
 
 def test_qubits_must_come_first():
