@@ -189,12 +189,11 @@ class Circuit:
         for step in self.steps:
             check_step(step, self.n_qubits, prev_slot, held)
             prev_slot = step.slot
-        if self.labels is not None:
-            labels: dict[int, str] = {}
-            for q, name in self.labels.items():
-                check_label(labels, q, name, self.n_qubits)
-                labels[q] = name
-            object.__setattr__(self, "labels", labels)
+        labels: dict[int, str] = {}
+        for q, name in (self.labels or {}).items():
+            check_label(labels, q, name, self.n_qubits)
+            labels[q] = name
+        object.__setattr__(self, "labels", labels or None)  # one form, so {} round-trips equal
 
     @property
     def max_slot(self) -> int:

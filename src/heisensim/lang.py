@@ -17,7 +17,8 @@
   ``ch <c> <t>``, optionally prefixed with ``@<slot>``.  Without a prefix a
   gate occupies the slot after the previous gate's; an explicit ``@<slot>``
   may repeat the current slot to run gates in parallel (on disjoint
-  qubits) but may not go backwards.
+  qubits) but may not go backwards.  Counts, indices and slots are
+  written in ASCII digits only.
 * Angle expressions allow numbers, ``pi``, arithmetic (+ - * / **), and
   ``sqrt``, ``arcsin``, ``arccos``, ``arctan``, ``sin``, ``cos``, ``tan``;
   the value must be finite.
@@ -113,11 +114,11 @@ def _eval_angle(expr: str, line: int) -> float:
         raise CircuitSyntaxError(f"cannot evaluate {expr!r}: {exc}", line) from None
 
 
-def _parse_index(token: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CircuitSyntaxError(f"bad qubit index {token!r}", line) from None
+def _parse_index(token: str, line: int, what: str = "qubit index") -> int:
+    """An index written in ASCII digits only, as ``qubits`` and ``--watch`` read them."""
+    if not (token.isascii() and token.isdigit()):
+        raise CircuitSyntaxError(f"bad {what} {token!r}", line)
+    return int(token)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -164,10 +165,7 @@ def parse_circuit(text: str) -> Circuit:
         # gate line, with optional @slot prefix
         next_slot = slot + 1
         if head.startswith("@"):
-            try:
-                next_slot = int(head[1:])
-            except ValueError:
-                raise CircuitSyntaxError(f"bad slot {head!r}", lineno) from None
+            next_slot = _parse_index(head[1:], lineno, "slot")
             tokens = tokens[1:]
             if not tokens:
                 raise CircuitSyntaxError("slot prefix without a gate", lineno)
@@ -193,7 +191,7 @@ def parse_circuit(text: str) -> Circuit:
 
     if n_qubits is None:
         raise CircuitSyntaxError("missing qubits directive", 1)
-    return Circuit(n_qubits, tuple(steps), labels or None)
+    return Circuit(n_qubits, tuple(steps), labels)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -7,10 +7,11 @@ and descriptor construction by conjugating bare Pauli matrices with the
 accumulated circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
-P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>, so :func:`expand` writes one
-entry per column and term, and sigma U is a signed row permutation of U.
-Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix, so the
-accumulated unitary U stays real orthogonal and each conjugation
+P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
+:func:`expand` writes once per term and :func:`_pauli_rows` applies to a
+state or a unitary.  A gate is applied by one ``np.tensordot`` on the [2]*n
+view.  Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix,
+so the accumulated unitary U stays real orthogonal and each conjugation
 U^T (sigma U) is one real product; a Y component is i times a real matrix.
 
 :func:`cross_check` walks the slot boundaries once, applying each slot's
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Circuit, GateStep, Trace
-from .pauli import PauliSum
+from .pauli import PauliSum, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -97,41 +98,26 @@ def expand(a: PauliSum) -> np.ndarray:
     return out
 
 
-def _ry2(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]])
-
-
 def _small_matrix(step: GateStep) -> np.ndarray:
     if step.kind == "ry":
-        return _ry2(step.angle)
+        c, s = math.cos(step.angle / 2), math.sin(step.angle / 2)
+        return np.array([[c, -s], [s, c]])
     if step.kind == "h":
         return _H2
     return _CNOT4 if step.kind == "cx" else _CH4
 
 
 def _apply_small(small: np.ndarray, qubits: tuple[int, ...], array: np.ndarray, n: int) -> np.ndarray:
-    """Apply a small unitary on ``qubits`` to states stacked as columns.
+    """Apply a small unitary on ``qubits`` to a state (2**n,) or to columns (2**n, m).
 
-    ``qubits[0]`` owns the most significant bit of the small matrix index.
-    Works on shape (2**n,) or (2**n, m).
+    ``qubits[0]`` owns the most significant bit of the small matrix index;
+    qubit q is axis n-1-q of the C-order [2]*n reshape.
     """
-    single = array.ndim == 1
-    mat = array.reshape(-1, 1) if single else array
-    m = mat.shape[1]
-    # axis for qubit k in the C-order [2]*n reshape is n-1-k
-    tensor = mat.reshape([2] * n + [m])
-    axes = [n - 1 - q for q in qubits]
-    rest = [ax for ax in range(n + 1) if ax not in axes]
     k = len(qubits)
-    moved = np.transpose(tensor, axes + rest)
-    folded = moved.reshape(2 ** k, -1)
-    folded = small @ folded
-    moved = folded.reshape([2] * k + [moved.shape[i] for i in range(k, n + 1)])
-    inverse = np.argsort(axes + rest)
-    tensor = np.transpose(moved, inverse)
-    out = tensor.reshape(2 ** n, m)
-    return out[:, 0] if single else out
+    axes = [n - 1 - q for q in qubits]
+    tensor = array.reshape([2] * n + list(array.shape[1:]))
+    out = np.tensordot(small.reshape([2] * 2 * k), tensor, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(array.shape)
 
 
 def gate_unitary(step: GateStep, n_qubits: int) -> np.ndarray:
@@ -167,17 +153,22 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     return states
 
 
-def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
-    """U^dagger sigma U for the single-qubit Pauli ``letter`` on ``qubit``.
+def _pauli_rows(array: np.ndarray, qubit: int, letter: str) -> tuple[complex, np.ndarray]:
+    """sigma A as (phase, rows) with sigma A = phase * rows, for a single-qubit Pauli.
 
-    sigma U is the signed row permutation (sigma U)[r] = i^{#Y} s(r ^ x) U[r ^ x],
-    so one matrix product remains; it is real when U is real and the letter
-    is X or Z.
+    rows[r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x] and phase = i^{#Y}; A is a
+    state vector or a matrix whose rows are indexed by the basis.
     """
-    ((x, z),) = PauliSum.single(total.shape[0].bit_length() - 1, qubit, letter)._terms
-    rows = np.arange(total.shape[0]) ^ x
-    sigma_total = _z_signs(rows, z)[:, None] * total[rows]
-    return _I_POWERS[(x & z).bit_count()] * (total.conj().T @ sigma_total)
+    x, z = int(letter in "XY") << qubit, int(letter in "YZ") << qubit
+    rows = np.arange(array.shape[0]) ^ x
+    signs = _z_signs(rows, z).reshape((-1,) + (1,) * (array.ndim - 1))
+    return _I_POWERS[(x & z).bit_count()], signs * array[rows]
+
+
+def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
+    """U^dagger sigma U for a real U: one product, real unless the letter is Y."""
+    phase, rows = _pauli_rows(total, qubit, letter)
+    return phase * (total.T @ rows)
 
 
 def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.ndarray]]:
@@ -200,10 +191,8 @@ def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.
 
 def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
     """<psi| sigma_letter(qubit) |psi> for a single-qubit Pauli."""
-    n = int(round(math.log2(psi.size)))
-    phi = _apply_small(LETTER_MATRICES[letter], (qubit,), psi, n)
-    val = np.vdot(psi, phi)
-    return float(val.real)
+    phase, rows = _pauli_rows(psi, qubit, letter)
+    return float(np.vdot(psi, phase * rows).real)
 
 
 @dataclass(frozen=True)
@@ -235,8 +224,6 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     states = evolve_state(circuit)
     if len(states) != len(trace):
         raise ValueError("trace and circuit disagree on slot count")
-    from .pauli import vacuum_expectation  # local import keeps module deps one-way
-
     n = circuit.n_qubits
     groups = [()] + circuit.slot_groups()  # groups[t]: the gates that end at boundary t
     total = np.eye(2 ** n)

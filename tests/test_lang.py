@@ -98,6 +98,9 @@ def test_labels_round_trip():
     circuit = parse_circuit("qubits 2\nlabel 0 R\nlabel 1 A\ncx 0 1\n")
     assert circuit.labels == {0: "R", 1: "A"}
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+    # an empty label mapping parses back from a document with no label lines
+    unlabelled = hs.Circuit(2, (hs.h(0),), {})
+    assert parse_circuit(serialize_circuit(unlabelled)) == unlabelled
 
 
 @pytest.mark.parametrize("name", ["a,b", "a;b", "q1", "1"])
@@ -132,6 +135,15 @@ def test_missing_qubits_directive():
 def test_bad_qubit_count_diagnostic(count):
     with pytest.raises(CircuitSyntaxError, match="line 1.*expected: qubits <positive integer>"):
         parse_circuit(f"qubits {count}\nh 0\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "-0", "+1"], ids=["underscore", "arabic-3", "minus", "plus"])
+@pytest.mark.parametrize("line", ["h {}", "label {} R", "@{} h 0"], ids=["gate", "label", "slot"])
+def test_numbers_are_ascii_digits_only(line, token):
+    # int() would read these as 10, 3, 0 and 1
+    with pytest.raises(CircuitSyntaxError, match=f"line 3: bad .*{re.escape(repr(token))}") as err:
+        parse_circuit(f"qubits 12\n# ASCII digits only\n{line.format(token)}\n")
+    assert err.value.line == 3
 
 
 def test_qubits_must_come_first():

@@ -133,6 +133,24 @@ def test_controlled_hadamard_blocks():
     assert np.allclose(u[np.ix_([1, 3], [1, 3])], h2)
 
 
+@pytest.mark.parametrize("kind", ["cx", "ch"])
+def test_controlled_gates_on_every_ordered_pair(kind):
+    # reversed and non-adjacent pairs exercise the tensor-axis mapping
+    n = 4
+    eye, x = LETTER_MATRICES["I"], LETTER_MATRICES["X"]
+    target_op = x if kind == "cx" else (x + LETTER_MATRICES["Z"]) / math.sqrt(2)
+    proj0, proj1 = (eye + LETTER_MATRICES["Z"]) / 2, (eye - LETTER_MATRICES["Z"]) / 2
+    for c in range(n):
+        for t in range(n):
+            if c == t:
+                continue
+            reference = kron_chain(*(proj0 if k == c else eye for k in range(n))) + kron_chain(
+                *(proj1 if k == c else target_op if k == t else eye for k in range(n))
+            )
+            u = gate_unitary(getattr(hs, kind)(c, t), n)
+            assert np.allclose(u, reference, rtol=0, atol=1e-15), (c, t)
+
+
 # -- state evolution -----------------------------------------------------------
 
 
@@ -164,6 +182,20 @@ def test_evolve_fr_final_record_weights(fr_states):
 def test_evolve_norm_preserved(fr_states):
     for psi in fr_states:
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_state_expectation_matches_kron_reference_on_complex_states():
+    # every gate is real, so evolved states never carry a Y expectation
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for _ in range(4):
+            psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            psi /= np.linalg.norm(psi)
+            for q in range(n):
+                for letter in "XYZ":
+                    sigma = kron_chain(*(LETTER_MATRICES[letter if k == q else "I"] for k in range(n)))
+                    reference = np.vdot(psi, sigma @ psi).real
+                    assert state_expectation(psi, q, letter) == pytest.approx(reference, abs=1e-12)
 
 
 # -- conjugation ---------------------------------------------------------------
