@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .engine import Circuit, run_circuit, trace_json_doc
+from .engine import Circuit, _is_ascii_number, run_circuit, trace_json_doc
 from .foliation import (
     ReportRow,
     build_branch_tree,
@@ -102,7 +102,7 @@ def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
         for name in names:
             if name in by_name:
                 resolved.append(by_name[name])
-            elif name.isascii() and name.isdigit() and int(name) < circuit.n_qubits:
+            elif _is_ascii_number(name) and int(name) < circuit.n_qubits:
                 resolved.append(int(name))
             else:
                 raise SystemExit(f"unknown qubit {name!r} in --watch")

@@ -63,6 +63,11 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _DEFAULT_LABEL = re.compile(r"q(0|[1-9][0-9]*)")
 
 
+def _is_ascii_number(token: str) -> bool:
+    """The one number format of circuit files and ``--watch``: ASCII digits only."""
+    return token.isascii() and token.isdigit()
+
+
 class SlotError(ValueError):
     """A gate failed while the engine applied one time slot.
 
@@ -162,7 +167,7 @@ def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int)
         raise ValueError(f"qubit {qubit} is already labelled {labels[qubit]!r}")
     if not isinstance(name, str) or not name or any(ch.isspace() or ch in "#,;" for ch in name):
         raise ValueError(f"label {name!r} must be a non-empty name without whitespace, '#', ',' or ';'")
-    if name.isascii() and name.isdigit():
+    if _is_ascii_number(name):
         raise ValueError(f"label {name!r} is all digits, which reads as a qubit index")
     default = _DEFAULT_LABEL.fullmatch(name)
     if default and int(default[1]) != qubit and int(default[1]) < n_qubits:

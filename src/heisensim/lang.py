@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 import math
 
-from .engine import GATE_KINDS, Circuit, GateStep, check_label, check_step
+from .engine import GATE_KINDS, Circuit, GateStep, _is_ascii_number, check_label, check_step
 
 __all__ = ["CircuitSyntaxError", "parse_circuit", "serialize_circuit"]
 
@@ -116,7 +116,7 @@ def _eval_angle(expr: str, line: int) -> float:
 
 def _parse_index(token: str, line: int, what: str = "qubit index") -> int:
     """An index written in ASCII digits only, as ``qubits`` and ``--watch`` read them."""
-    if not (token.isascii() and token.isdigit()):
+    if not _is_ascii_number(token):
         raise CircuitSyntaxError(f"bad {what} {token!r}", line)
     return int(token)
 
@@ -141,7 +141,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError("duplicate qubits directive", lineno)
             if steps or labels:
                 raise CircuitSyntaxError("qubits must come first", lineno)
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()) or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not _is_ascii_number(tokens[1]) or int(tokens[1]) < 1:
                 raise CircuitSyntaxError("expected: qubits <positive integer>", lineno)
             n_qubits = int(tokens[1])
             continue
