@@ -47,6 +47,7 @@ from .pauli import (
     PauliSum,
     allclose,
     letter_mul,
+    pair_expectation,
     string_mul,
     vacuum_expectation,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "letter_mul",
     "string_mul",
     "vacuum_expectation",
+    "pair_expectation",
     "allclose",
     "DEFAULT_TOLERANCE",
     "DROP_TOLERANCE",

@@ -2,7 +2,10 @@
 
 Two qubits count as entangled when some pair of their descriptor
 components violates expectation factorisation,
-``<q_i q'_j> != <q_i><q'_j>`` over the nine component pairs.
+``<q_i q'_j> != <q_i><q'_j>`` over the nine component pairs.  Every
+two-point expectation comes from :func:`~heisensim.pauli.pair_expectation`,
+which reads ``<0|q_i q'_j|0>`` off the term pairs with equal x masks and
+never forms the operator product.
 
 A control/target pair admits a sharp foliation when the product of their z
 components is sharp, ``<q_Cz q_Tz> = +1`` (or -1, reported as anti-sharp
@@ -47,7 +50,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 from .engine import Circuit, Descriptor, NetworkState, Trace, projector
-from .pauli import DEFAULT_TOLERANCE, vacuum_expectation
+from .pauli import DEFAULT_TOLERANCE, pair_expectation, vacuum_expectation
 
 __all__ = [
     "SHARP",
@@ -119,7 +122,7 @@ def entangled(
     means2 = {c: vacuum_expectation(d2.component(c)) for c in _COMPONENTS}
     zz_joint = zz_product = 0.0
     for i, j in _cartesian(_COMPONENTS, repeat=2):
-        joint = vacuum_expectation(d1.component(i) @ d2.component(j))
+        joint = pair_expectation(d1.component(i), d2.component(j))
         prod = means1[i] * means2[j]
         if i == j == "z":
             zz_joint, zz_product = joint, prod
@@ -171,8 +174,8 @@ def sharp_foliation(
     dc = state.descriptor(control)
     dt = state.descriptor(target)
     witness = entangled(state, control, target, tol)
-    # a scan that got as far as (z, z) has already formed dc.z @ dt.z
-    zz = witness.joint if witness.component_pair == ("z", "z") else vacuum_expectation(dc.z @ dt.z, tol)
+    # a scan that got as far as (z, z) has already read <q_Cz q_Tz>
+    zz = witness.joint if witness.component_pair == ("z", "z") else pair_expectation(dc.z, dt.z, tol)
     z_mean_c = vacuum_expectation(dc.z, tol)
     z_mean_t = vacuum_expectation(dt.z, tol)
     proj_plus = (1.0 + z_mean_c) / 2.0
@@ -235,7 +238,7 @@ def conditional_expectation(
     weight = vacuum_expectation(p, tol)
     if weight <= tol:
         raise ZeroWeightBranch(f"branch {sign:+d} of qubit {control} has weight {weight:g}")
-    return vacuum_expectation(state.descriptor(target).component(component) @ p, tol) / weight
+    return pair_expectation(state.descriptor(target).component(component), p, tol) / weight
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .pauli import PauliSum, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
-    "LETTER_MATRICES",
     "expand",
     "gate_unitary",
     "evolve_state",
@@ -51,13 +50,6 @@ __all__ = [
 ]
 
 SIZE_CAP = 12
-
-LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 # 4x4 blocks indexed by (control_bit * 2 + target_bit)

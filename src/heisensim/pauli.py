@@ -6,7 +6,9 @@ string's bit masks (x, z) to its coefficient: bit q of x is set for X or Y
 on qubit q, bit q of z for Z or Y, so the string is i^{#Y} X^x Z^z with
 #Y = popcount(x & z) (Aaronson & Gottesman, quant-ph/0406196).  Python
 integers have no width, so any register size works the same way.
-:func:`_mul_into` is the one product rule.
+:func:`_mul_into` is the one product rule; :func:`pair_expectation`
+specialises it to the term pairs with equal x masks, the only pairs whose
+product has an expectation in the all-zeros state.
 
 The operators are the algebra: ``+``, ``-``, unary ``-``, scalar ``*`` and
 ``/``, and ``@`` for the operator product.  Construction merges like
@@ -36,6 +38,7 @@ __all__ = [
     "letter_mul",
     "string_mul",
     "vacuum_expectation",
+    "pair_expectation",
     "allclose",
 ]
 
@@ -247,7 +250,7 @@ class PauliSum:
         rest = 0
         for x, z in self._terms:
             rest |= x | z
-        return frozenset(q for q, _ in _letters((rest, 0)))
+        return frozenset(q for q in range(rest.bit_length()) if rest >> q & 1)
 
     def __len__(self):
         return len(self._terms)
@@ -335,6 +338,15 @@ class PauliSum:
         ]
 
 
+def _real_expectation(vals: list[complex], tol: float) -> float:
+    """Sum of ``vals``, which must be real up to ``tol``."""
+    re = fsum(v.real for v in vals)
+    im = fsum(v.imag for v in vals)
+    if abs(im) >= tol:
+        raise HermiticityError(f"imaginary residue {im:g} in expectation value")
+    return re
+
+
 def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     """Expectation in the all-zeros product state.
 
@@ -342,12 +354,28 @@ def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     weight equal to its coefficient.  The operator must be Hermitian up to
     ``tol``: a larger imaginary residue raises :class:`HermiticityError`.
     """
-    vals = [c for (x, _), c in a._terms.items() if not x]
-    re = fsum(v.real for v in vals)
-    im = fsum(v.imag for v in vals)
-    if abs(im) >= tol:
-        raise HermiticityError(f"imaginary residue {im:g} in expectation value")
-    return re
+    return _real_expectation([c for (x, _), c in a._terms.items() if not x], tol)
+
+
+def pair_expectation(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
+    """<0|ab|0>: the vacuum expectation of ``a @ b``, bit for bit, without the product.
+
+    A product term has x mask 0 only when its two factors share their x
+    mask, so only those pairs are multiplied, with :func:`_mul_into`'s phase
+    at x = 0: i^{3 #Y1 + popcount(x & z2)}.  Each z key receives the same
+    additions in the same order as in ``@``, so every sum rounds alike.
+    """
+    a._check_dim(b)
+    right: dict[int, list[tuple[int, complex]]] = {}
+    for (x2, z2), c2 in b._terms.items():
+        right.setdefault(x2, []).append((z2, c2))
+    terms: dict[int, complex] = {}
+    for (x1, z1), c1 in a._terms.items():
+        k1 = 3 * (x1 & z1).bit_count()  # #Y1 + 2 popcount(z1 & x2), as x2 = x1
+        for z2, c2 in right.get(x1, ()):
+            z = z1 ^ z2
+            terms[z] = terms.get(z, 0j) + c1 * c2 * _I_POWERS[(k1 + (x1 & z2).bit_count()) & 3]
+    return _real_expectation([c for c in terms.values() if abs(c) >= DROP_TOLERANCE], tol)
 
 
 def allclose(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -> bool:

@@ -1,10 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
 import heisensim as hs
 
 R, A, S, B, U_R, U_A, W_S, W_B = range(8)
+
+# The four single-qubit Pauli matrices, for building dense references in tests.
+LETTER_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from heisensim.foliation import NON_SHARP, ZeroWeightBranch, tree_to_dot
 from heisensim.oracle import gate_unitary
 from heisensim.pauli import PauliSum, allclose, vacuum_expectation
 
-from conftest import A, B, R, S, U_A, U_R, W_B, W_S, random_circuit
+from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, random_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,8 +164,6 @@ class _CachedExpander:
 
     def __call__(self, a: PauliSum) -> np.ndarray:
         out = np.zeros((2 ** self.n, 2 ** self.n), dtype=complex)
-        from heisensim.oracle import LETTER_MATRICES
-
         for term in a.terms:
             mat = self.cache.get(term.letters)
             if mat is None:

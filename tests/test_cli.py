@@ -1,4 +1,5 @@
 """Command-line driver tests, run in-process via cli.main."""
+import hashlib
 import json
 import re
 
@@ -145,6 +146,24 @@ def test_tolerance_env_rejects_non_positive_or_non_finite(value, monkeypatch, ca
     with pytest.raises(SystemExit, match=rf"{TOLERANCE_ENV} value: '{re.escape(value)}'"):
         main(["run", "--preset", "fr", "--report", "table", "--check"])
     assert capsys.readouterr().out == ""
+
+
+# SHA-256 of the fr table followed by its .dot tree at each --tolerance,
+# computed when the fold still read each two-point expectation off the whole
+# product a @ b.  The default tolerance is covered by the goldens.
+FR_TOLERANCE_DIGESTS = [
+    ("1e-30", "46319f7d98eb272fd5dbf168467447ac0dbd7d820d41c8ac06f62b0084e40cca"),
+    ("1e-3", "46319f7d98eb272fd5dbf168467447ac0dbd7d820d41c8ac06f62b0084e40cca"),
+    ("0.3", "9701cfcffbd56ec70c6a33f5354b40c56bd42d183f73332cf83ec5e071d0a938"),
+]
+
+
+@pytest.mark.parametrize("tolerance, digest", FR_TOLERANCE_DIGESTS)
+def test_fr_table_and_tree_pinned_across_tolerances(tolerance, digest, tmp_path, capsys):
+    dot = tmp_path / "fr.dot"
+    code, out = run_cli(capsys, "run", "--preset", "fr", "--report", "table", "--tolerance", tolerance, "--tree", str(dot))
+    assert code == 0
+    assert hashlib.sha256((out + dot.read_text()).encode()).hexdigest() == digest
 
 
 def test_check_fails_beyond_impossible_tolerance(capsys):

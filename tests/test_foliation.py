@@ -1,4 +1,5 @@
 """Foliation verdicts, relative descriptors, conditionals, and tree building."""
+import hashlib
 import math
 import random
 
@@ -319,6 +320,43 @@ def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
     for state, slot_reports in zip(trace, reports):
         for (control, target), report in slot_reports.items():
             assert report == hs.sharp_foliation(state, control, target)
+
+
+# SHA-256 of the reprs of every report of foliation_timeline, boundary by
+# boundary in watch order, computed when the fold still read each two-point
+# expectation off the whole product a @ b.
+FOLD_DIGESTS = {
+    "parallel-0": "640604c279ac656387107f06f5a432d716127032951f9d1e54161690ae7f630d",
+    "parallel-1": "c4090d1a0652fc29294b305b1f26093aa44144de097cdc23e7d42d2c3445bda0",
+    "parallel-2": "77642131b2e8edd12a699e4c85c74df31b2ae241ce6adffe3b50132ab47ed3c2",
+    "parallel-3": "d5a142494db8ce168d00c250388c8dc0d553063a3af71ba576ec7b132a64df1a",
+    "random-0": "422ef2563349a7e0af733116b2c8ad737ccd5cc7952f901d3759a1ba3349fd0b",
+    "random-5": "0252891f3e3eeac224474c181b8c792d4348684026f62631b5233902ba2e625f",
+    "random-6": "fbf0fb2a452798904ee92ca13947c3625fdb9231490721e6625a8c3e30aaf5f7",
+}
+
+
+@pytest.mark.parametrize(
+    "circuit, watch, digest",
+    [pytest.param(*case.values, FOLD_DIGESTS[case.id], id=case.id) for case in _carry_over_cases() if case.id in FOLD_DIGESTS],
+)
+def test_timeline_reports_pinned(circuit, watch, digest):
+    _, reports = foliation_timeline(hs.run_circuit(circuit), watch)
+    text = "\n".join(repr(report) for slot_reports in reports for report in slot_reports.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("circuit", [hs.preset_fr(), random_circuit(random.Random(0), 8, 40)], ids=["fr", "random-0"])
+def test_fold_forms_no_operator_product(circuit, monkeypatch):
+    # every expectation of the fold comes from pair_expectation; a return to
+    # the product route would show up here, not in any output
+    trace = hs.run_circuit(circuit)
+
+    def refuse(self, other):
+        raise AssertionError("the foliation fold formed an operator product")
+
+    monkeypatch.setattr(PauliSum, "__matmul__", refuse)
+    foliation_timeline(trace, hs.default_watch_pairs(circuit))
 
 
 def test_branch_tree_structure(fr_circuit, fr_timeline):

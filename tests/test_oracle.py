@@ -8,7 +8,6 @@ import pytest
 
 import heisensim as hs
 from heisensim.oracle import (
-    LETTER_MATRICES,
     conjugate_descriptor,
     cross_check,
     evolve_state,
@@ -18,7 +17,7 @@ from heisensim.oracle import (
 )
 from heisensim.pauli import PauliString, PauliSum
 
-from conftest import A, R, S, U_R, random_circuit, random_parallel_circuit
+from conftest import LETTER_MATRICES, A, R, S, U_R, random_circuit, random_parallel_circuit
 
 
 def kron_chain(*mats):

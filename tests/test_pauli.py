@@ -1,13 +1,16 @@
 """Operator algebra unit tests, with dense 2x2/2^n matrices as the oracle."""
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisensim as hs
 from heisensim.oracle import expand
 from heisensim.pauli import (
+    DEFAULT_TOLERANCE,
     DROP_TOLERANCE,
     DimensionMismatch,
     HermiticityError,
@@ -15,16 +18,12 @@ from heisensim.pauli import (
     PauliSum,
     allclose,
     letter_mul,
+    pair_expectation,
     string_mul,
     vacuum_expectation,
 )
 
-MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from conftest import LETTER_MATRICES, random_circuit
 
 C = -1.0 / 3.0
 S = math.sqrt(8.0) / 3.0
@@ -37,7 +36,7 @@ def test_letter_mul_reproduces_matrix_products():
     for a in "IXYZ":
         for b in "IXYZ":
             phase, c = letter_mul(a, b)
-            assert np.allclose(phase * MATS[c], MATS[a] @ MATS[b])
+            assert np.allclose(phase * LETTER_MATRICES[c], LETTER_MATRICES[a] @ LETTER_MATRICES[b])
 
 
 def test_letter_mul_examples():
@@ -334,6 +333,57 @@ def test_vacuum_expectation_matches_dense(triple):
     a, _, _ = triple
     dense = expand(a)
     assert vacuum_expectation(a) == pytest.approx(dense[0, 0].real, abs=1e-9)
+
+
+def _outcome(expectation, *args):
+    """The value as exact float hex, or the error when the guard trips."""
+    try:
+        return expectation(*args).hex()
+    except HermiticityError:
+        return HermiticityError
+
+
+def _product_route(a, b, tol):
+    return vacuum_expectation(a @ b, tol)
+
+
+@st.composite
+def expectation_pairs(draw):
+    """Y-heavy pairs, sometimes with real coefficients, some masks past bit 64."""
+    pair = draw(sum_pairs_with_y())
+    real = draw(st.booleans())
+    shift = draw(st.sampled_from((0, 62, 130)))
+    return tuple(
+        PauliSum(
+            op.n_qubits + shift,
+            [
+                PauliString(s.coeff.real if real else s.coeff, {q + shift: letter for q, letter in s.letters})
+                for s in op.terms
+            ],
+        )
+        for op in pair
+    )
+
+
+@given(expectation_pairs(), st.sampled_from((DEFAULT_TOLERANCE, 1e-3, 10.0)))
+@settings(max_examples=150)
+def test_pair_expectation_matches_product_route(pair, tol):
+    a, b = pair
+    assert _outcome(pair_expectation, a, b, tol) == _outcome(_product_route, a, b, tol)
+
+
+def test_pair_expectation_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        pair_expectation(PauliSum.single(2, 0, "Z"), PauliSum.single(3, 0, "Z"))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6])
+def test_pair_expectation_matches_product_route_on_descriptors(seed):
+    final = hs.run_circuit(random_circuit(random.Random(seed), 8, 40))[-1]
+    components = [final.descriptor(q).component(c) for q in range(8) for c in "xyz"]
+    for a in components:
+        for b in components:
+            assert _outcome(pair_expectation, a, b, DEFAULT_TOLERANCE) == _outcome(_product_route, a, b, DEFAULT_TOLERANCE)
 
 
 def test_drop_tolerance_below_comparison_tolerance():
