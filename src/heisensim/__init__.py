@@ -43,12 +43,8 @@ from .oracle import conjugate_descriptor, cross_check, evolve_state, expand, gat
 from .pauli import (
     DEFAULT_TOLERANCE,
     DROP_TOLERANCE,
-    PauliString,
     PauliSum,
-    allclose,
-    letter_mul,
     pair_expectation,
-    string_mul,
     vacuum_expectation,
 )
 from .presets import FR_ANGLE, get_preset, preset_fr
@@ -58,13 +54,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # pauli
-    "PauliString",
     "PauliSum",
-    "letter_mul",
-    "string_mul",
     "vacuum_expectation",
     "pair_expectation",
-    "allclose",
     "DEFAULT_TOLERANCE",
     "DROP_TOLERANCE",
     # engine

@@ -106,6 +106,25 @@ class EntanglementWitness:
     entangled: bool
 
 
+def _scan(
+    state: NetworkState, q1: int, q2: int, tol: float, z_guard: float
+) -> tuple[EntanglementWitness, float, float]:
+    """:func:`entangled`'s witness with <q1_z> and <q2_z>, whose Hermiticity guard is ``z_guard``."""
+    d1, d2 = state.descriptor(q1), state.descriptor(q2)
+    guards = {"x": DEFAULT_TOLERANCE, "y": DEFAULT_TOLERANCE, "z": z_guard}
+    means1 = {c: vacuum_expectation(d1.component(c), guards[c]) for c in _COMPONENTS}
+    means2 = {c: vacuum_expectation(d2.component(c), guards[c]) for c in _COMPONENTS}
+    zz_joint = zz_product = 0.0
+    for i, j in _cartesian(_COMPONENTS, repeat=2):
+        joint = pair_expectation(d1.component(i), d2.component(j))
+        prod = means1[i] * means2[j]
+        if i == j == "z":
+            zz_joint, zz_product = joint, prod
+        if abs(joint - prod) > tol:
+            return EntanglementWitness((q1, q2), (i, j), joint, prod, True), means1["z"], means2["z"]
+    return EntanglementWitness((q1, q2), ("z", "z"), zz_joint, zz_product, False), means1["z"], means2["z"]
+
+
 def entangled(
     state: NetworkState, q1: int, q2: int, tol: float = DEFAULT_TOLERANCE
 ) -> EntanglementWitness:
@@ -117,18 +136,7 @@ def entangled(
     """
     if q1 == q2:
         raise ValueError("entanglement test needs two distinct qubits")
-    d1, d2 = state.descriptor(q1), state.descriptor(q2)
-    means1 = {c: vacuum_expectation(d1.component(c)) for c in _COMPONENTS}
-    means2 = {c: vacuum_expectation(d2.component(c)) for c in _COMPONENTS}
-    zz_joint = zz_product = 0.0
-    for i, j in _cartesian(_COMPONENTS, repeat=2):
-        joint = pair_expectation(d1.component(i), d2.component(j))
-        prod = means1[i] * means2[j]
-        if i == j == "z":
-            zz_joint, zz_product = joint, prod
-        if abs(joint - prod) > tol:
-            return EntanglementWitness((q1, q2), (i, j), joint, prod, True)
-    return EntanglementWitness((q1, q2), ("z", "z"), zz_joint, zz_product, False)
+    return _scan(state, q1, q2, tol, DEFAULT_TOLERANCE)[0]
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,10 @@ def sharp_foliation(
         raise ValueError("foliation test needs two distinct qubits")
     dc = state.descriptor(control)
     dt = state.descriptor(target)
-    witness = entangled(state, control, target, tol)
+    # the scan's z means, read once under both its default guard and tol
+    witness, z_mean_c, z_mean_t = _scan(state, control, target, tol, min(tol, DEFAULT_TOLERANCE))
     # a scan that got as far as (z, z) has already read <q_Cz q_Tz>
     zz = witness.joint if witness.component_pair == ("z", "z") else pair_expectation(dc.z, dt.z, tol)
-    z_mean_c = vacuum_expectation(dc.z, tol)
-    z_mean_t = vacuum_expectation(dt.z, tol)
     proj_plus = (1.0 + z_mean_c) / 2.0
     proj_minus = (1.0 - z_mean_c) / 2.0
 

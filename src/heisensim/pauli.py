@@ -10,39 +10,33 @@ integers have no width, so any register size works the same way.
 specialises it to the term pairs with equal x masks, the only pairs whose
 product has an expectation in the all-zeros state.
 
-The operators are the algebra: ``+``, ``-``, unary ``-``, scalar ``*`` and
-``/``, and ``@`` for the operator product.  Construction merges like
-strings (from strings, with order-insensitive ``fsum``) and every result
-drops coefficients below :data:`DROP_TOLERANCE`, so sums are always in
-canonical form.  The canonical term order, by (qubit index, letter rank),
-is computed when output first reads it and then cached, so equal
-operators always serialise identically.
+An operator is built from ``((x, z), coeff)`` terms, or from
+:meth:`PauliSum.single` and :meth:`PauliSum.identity` and the algebra:
+``+``, ``-``, unary ``-``, scalar ``*`` and ``/``, and ``@`` for the
+operator product.  Construction merges like keys with order-insensitive
+``fsum`` and every result drops coefficients below
+:data:`DROP_TOLERANCE`, so sums are always in canonical form.  Letters
+appear only on output: the canonical term order, by (qubit index, letter
+rank), is computed when ``repr`` or ``to_json`` first reads it and then
+cached, so equal operators always serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 __all__ = [
-    "LETTERS",
     "DROP_TOLERANCE",
     "DEFAULT_TOLERANCE",
     "DimensionMismatch",
     "HermiticityError",
-    "PauliString",
     "PauliSum",
-    "letter_mul",
-    "string_mul",
     "vacuum_expectation",
     "pair_expectation",
-    "allclose",
 ]
-
-LETTERS = ("I", "X", "Y", "Z")
 
 #: Coefficients with magnitude below this are treated as exact zeros.
 DROP_TOLERANCE = 1e-12
@@ -52,8 +46,8 @@ DROP_TOLERANCE = 1e-12
 #: flip a comparison.
 DEFAULT_TOLERANCE = 1e-9
 
-# (x bit, z bit) of each letter, and the letter of each x + 2z.
-_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# (x bit, z bit) of each non-identity letter, and the letter of each x + 2z.
+_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = ("I", "X", "Z", "Y")
 
 # i^k for k mod 4; the phases are exact, so products stay bit-reproducible.
@@ -87,35 +81,6 @@ def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -
 LetterMap = tuple[tuple[int, str], ...]
 
 
-def _normalize_letters(letters) -> LetterMap:
-    if isinstance(letters, Mapping):
-        items = letters.items()
-    else:
-        items = tuple(letters)
-    out = []
-    for qubit, letter in sorted(items):
-        if letter == "I":
-            continue
-        if letter not in _BITS:
-            raise ValueError(f"not a Pauli letter: {letter!r}")
-        if not isinstance(qubit, int) or qubit < 0:
-            raise ValueError(f"bad qubit index: {qubit!r}")
-        if out and out[-1][0] == qubit:
-            raise ValueError(f"duplicate qubit index: {qubit}")
-        out.append((qubit, letter))
-    return tuple(out)
-
-
-def _key(letters: LetterMap) -> Key:
-    """(x, z) masks of a normalised letter map."""
-    x = z = 0
-    for qubit, letter in letters:
-        xb, zb = _BITS[letter]
-        x |= xb << qubit
-        z |= zb << qubit
-    return x, z
-
-
 def _letters(key: Key) -> LetterMap:
     """Letter map of (x, z) masks, in qubit order."""
     x, z = key
@@ -123,84 +88,36 @@ def _letters(key: Key) -> LetterMap:
     return tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """One term: a complex coefficient times a tensor product of letters.
-
-    ``letters`` maps qubit index to letter; absent indices mean identity,
-    and identity letters are never stored.  An empty map is a multiple of
-    the identity operator.
-    """
-
-    coeff: complex = 1.0
-    letters: LetterMap = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "letters", _normalize_letters(self.letters))
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(q for q, _ in self.letters)
-
-    def letter_at(self, qubit: int) -> str:
-        for q, letter in self.letters:
-            if q == qubit:
-                return letter
-        return "I"
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return string_mul(self, other)
-
-    def __repr__(self):
-        body = " ".join(f"{letter}{q}" for q, letter in self.letters) or "I"
-        return f"({self.coeff:g})*{body}"
-
-
-def string_mul(s1: PauliString, s2: PauliString) -> PauliString:
-    """Qubit-wise product of two strings, phases folded into the coefficient."""
-    product: dict[Key, complex] = {}
-    _mul_into(product, *_key(s1.letters), s1.coeff, {_key(s2.letters): s2.coeff}.items())
-    (key, coeff), = product.items()
-    return PauliString(coeff, _letters(key))
-
-
-def letter_mul(a: str, b: str) -> tuple[complex, str]:
-    """Product of two single-qubit letters: ``a*b = phase*c``.
-
-    Total on {I, X, Y, Z}; the phase is one of 1, -1, i, -i.
-    """
-    s = string_mul(PauliString(1, ((0, a),)), PauliString(1, ((0, b),)))
-    return s.coeff, s.letter_at(0)
-
-
 class PauliSum:
     """Linear combination of Pauli strings on ``n_qubits``.
 
-    The terms are a dict from (x, z) masks to coefficient.  Construction from
-    strings merges with ``fsum``, so any permutation of the input yields the
-    same operator; the canonical order is computed on first output and cached.
+    ``terms`` are ``((x, z), coeff)`` pairs, kept as a dict from masks to
+    coefficient.  Like keys merge with ``fsum``, so any permutation of the
+    input yields the same operator; the canonical order is computed on first
+    output and cached.
     """
 
     __slots__ = ("n_qubits", "_terms", "_order")
 
-    def __init__(self, n_qubits: int, strings: Iterable[PauliString] = ()):
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[Key, complex]] = ()):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         buckets: dict[Key, list[complex]] = {}
-        for s in strings:
-            if s.letters and s.letters[-1][0] >= n_qubits:
+        for (x, z), coeff in terms:
+            if x < 0 or z < 0:
+                raise ValueError(f"negative mask in key {(x, z)}")
+            if (x | z) >> n_qubits:
                 raise DimensionMismatch(
-                    f"string on qubit {s.letters[-1][0]} does not fit in {n_qubits} qubits"
+                    f"string on qubit {(x | z).bit_length() - 1} does not fit in {n_qubits} qubits"
                 )
-            buckets.setdefault(_key(s.letters), []).append(s.coeff)
-        terms: dict[Key, complex] = {}
+            buckets.setdefault((x, z), []).append(complex(coeff))
+        merged: dict[Key, complex] = {}
         for key, coeffs in buckets.items():
-            c = complex(fsum(z.real for z in coeffs), fsum(z.imag for z in coeffs))
+            c = complex(fsum(v.real for v in coeffs), fsum(v.imag for v in coeffs))
             if abs(c) >= DROP_TOLERANCE:
-                terms[key] = c
+                merged[key] = c
         self.n_qubits = n_qubits
-        self._terms = terms
+        self._terms = merged
         self._order = None
 
     @classmethod
@@ -215,17 +132,16 @@ class PauliSum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, [PauliString(coeff)])
+        return cls(n_qubits, [((0, 0), coeff)])
 
     @classmethod
     def single(cls, n_qubits: int, qubit: int, letter: str, coeff: complex = 1.0) -> "PauliSum":
         """A single-letter operator, e.g. ``single(4, 2, "Z")`` for Z on qubit 2."""
-        return cls(n_qubits, [PauliString(coeff, ((qubit, letter),))])
+        if letter not in _BITS:
+            raise ValueError(f"not a Pauli letter: {letter!r}")
+        xb, zb = _BITS[letter]
+        return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])
 
     # -- views -------------------------------------------------------------
 
@@ -237,14 +153,6 @@ class PauliSum:
         return self._order
 
     @property
-    def terms(self) -> tuple[PauliString, ...]:
-        """Terms in canonical order."""
-        return tuple(PauliString(c, letters) for letters, c in self._ordered())
-
-    def coefficient(self, letters) -> complex:
-        return self._terms.get(_key(_normalize_letters(letters)), 0j)
-
-    @property
     def support(self) -> frozenset[int]:
         """Qubits on which any stored term acts non-trivially."""
         rest = 0
@@ -254,9 +162,6 @@ class PauliSum:
 
     def __len__(self):
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[PauliString]:
-        return iter(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, PauliSum):
@@ -317,17 +222,6 @@ class PauliSum:
             _mul_into(terms, x1, z1, c1, right)
         return PauliSum._from_dict(self.n_qubits, terms)
 
-    def commutes_with(self, other: "PauliSum", tol: float = DEFAULT_TOLERANCE) -> bool:
-        """True when [self, other] vanishes to ``tol``.
-
-        Disjoint supports commute exactly and short-circuit the product.
-        """
-        self._check_dim(other)
-        if not (self.support & other.support):
-            return True
-        comm = (self @ other) - (other @ self)
-        return all(abs(c) <= tol for c in comm._terms.values())
-
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> list[dict]:
@@ -376,11 +270,3 @@ def pair_expectation(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -
             z = z1 ^ z2
             terms[z] = terms.get(z, 0j) + c1 * c2 * _I_POWERS[(k1 + (x1 & z2).bit_count()) & 3]
     return _real_expectation([c for c in terms.values() if abs(c) >= DROP_TOLERANCE], tol)
-
-
-def allclose(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """True when every coefficient of ``a - b`` is below ``tol``."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    keys = set(a._terms) | set(b._terms)
-    return all(abs(a._terms.get(k, 0j) - b._terms.get(k, 0j)) <= tol for k in keys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import heisensim as hs
+from heisensim.pauli import DEFAULT_TOLERANCE
 
 R, A, S, B, U_R, U_A, W_S, W_B = range(8)
 
@@ -14,6 +15,33 @@ LETTER_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def term(coeff, letters=()):
+    """The ``((x, z), coeff)`` term of ``PauliSum`` for ``coeff`` times ``{qubit: letter}``."""
+    x = z = 0
+    for q, letter in dict(letters).items():
+        xb, zb = _BITS[letter]
+        x, z = x | xb << q, z | zb << q
+    return (x, z), coeff
+
+
+def canonical_terms(a):
+    """``(coeff, {qubit: letter})`` per term of ``a`` in canonical order, read off ``to_json``."""
+    return [(complex(*t["coeff"]), {int(q): v for q, v in t["letters"].items()}) for t in a.to_json()]
+
+
+def allclose(a, b, tol=DEFAULT_TOLERANCE):
+    """Every coefficient of ``a`` and ``b`` agrees to ``tol``, compared key by key
+    on the operands themselves: ``a - b`` would drop differences below 1e-12."""
+    keys = a._terms.keys() | b._terms.keys()
+    return a.n_qubits == b.n_qubits and all(abs(a._terms.get(k, 0j) - b._terms.get(k, 0j)) <= tol for k in keys)
+
+
+def commutes(a, b, tol=DEFAULT_TOLERANCE):
+    """[a, b] vanishes to ``tol``; disjoint supports commute exactly."""
+    return not (a.support & b.support) or allclose(a @ b, b @ a, tol)
 
 
 @pytest.fixture(scope="session")

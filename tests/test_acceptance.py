@@ -14,8 +14,10 @@ the two pins cannot drift apart.  Earlier versions of this table held
 narrative's spin labels (heads prepares a down spin with weight 2/3) with
 up taken as +1.  This circuit sends heads to |0>, the +1 of Z.
 """
+import importlib
 import json
 import math
+import pkgutil
 import random
 from pathlib import Path
 
@@ -27,9 +29,10 @@ from heisensim.cli import render_table
 from heisensim.engine import trace_json_doc
 from heisensim.foliation import NON_SHARP, ZeroWeightBranch, tree_to_dot
 from heisensim.oracle import gate_unitary
-from heisensim.pauli import PauliSum, allclose, vacuum_expectation
+from heisensim.pauli import PauliSum, vacuum_expectation
 
 from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, random_circuit
+from conftest import allclose, canonical_terms, commutes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,14 +167,15 @@ class _CachedExpander:
 
     def __call__(self, a: PauliSum) -> np.ndarray:
         out = np.zeros((2 ** self.n, 2 ** self.n), dtype=complex)
-        for term in a.terms:
-            mat = self.cache.get(term.letters)
+        for coeff, letters in canonical_terms(a):
+            key = tuple(letters.items())
+            mat = self.cache.get(key)
             if mat is None:
                 mat = np.array([[1]], dtype=complex)
                 for k in range(self.n):
-                    mat = np.kron(LETTER_MATRICES[term.letter_at(k)], mat)
-                self.cache[term.letters] = mat
-            out += term.coeff * mat
+                    mat = np.kron(LETTER_MATRICES[letters.get(k, "I")], mat)
+                self.cache[key] = mat
+            out += coeff * mat
         return out
 
 
@@ -188,7 +192,7 @@ def _check_descriptor_algebra(state, qubit, ident):
     p_minus = hs.projector(state, qubit, -1)
     assert allclose(p_plus + p_minus, ident, TOL)
     assert allclose(p_plus @ p_plus, p_plus, TOL)
-    assert allclose(p_plus @ p_minus, PauliSum.zero(ident.n_qubits), TOL)
+    assert allclose(p_plus @ p_minus, PauliSum(ident.n_qubits), TOL)
 
 
 def _check_circuit(circuit):
@@ -229,7 +233,7 @@ def _check_circuit(circuit):
                         if key in commutation_seen:
                             continue
                         commutation_seen.add(key)
-                        assert a.commutes_with(b, TOL)
+                        assert commutes(a, b, TOL)
         # dense conjugation agreement for the touched descriptors
         for q in touched:
             for comp in "xyz":
@@ -277,3 +281,18 @@ def test_golden_trace(fr_circuit, fr_trace, fr_watch):
 def test_golden_tree(fr_circuit, fr_trace, fr_watch):
     _, _, dot = _current_outputs(fr_circuit, fr_trace, fr_watch)
     assert dot == (GOLDEN / "fr_tree.dot").read_text()
+
+
+# -- 8: public names ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module", ["heisensim"] + [f"heisensim.{m.name}" for m in pkgutil.iter_modules(hs.__path__)]
+)
+def test_exported_names_resolve_once(module):
+    # a stale entry would otherwise surface only as a broken star import
+    exported = importlib.import_module(module).__all__
+    assert len(exported) == len(set(exported))
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(exported) <= namespace.keys()

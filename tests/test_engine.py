@@ -11,9 +11,9 @@ import pytest
 import heisensim as hs
 from heisensim.engine import trace_json_doc
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
-from heisensim.pauli import PauliString, PauliSum, allclose, vacuum_expectation
+from heisensim.pauli import PauliSum, vacuum_expectation
 
-from conftest import A, B, R, S, random_circuit
+from conftest import A, B, R, S, allclose, commutes, random_circuit, term
 
 PHI = hs.FR_ANGLE
 C = math.cos(PHI)  # -1/3
@@ -49,7 +49,7 @@ def test_init_network_eight_disjoint_triples():
                 for c2 in "xyz":
                     a = state.descriptor(q1).component(c1)
                     b = state.descriptor(q2).component(c2)
-                    assert a.commutes_with(b)
+                    assert commutes(a, b)
 
 
 def test_init_network_sharp_z():
@@ -69,7 +69,7 @@ def test_init_network_rejects_empty():
 def test_rotation_prepares_third_weight():
     state = after_gates(1, hs.ry(0, PHI))
     d = state.descriptor(0)
-    expected_z = PauliSum(1, [PauliString(C, {0: "Z"}), PauliString(-SIN, {0: "X"})])
+    expected_z = PauliSum(1, [term(C, {0: "Z"}), term(-SIN, {0: "X"})])
     assert allclose(d.z, expected_z, 1e-12)
     assert vacuum_expectation(d.z) == pytest.approx(-1 / 3, abs=1e-9)
 
@@ -246,7 +246,7 @@ def test_projector_rejects_bad_sign(fr_trace):
 
 def test_pvm_identities(fr_trace):
     ident = PauliSum.identity(8)
-    zero = PauliSum.zero(8)
+    zero = PauliSum(8)
     for state in fr_trace:
         for q in range(8):
             p_plus = hs.projector(state, q, +1)
@@ -284,7 +284,7 @@ def test_cross_qubit_commutation(fr_trace):
                     for c2 in "xyz":
                         a = state.descriptor(q1).component(c1)
                         b = state.descriptor(q2).component(c2)
-                        assert a.commutes_with(b, 1e-9)
+                        assert commutes(a, b, 1e-9)
 
 
 def test_picture_equivalence(fr_crosscheck):

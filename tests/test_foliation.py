@@ -1,4 +1,5 @@
 """Foliation verdicts, relative descriptors, conditionals, and tree building."""
+import dataclasses
 import hashlib
 import math
 import random
@@ -18,9 +19,9 @@ from heisensim.foliation import (
     tree_to_dot,
 )
 from heisensim.oracle import evolve_state, state_expectation
-from heisensim.pauli import PauliSum, allclose, vacuum_expectation
+from heisensim.pauli import HermiticityError, PauliSum, vacuum_expectation
 
-from conftest import A, B, R, S, U_A, U_R, W_B, W_S, random_circuit, random_parallel_circuit
+from conftest import A, B, R, S, U_A, U_R, W_B, W_S, allclose, random_circuit, random_parallel_circuit
 
 SIN = math.sin(hs.FR_ANGLE)
 
@@ -120,6 +121,40 @@ def test_anti_sharp_verdict():
     assert report.zz_product == pytest.approx(-1.0, abs=1e-9)
     assert hs.conditional_expectation(trace[3], 1, "z", 0, 1) == pytest.approx(-1.0, abs=1e-9)
     assert hs.conditional_expectation(trace[3], 1, "z", 0, -1) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sharp_foliation_reads_each_mean_once(fr_trace, monkeypatch):
+    # three components per qubit; the verdict reuses the scan's two z means
+    from heisensim import foliation
+
+    calls = []
+    original = foliation.vacuum_expectation
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(foliation, "vacuum_expectation", counted)
+    assert hs.sharp_foliation(fr_trace[2], R, A).verdict == SHARP
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("residue, tol, raises", [(1e-10, 1e-12, True), (1e-6, 1e-3, True), (5e-11, 1e-10, False)])
+def test_sharp_foliation_guards_z_means_at_both_tolerances(residue, tol, raises):
+    # one guard on each z mean refuses what the scan's default guard or the
+    # verdict's tol guard refuses.  The (x, x) witness ends the scan before
+    # any pair reads a z component, and both z means are 0, so <q_Cz q_Tz>
+    # carries no residue: only the guard on the means can trip.
+    state = hs.run_circuit(hs.Circuit(2, (hs.ry(0, math.pi / 2, slot=0), hs.cx(0, 1, slot=1))))[2]
+    for q in (0, 1):
+        d = state.descriptor(q)
+        skewed = dataclasses.replace(d, z=d.z + PauliSum.identity(2, residue * 1j))
+        bad = dataclasses.replace(state, descriptors=tuple(skewed if k == q else state.descriptor(k) for k in (0, 1)))
+        if raises:
+            with pytest.raises(HermiticityError):
+                hs.sharp_foliation(bad, 0, 1, tol)
+        else:
+            assert hs.sharp_foliation(bad, 0, 1, tol).verdict == SHARP
 
 
 # -- relative descriptors ---------------------------------------------------------

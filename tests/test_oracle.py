@@ -15,9 +15,9 @@ from heisensim.oracle import (
     gate_unitary,
     state_expectation,
 )
-from heisensim.pauli import PauliString, PauliSum
+from heisensim.pauli import PauliSum
 
-from conftest import LETTER_MATRICES, A, R, S, U_R, random_circuit, random_parallel_circuit
+from conftest import LETTER_MATRICES, A, R, S, U_R, random_circuit, random_parallel_circuit, term
 
 
 def kron_chain(*mats):
@@ -51,7 +51,7 @@ def test_expand_is_multiplicative():
             letters = {
                 q: rng.choice("XYZ") for q in rng.sample(range(3), rng.randrange(4))
             }
-            return PauliString(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), letters)
+            return term(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), letters)
 
         s1, s2 = rand_string(), rand_string()
         a = PauliSum(3, [s1])
@@ -73,12 +73,12 @@ def test_expand_matches_kron_chain_with_y_letters():
             for _ in range(rng.randrange(1, 4)):
                 letters = {q: rng.choice("XYZ") for q in rng.sample(range(n), rng.randrange(n + 1))}
                 letters[rng.randrange(n)] = "Y"
-                strings.append(PauliString(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), letters))
+                strings.append((complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), letters))
             reference = sum(
-                s.coeff * kron_chain(*(LETTER_MATRICES[s.letter_at(k)] for k in range(n)))
-                for s in strings
+                coeff * kron_chain(*(LETTER_MATRICES[letters.get(k, "I")] for k in range(n)))
+                for coeff, letters in strings
             )
-            assert np.allclose(expand(PauliSum(n, strings)), reference, rtol=0, atol=1e-15)
+            assert np.allclose(expand(PauliSum(n, [term(*s) for s in strings])), reference, rtol=0, atol=1e-15)
 
 
 def test_expand_size_cap():
