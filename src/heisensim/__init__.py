@@ -39,7 +39,7 @@ from .foliation import (
     tree_to_dot,
 )
 from .lang import CircuitSyntaxError, parse_circuit, serialize_circuit
-from .oracle import conjugate_descriptor, cross_check, evolve_state, expand, gate_unitary
+from .oracle import cross_check, evolve_state, expand
 from .pauli import (
     DEFAULT_TOLERANCE,
     DROP_TOLERANCE,
@@ -91,9 +91,7 @@ __all__ = [
     "tree_to_dot",
     # oracle
     "expand",
-    "gate_unitary",
     "evolve_state",
-    "conjugate_descriptor",
     "cross_check",
     # lang / presets
     "parse_circuit",

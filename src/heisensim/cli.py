@@ -82,7 +82,7 @@ def _load_circuit(args) -> Circuit:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
             return parse_circuit(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read {args.circuit}: {exc}")
     except CircuitSyntaxError as exc:
         raise SystemExit(f"{args.circuit}: {exc}")

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as _cartesian
 
-from .engine import Circuit, Descriptor, NetworkState, Trace, projector
+from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
 from .pauli import DEFAULT_TOLERANCE, pair_expectation, vacuum_expectation
 
 __all__ = [
@@ -84,8 +84,6 @@ ANTI_SHARP = "anti-sharp"
 NON_SHARP = "non-sharp"
 UNENTANGLED = "unentangled"
 
-_COMPONENTS = ("x", "y", "z")
-
 
 class ZeroWeightBranch(ValueError):
     """Conditioning on a branch whose projector weight is negligible."""
@@ -112,10 +110,10 @@ def _scan(
     """:func:`entangled`'s witness with <q1_z> and <q2_z>, whose Hermiticity guard is ``z_guard``."""
     d1, d2 = state.descriptor(q1), state.descriptor(q2)
     guards = {"x": DEFAULT_TOLERANCE, "y": DEFAULT_TOLERANCE, "z": z_guard}
-    means1 = {c: vacuum_expectation(d1.component(c), guards[c]) for c in _COMPONENTS}
-    means2 = {c: vacuum_expectation(d2.component(c), guards[c]) for c in _COMPONENTS}
+    means1 = {c: vacuum_expectation(d1.component(c), guards[c]) for c in COMPONENTS}
+    means2 = {c: vacuum_expectation(d2.component(c), guards[c]) for c in COMPONENTS}
     zz_joint = zz_product = 0.0
-    for i, j in _cartesian(_COMPONENTS, repeat=2):
+    for i, j in _cartesian(COMPONENTS, repeat=2):
         joint = pair_expectation(d1.component(i), d2.component(j))
         prod = means1[i] * means2[j]
         if i == j == "z":

@@ -2,9 +2,9 @@
 
 Everything here is the straightforward (exponentially sized) reference
 implementation used to cross-check the sparse descriptor engine: dense
-expansion of operators, full gate unitaries, Schrodinger state evolution,
-and descriptor construction by conjugating bare Pauli matrices with the
-accumulated circuit unitary.
+expansion of operators, Schrodinger state evolution, and descriptor
+construction by conjugating bare Pauli matrices with the accumulated
+circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
 P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
@@ -14,14 +14,15 @@ view.  Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix,
 so the accumulated unitary U stays real orthogonal and each conjugation
 U^T (sigma U) is one real product; a Y component is i times a real matrix.
 
-:func:`cross_check` walks the slot boundaries once, applying each slot's
-gates to U as the boundary is reached, and compares one component at a
-time, so its working set is a few 2^n x 2^n arrays.  A site whose qubit no
-gate of the previous slot touched, and whose engine descriptor is the very
-object of the previous boundary, keeps its previous matrix deviation: for
-a gate G acting off q, G^dagger sigma_q G = sigma_q exactly.
-:func:`conjugate_descriptor` still returns all 3n conjugated matrices of
-one boundary.
+One walk, :func:`_walk`, carries a state vector or a unitary across the
+slot boundaries; :func:`evolve_state`, :func:`conjugate_descriptor` and
+:func:`cross_check` all read their boundaries off it.  :func:`cross_check`
+walks the state and the identity side by side with the trace and compares
+one component at a time, so its working set is a few 2^n x 2^n arrays.  A
+site whose qubit no gate of the previous slot touched, and whose engine
+descriptor is the very object of the previous boundary, keeps its previous
+matrix deviation: for a gate G acting off q, G^dagger sigma_q G = sigma_q
+exactly.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -32,16 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .engine import Circuit, GateStep, Trace
+from .engine import COMPONENTS, Circuit, GateStep, Trace
 from .pauli import PauliSum, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
     "expand",
-    "gate_unitary",
     "evolve_state",
     "conjugate_descriptor",
     "state_expectation",
@@ -58,8 +59,6 @@ _CH4 = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]])
 
 # i^k for k = #Y mod 4; real where it can be, so X/Z-only strings stay real.
 _I_POWERS = (1, 1j, -1, -1j)
-
-_COMPONENT_LETTERS = (("x", "X"), ("y", "Y"), ("z", "Z"))
 
 
 def _check_cap(n_qubits: int, cap: int):
@@ -112,32 +111,26 @@ def _apply_small(small: np.ndarray, qubits: tuple[int, ...], array: np.ndarray, 
     return np.moveaxis(out, list(range(k)), axes).reshape(array.shape)
 
 
-def gate_unitary(step: GateStep, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of one gate."""
-    _check_cap(n_qubits, SIZE_CAP)
-    for q in step.qubits:
-        if not 0 <= q < n_qubits:
-            raise IndexError(f"qubit {q} out of range")
-    eye = np.eye(2 ** n_qubits, dtype=complex)
-    return _apply_small(_small_matrix(step), step.qubits, eye, n_qubits)
+def _walk(circuit: Circuit, array: np.ndarray):
+    """Yield (gates ending at t, array at t) for every boundary t = 0..max_slot+1.
 
-
-def _advance(array: np.ndarray, group: tuple[GateStep, ...], n: int) -> np.ndarray:
-    """Apply one slot's gates to a state vector or to a stack of columns."""
-    for step in group:
-        array = _apply_small(_small_matrix(step), step.qubits, array, n)
-    return array
+    ``array`` is a state (2**n,) or a stack of columns (2**n, m); each slot's
+    gates are applied in list order.  An empty slot yields the same object again.
+    """
+    yield (), array
+    for group in circuit.slot_groups():
+        for step in group:
+            array = _apply_small(_small_matrix(step), step.qubits, array, circuit.n_qubits)
+        yield group, array
 
 
 def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     """State vector at every slot boundary, starting from the all-zeros state."""
     _check_cap(circuit.n_qubits, cap)
-    n = circuit.n_qubits
-    psi = np.zeros(2 ** n, dtype=complex)
+    psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
     psi[0] = 1.0
-    states = [psi.copy()]
-    for group in circuit.slot_groups():
-        psi = _advance(psi, group, n)
+    states = []
+    for _, psi in _walk(circuit, psi):
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"state norm drifted to {norm}")
@@ -171,14 +164,11 @@ def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.
     0..upto_slot-1.
     """
     _check_cap(circuit.n_qubits, SIZE_CAP)
+    if not 0 <= upto_slot <= circuit.max_slot + 1:
+        raise IndexError(f"boundary {upto_slot} out of range (0..{circuit.max_slot + 1})")
     n = circuit.n_qubits
-    total = np.eye(2 ** n)
-    for group in circuit.slot_groups()[:upto_slot]:
-        total = _advance(total, group, n)
-    return [
-        {comp: _conjugated(total, q, letter).astype(complex) for comp, letter in _COMPONENT_LETTERS}
-        for q in range(n)
-    ]
+    _, total = next(islice(_walk(circuit, np.eye(2 ** n)), upto_slot, None))
+    return [{comp: _conjugated(total, q, comp.upper()).astype(complex) for comp in COMPONENTS} for q in range(n)]
 
 
 def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
@@ -217,24 +207,23 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     if len(states) != len(trace):
         raise ValueError("trace and circuit disagree on slot count")
     n = circuit.n_qubits
-    groups = [()] + circuit.slot_groups()  # groups[t]: the gates that end at boundary t
-    total = np.eye(2 ** n)
+    if trace[0].n_qubits != n:
+        raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
     mat_devs: dict[tuple[int, str], float] = {}
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
-    for t, state in enumerate(trace):
-        total = _advance(total, groups[t], n)
-        touched = {q for step in groups[t] for q in step.qubits}
+    for t, (state, psi, (group, total)) in enumerate(zip(trace, states, _walk(circuit, np.eye(2 ** n)))):
+        touched = {q for step in group for q in step.qubits}
         for q in range(n):
             d = state.descriptor(q)
             fresh = t == 0 or q in touched or d is not trace[t - 1].descriptor(q)
-            for comp, letter in _COMPONENT_LETTERS:
+            for comp in COMPONENTS:
                 op = d.component(comp)
-                dev = abs(vacuum_expectation(op) - state_expectation(states[t], q, letter))
+                dev = abs(vacuum_expectation(op) - state_expectation(psi, q, comp.upper()))
                 if fresh:
                     mat_devs[q, comp] = float(
-                        np.max(np.abs(expand(op) - _conjugated(total, q, letter)))
+                        np.max(np.abs(expand(op) - _conjugated(total, q, comp.upper())))
                     )
                 mat_dev = mat_devs[q, comp]
                 if max(dev, mat_dev) > max(max_exp, max_mat):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import heisensim as hs
+from heisensim import oracle
 from heisensim.pauli import DEFAULT_TOLERANCE
 
 R, A, S, B, U_R, U_A, W_S, W_B = range(8)
@@ -42,6 +43,14 @@ def allclose(a, b, tol=DEFAULT_TOLERANCE):
 def commutes(a, b, tol=DEFAULT_TOLERANCE):
     """[a, b] vanishes to ``tol``; disjoint supports commute exactly."""
     return not (a.support & b.support) or allclose(a @ b, b @ a, tol)
+
+
+def gate_unitary(step, n_qubits):
+    """Full 2^n x 2^n unitary of one gate: the oracle's own walk and embedding
+    carry the identity across a one-gate circuit, so tests of it pin the
+    oracle's tensor-axis mapping."""
+    *_, (_, u) = oracle._walk(hs.Circuit(n_qubits, (step,)), np.eye(2 ** n_qubits, dtype=complex))
+    return u
 
 
 @pytest.fixture(scope="session")

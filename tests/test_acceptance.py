@@ -28,10 +28,9 @@ import heisensim as hs
 from heisensim.cli import render_table
 from heisensim.engine import trace_json_doc
 from heisensim.foliation import NON_SHARP, ZeroWeightBranch, tree_to_dot
-from heisensim.oracle import gate_unitary
 from heisensim.pauli import PauliSum, vacuum_expectation
 
-from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, random_circuit
+from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, gate_unitary, random_circuit
 from conftest import allclose, canonical_terms, commutes
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -118,6 +118,14 @@ def test_missing_circuit_file(tmp_path):
         main(["run", "--circuit", str(tmp_path / "nope.qc")])
 
 
+def test_circuit_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.qc"
+    bad.write_bytes(b"qubits 2\n\xff h 0\n")
+    with pytest.raises(SystemExit, match=rf"cannot read {re.escape(str(bad))}: 'utf-8' codec can't decode byte 0xff"):
+        main(["run", "--circuit", str(bad)])
+    assert capsys.readouterr().out == ""
+
+
 def test_tolerance_env_override(monkeypatch, capsys):
     monkeypatch.setenv(TOLERANCE_ENV, "1e-6")
     code, _ = run_cli(capsys, "run", "--preset", "fr", "--check")

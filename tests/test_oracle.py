@@ -12,12 +12,11 @@ from heisensim.oracle import (
     cross_check,
     evolve_state,
     expand,
-    gate_unitary,
     state_expectation,
 )
 from heisensim.pauli import PauliSum
 
-from conftest import LETTER_MATRICES, A, R, S, U_R, random_circuit, random_parallel_circuit, term
+from conftest import LETTER_MATRICES, A, R, S, U_R, gate_unitary, random_circuit, random_parallel_circuit, term
 
 
 def kron_chain(*mats):
@@ -222,6 +221,12 @@ def test_conjugate_descriptor_matches_engine_full(fr_circuit, fr_trace):
             assert np.max(np.abs(engine_mat - dense[q][comp])) < 1e-9
 
 
+@pytest.mark.parametrize("upto_slot", [-1, 8])
+def test_conjugate_descriptor_rejects_boundary_out_of_range(fr_circuit, upto_slot):
+    with pytest.raises(IndexError, match=rf"boundary {upto_slot} out of range \(0\.\.7\)"):
+        conjugate_descriptor(fr_circuit, upto_slot)
+
+
 def test_heisenberg_schrodinger_duality():
     rng = random.Random(23)
     circuit = random_circuit(rng, 3, 8)
@@ -274,6 +279,16 @@ def test_cross_check_parallel_slot_circuits():
         report = cross_check(hs.run_circuit(circuit), circuit)
         assert report.max_expectation_dev <= 1e-9
         assert report.max_matrix_dev <= 1e-9
+
+
+@pytest.mark.parametrize("n_trace", [2, 4], ids=["smaller", "larger"])
+def test_cross_check_rejects_trace_of_other_width(n_trace):
+    # same slot count, different register: the dense arrays would not broadcast
+    def circuit(n):
+        return hs.Circuit(n, (hs.h(0), hs.cx(0, 1, slot=1)))
+
+    with pytest.raises(ValueError, match=f"trace has {n_trace} qubits, circuit has 3"):
+        cross_check(hs.run_circuit(circuit(n_trace)), circuit(3))
 
 
 def _with_fault(trace, t, q):
