@@ -25,11 +25,13 @@ are shared between consecutive states.
 path: :class:`Circuit` and the circuit-file parser both run them, so qubit
 range, slot order, slot clashes and unique, addressable labels are checked
 in one place.
-:class:`GateStep` checks each gate on its own (kind, arity, finite angle).
+:class:`GateStep` checks each gate on its own (kind, arity, integer qubits
+and slot, finite angle).
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -92,7 +94,11 @@ class GateStep:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        try:  # numpy integers pass and are stored as int
+            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
+            object.__setattr__(self, "slot", operator.index(self.slot))
+        except TypeError:
+            raise TypeError(f"qubits and slot must be integers, got {self.qubits!r} and {self.slot!r}") from None
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 1 if self.kind in ("ry", "h") else 2
@@ -186,6 +192,10 @@ class Circuit:
     labels: Mapping[int, str] | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError:
+            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}") from None
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")

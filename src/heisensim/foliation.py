@@ -2,10 +2,13 @@
 
 Two qubits count as entangled when some pair of their descriptor
 components violates expectation factorisation,
-``<q_i q'_j> != <q_i><q'_j>`` over the nine component pairs.  Every
-two-point expectation comes from :func:`~heisensim.pauli.pair_expectation`,
-which reads ``<0|q_i q'_j|0>`` off the term pairs with equal x masks and
-never forms the operator product.
+``<q_i q'_j> != <q_i><q'_j>`` over the nine component pairs.  That scan
+is part of the verdict: :func:`sharp_foliation`, the one pair evaluator,
+reads the two descriptors once and returns the first violation as its
+witness, and :func:`entangled` is that witness.  Every two-point
+expectation comes from :func:`~heisensim.pauli.pair_expectation`, which
+reads ``<0|q_i q'_j|0>`` off the term pairs with equal x masks and never
+forms the operator product.
 
 A control/target pair admits a sharp foliation when the product of their z
 components is sharp, ``<q_Cz q_Tz> = +1`` (or -1, reported as anti-sharp
@@ -50,7 +53,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
-from .pauli import DEFAULT_TOLERANCE, pair_expectation, vacuum_expectation
+from .pauli import DEFAULT_TOLERANCE, _support_mask, pair_expectation, vacuum_expectation
 
 __all__ = [
     "SHARP",
@@ -104,37 +107,13 @@ class EntanglementWitness:
     entangled: bool
 
 
-def _scan(
-    state: NetworkState, q1: int, q2: int, tol: float, z_guard: float
-) -> tuple[EntanglementWitness, float, float]:
-    """:func:`entangled`'s witness with <q1_z> and <q2_z>, whose Hermiticity guard is ``z_guard``."""
-    d1, d2 = state.descriptor(q1), state.descriptor(q2)
-    guards = {"x": DEFAULT_TOLERANCE, "y": DEFAULT_TOLERANCE, "z": z_guard}
-    means1 = {c: vacuum_expectation(d1.component(c), guards[c]) for c in COMPONENTS}
-    means2 = {c: vacuum_expectation(d2.component(c), guards[c]) for c in COMPONENTS}
-    zz_joint = zz_product = 0.0
-    for i, j in _cartesian(COMPONENTS, repeat=2):
-        joint = pair_expectation(d1.component(i), d2.component(j))
-        prod = means1[i] * means2[j]
-        if i == j == "z":
-            zz_joint, zz_product = joint, prod
-        if abs(joint - prod) > tol:
-            return EntanglementWitness((q1, q2), (i, j), joint, prod, True), means1["z"], means2["z"]
-    return EntanglementWitness((q1, q2), ("z", "z"), zz_joint, zz_product, False), means1["z"], means2["z"]
-
-
 def entangled(
     state: NetworkState, q1: int, q2: int, tol: float = DEFAULT_TOLERANCE
 ) -> EntanglementWitness:
-    """Scan the nine component pairs of (q1, q2) for a factorisation violation.
-
-    Pairs are scanned in (x, y, z) x (x, y, z) order and the first
-    violation is returned as the witness; when all nine factorise the
-    witness records the (z, z) values with ``entangled=False``.
-    """
+    """The entanglement witness of :func:`sharp_foliation` for (q1, q2)."""
     if q1 == q2:
         raise ValueError("entanglement test needs two distinct qubits")
-    return _scan(state, q1, q2, tol, DEFAULT_TOLERANCE)[0]
+    return sharp_foliation(state, q1, q2, tol).witness
 
 
 @dataclass(frozen=True)
@@ -155,52 +134,58 @@ class FoliationReport:
     witness: EntanglementWitness
 
 
-def _z_record(state: NetworkState, control: int, target: int) -> bool:
-    zc = state.descriptor(control).z
-    zt = state.descriptor(target).z
-    return control in zt.support or target in zc.support
-
-
-def _supports_meet(state: NetworkState, q1: int, q2: int) -> bool:
-    s1 = frozenset().union(*(c.support for c in state.descriptor(q1).triple))
-    s2 = frozenset().union(*(c.support for c in state.descriptor(q2).triple))
-    return bool(s1 & s2)
-
-
 def sharp_foliation(
     state: NetworkState, control: int, target: int, tol: float = DEFAULT_TOLERANCE
 ) -> FoliationReport:
     """Instantaneous foliation verdict for an ordered pair.
 
     The reported projector weights are the control-side branch weights
-    ``<P_+1[q_Cz]>`` and ``<P_-1[q_Cz]>``.
+    ``<P_+1[q_Cz]>`` and ``<P_-1[q_Cz]>``.  The witness is the first of the
+    nine component pairs, in (x, y, z) x (x, y, z) order, that violates
+    factorisation; when all nine factorise it records the (z, z) values
+    with ``entangled=False``.
     """
     if control == target:
         raise ValueError("foliation test needs two distinct qubits")
-    dc = state.descriptor(control)
-    dt = state.descriptor(target)
-    # the scan's z means, read once under both its default guard and tol
-    witness, z_mean_c, z_mean_t = _scan(state, control, target, tol, min(tol, DEFAULT_TOLERANCE))
+    dc, dt = state.descriptor(control), state.descriptor(target)
+    ops_c, ops_t = dc.triple, dt.triple
+    # each mean is read once; the z means serve the verdict too, so tol guards them as well
+    guards = (DEFAULT_TOLERANCE, DEFAULT_TOLERANCE, min(tol, DEFAULT_TOLERANCE))
+    means_c = [vacuum_expectation(op, guard) for op, guard in zip(ops_c, guards)]
+    means_t = [vacuum_expectation(op, guard) for op, guard in zip(ops_t, guards)]
+    # the scan: the first component pair violating factorisation is the witness
+    pairs = _cartesian(zip(COMPONENTS, ops_c, means_c), zip(COMPONENTS, ops_t, means_t))
+    for (i, a, mean_a), (j, b, mean_b) in pairs:
+        joint = pair_expectation(a, b)
+        product = mean_a * mean_b
+        violated = abs(joint - product) > tol
+        if violated:
+            break
+    witness = EntanglementWitness((control, target), (i, j), joint, product, violated)
     # a scan that got as far as (z, z) has already read <q_Cz q_Tz>
-    zz = witness.joint if witness.component_pair == ("z", "z") else pair_expectation(dc.z, dt.z, tol)
-    proj_plus = (1.0 + z_mean_c) / 2.0
-    proj_minus = (1.0 - z_mean_c) / 2.0
+    zz = joint if i == j == "z" else pair_expectation(dc.z, dt.z, tol)
+    z_mean_c, z_mean_t = means_c[-1], means_t[-1]
 
-    correlated = abs(zz - z_mean_c * z_mean_t) > tol or _z_record(state, control, target)
-    verdict = UNENTANGLED
-    if abs(zz - 1.0) <= tol and correlated:
-        verdict = SHARP
-    elif abs(zz + 1.0) <= tol and correlated:
-        verdict = ANTI_SHARP
-    elif witness.entangled or _supports_meet(state, control, target):
-        verdict = NON_SHARP
+    # correlation: the (z, z) factorisation violation, or a record -- one
+    # partner's z component acting on the other's qubit
+    sharp = abs(zz - 1.0) <= tol
+    if (sharp or abs(zz + 1.0) <= tol) and (
+        abs(zz - z_mean_c * z_mean_t) > tol
+        or _support_mask(dt.z) >> control & 1
+        or _support_mask(dc.z) >> target & 1
+    ):
+        verdict = SHARP if sharp else ANTI_SHARP
+    elif violated or _support_mask(*ops_c) & _support_mask(*ops_t):
+        verdict = NON_SHARP  # one bubble: entangled, or the supports meet
+    else:
+        verdict = UNENTANGLED
 
     return FoliationReport(
         pair=(control, target),
         slot=state.time,
         verdict=verdict,
-        proj_plus=proj_plus,
-        proj_minus=proj_minus,
+        proj_plus=(1.0 + z_mean_c) / 2.0,
+        proj_minus=(1.0 - z_mean_c) / 2.0,
         zz_product=zz,
         witness=witness,
     )
@@ -355,13 +340,9 @@ _EVENT_KINDS = {
 
 
 def _branch_labels(report: FoliationReport, names: tuple[str, str], tol: float) -> tuple[str, ...]:
-    cname, tname = names
-    labels = []
-    pairing = {1: 1, -1: -1} if report.verdict != ANTI_SHARP else {1: -1, -1: 1}
-    for sign, weight in ((1, report.proj_plus), (-1, report.proj_minus)):
-        if weight > tol:
-            labels.append(f"{cname}{sign:+d}/{tname}{pairing[sign]:+d}")
-    return tuple(labels)
+    flip = -1 if report.verdict == ANTI_SHARP else 1  # anti-sharp pairs the opposite branches
+    weights = ((1, report.proj_plus), (-1, report.proj_minus))
+    return tuple(f"{names[0]}{sign:+d}/{names[1]}{sign * flip:+d}" for sign, weight in weights if weight > tol)
 
 
 def _events(timeline: Timeline):
@@ -399,10 +380,7 @@ def build_branch_tree(
         pair = report.pair
         names = (circuit.label(pair[0]), circuit.label(pair[1]))
         node_id = f"{kind}:{names[0]}-{names[1]}@t{report.slot}"
-        if kind == "created-sharp":
-            node_labels = _branch_labels(report, names, tol)
-        else:
-            node_labels = (f"{names[0]}/{names[1]}",)
+        node_labels = _branch_labels(report, names, tol) if kind == "created-sharp" else ("/".join(names),)
         node = TreeNode(node_id, kind, report.slot, pair, node_labels, (report.proj_plus, report.proj_minus))
         nodes.append(node)
 
@@ -445,10 +423,10 @@ def tree_json_doc(tree: BranchTree) -> dict:
     }
 
 
-def format_weight(value: float, tol: float = DEFAULT_TOLERANCE) -> str:
+def format_weight(value: float) -> str:
     """Sixths and thirds print as exact fractions, everything else as 6 digits."""
     scaled = round(value * 6)
-    if abs(value - scaled / 6) <= tol:
+    if abs(value - scaled / 6) <= DEFAULT_TOLERANCE:
         frac = Fraction(int(scaled), 6)
         return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
     return f"{value:.6g}"
@@ -462,21 +440,23 @@ _DOT_SHAPES = {
 }
 
 
+def _dot_str(text: str) -> str:
+    """``text`` inside a quoted DOT string: qubit names may hold ``\\`` and ``"``."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def tree_to_dot(tree: BranchTree) -> str:
     """Graphviz source; edge width scales with branch weight."""
     lines = ["digraph foliations {", "  rankdir=LR;", "  node [fontsize=10];"]
     for n in tree.nodes:
-        label = n.id if n.kind == "trunk" else f"t={n.slot}\\n" + "\\n".join(n.labels)
+        names = [n.id] if n.kind == "trunk" else [f"t={n.slot}", *n.labels]
+        label = "\\n".join(map(_dot_str, names))
         style = ', style="dashed"' if n.kind == "non-sharp-bubble" else ""
-        lines.append(
-            f'  "{n.id}" [shape={_DOT_SHAPES[n.kind]}, label="{label}"{style}];'
-        )
+        lines.append(f'  "{_dot_str(n.id)}" [shape={_DOT_SHAPES[n.kind]}, label="{label}"{style}];')
     for e in tree.edges:
         width = 1.0 + 4.0 * e.weight
         label = f"{e.sign:+d} ({format_weight(e.weight)})" if e.sign is not None else ""
-        lines.append(
-            f'  "{e.src}" -> "{e.dst}" [label="{label}", penwidth={width:.2f}];'
-        )
+        lines.append(f'  "{_dot_str(e.src)}" -> "{_dot_str(e.dst)}" [label="{label}", penwidth={width:.2f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -73,15 +73,8 @@ _BINOPS = {
 
 
 def _eval_angle(expr: str, line: int) -> float:
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise CircuitSyntaxError(f"malformed expression {expr!r}", line, exc.offset) from None
-
     def walk(node: ast.AST) -> float:
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # no bool
             return float(node.value)
         if isinstance(node, ast.Name):
             if node.id in _ANGLE_NAMES:
@@ -107,9 +100,14 @@ def _eval_angle(expr: str, line: int) -> float:
         )
 
     try:
-        return walk(tree)
+        return walk(ast.parse(expr, mode="eval").body)
     except CircuitSyntaxError:
         raise
+    except SyntaxError as exc:
+        raise CircuitSyntaxError(f"malformed expression {expr!r}", line, exc.offset) from None
+    except (RecursionError, MemoryError):
+        # parsing or walking a deeply nested expression exhausts the stack
+        raise CircuitSyntaxError("angle expression is nested too deeply", line) from None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CircuitSyntaxError(f"cannot evaluate {expr!r}: {exc}", line) from None
 

@@ -78,6 +78,15 @@ def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -
         terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
 
 
+def _support_mask(*ops: "PauliSum") -> int:
+    """Bit q is set when a term of any of ``ops`` acts on qubit q."""
+    mask = 0
+    for op in ops:
+        for x, z in op._terms:
+            mask |= x | z
+    return mask
+
+
 LetterMap = tuple[tuple[int, str], ...]
 
 
@@ -155,9 +164,7 @@ class PauliSum:
     @property
     def support(self) -> frozenset[int]:
         """Qubits on which any stored term acts non-trivially."""
-        rest = 0
-        for x, z in self._terms:
-            rest |= x | z
+        rest = _support_mask(self)
         return frozenset(q for q in range(rest.bit_length()) if rest >> q & 1)
 
     def __len__(self):

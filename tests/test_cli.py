@@ -113,6 +113,14 @@ def test_circuit_file_diagnostics_surface(tmp_path):
         main(["run", "--circuit", str(bad)])
 
 
+def test_deeply_nested_angle_exits_naming_the_file(tmp_path, capsys):
+    deep = tmp_path / "deep.qc"
+    deep.write_text("qubits 1\nry 0 " + "-" * 1500 + "1\n")
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(deep))}: line 2: angle expression is nested too deeply$"):
+        main(["run", "--circuit", str(deep), "--report", "table"])
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_circuit_file(tmp_path):
     with pytest.raises(SystemExit, match="cannot read"):
         main(["run", "--circuit", str(tmp_path / "nope.qc")])

@@ -321,6 +321,29 @@ def test_circuit_rejects_unaddressable_label(name):
         hs.Circuit(3, (), {0: name})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: hs.GateStep("h", (1.5,), 0), "qubits and slot must be integers, got (1.5,) and 0"),
+        (lambda: hs.cx(0, "1"), "qubits and slot must be integers, got (0, '1') and 0"),
+        (lambda: hs.h(0, slot=1.5), "qubits and slot must be integers, got (0,) and 1.5"),
+        (lambda: hs.Circuit(2.5, ()), "n_qubits must be an integer, got 2.5"),
+    ],
+    ids=["float-qubit", "str-qubit", "float-slot", "float-n-qubits"],
+)
+def test_non_integer_fields_rejected_at_construction(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_fields_stored_as_int():
+    step = hs.cx(np.int64(0), np.int32(1), slot=np.int64(2))
+    circuit = hs.Circuit(np.int64(2), (step,))
+    assert step == hs.cx(0, 1, slot=2)
+    assert {type(v) for v in (*step.qubits, step.slot, circuit.n_qubits)} == {int}
+    assert len(hs.run_circuit(circuit)) == 4
+
+
 def test_gate_step_rejects_self_control():
     with pytest.raises(ValueError):
         hs.cx(1, 1)

@@ -139,6 +139,37 @@ def test_sharp_foliation_reads_each_mean_once(fr_trace, monkeypatch):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("time, reads", [(0, 9), (2, 2)], ids=["factorises", "xx-witness"])
+def test_sharp_foliation_pair_reads(fr_trace, monkeypatch, time, reads):
+    # a scan that reaches (z, z) reuses it as <q_Cz q_Tz>; an earlier witness
+    # leaves one more read for it
+    from heisensim import foliation
+
+    calls = []
+    original = foliation.pair_expectation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(foliation, "pair_expectation", counted)
+    report = hs.sharp_foliation(fr_trace[time], R, A)
+    assert report.witness.entangled == (time == 2)
+    assert len(calls) == reads
+
+
+def test_record_clause_reads_qubits_past_bit_64():
+    # qubit 65 is sharp (|0>), so the copy is a deterministic record: only the
+    # record clause, reading bit 65 or 68 of a support mask, certifies it
+    trace = hs.run_circuit(hs.Circuit(70, (hs.cx(65, 68, slot=0),)))
+    for control, target in ((65, 68), (68, 65)):
+        report = hs.sharp_foliation(trace[1], control, target)
+        assert report.verdict == SHARP
+        assert (report.proj_plus, report.proj_minus) == (1.0, 0.0)
+        assert not report.witness.entangled
+    assert hs.sharp_foliation(trace[1], 65, 66).verdict == UNENTANGLED
+
+
 @pytest.mark.parametrize("residue, tol, raises", [(1e-10, 1e-12, True), (1e-6, 1e-3, True), (5e-11, 1e-10, False)])
 def test_sharp_foliation_guards_z_means_at_both_tolerances(residue, tol, raises):
     # one guard on each z mean refuses what the scan's default guard or the
@@ -357,6 +388,14 @@ def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
             assert report == hs.sharp_foliation(state, control, target)
 
 
+@pytest.mark.parametrize("circuit, watch", list(_carry_over_cases()))
+def test_entangled_is_the_verdict_witness(circuit, watch):
+    for state in hs.run_circuit(circuit):
+        for pair in watch:
+            for q1, q2 in (pair, pair[::-1]):
+                assert hs.entangled(state, q1, q2) == hs.sharp_foliation(state, q1, q2).witness
+
+
 # SHA-256 of the reprs of every report of foliation_timeline, boundary by
 # boundary in watch order, computed when the fold still read each two-point
 # expectation off the whole product a @ b.
@@ -522,6 +561,23 @@ def test_tree_dot_output(fr_circuit, fr_timeline):
     assert '"created-sharp:R-A@t2" -> "diffused:R-A@t5" [label="+1 (1/3)"' in dot
     assert "penwidth" in dot
     assert dot == tree_to_dot(tree)  # deterministic
+
+
+def test_tree_dot_escapes_quotes_and_backslashes():
+    circuit = hs.Circuit(
+        2, (hs.ry(0, hs.FR_ANGLE, slot=0), hs.cx(0, 1, slot=1), hs.h(0, slot=2)), {0: 'R"x', 1: "A\\b"}
+    )
+    timeline = foliation_timeline(hs.run_circuit(circuit), hs.default_watch_pairs(circuit))
+    lines = tree_to_dot(hs.build_branch_tree(circuit, timeline)).splitlines()
+    assert lines[3:] == [
+        '  "trunk" [shape=circle, label="trunk"];',
+        r'  "created-sharp:R\"x-A\\b@t2" [shape=box, label="t=2\nR\"x+1/A\\b+1\nR\"x-1/A\\b-1"];',
+        r'  "diffused:R\"x-A\\b@t3" [shape=diamond, label="t=3\nR\"x/A\\b"];',
+        r'  "trunk" -> "created-sharp:R\"x-A\\b@t2" [label="", penwidth=5.00];',
+        r'  "created-sharp:R\"x-A\\b@t2" -> "diffused:R\"x-A\\b@t3" [label="+1 (1/3)", penwidth=2.33];',
+        r'  "created-sharp:R\"x-A\\b@t2" -> "diffused:R\"x-A\\b@t3" [label="-1 (2/3)", penwidth=3.67];',
+        "}",
+    ]
 
 
 def test_format_weight_fractions():

@@ -185,6 +185,23 @@ def test_expression_rejects_unknown_names_and_calls():
         parse_circuit("qubits 1\nry 0 [1]\n")
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["-" * 1500 + "1", "2**" * 3000 + "2", "1" + "+1" * 5000],
+    ids=["deep-unary", "deep-power", "long-sum"],
+)
+def test_deeply_nested_expression_diagnostic(expr):
+    # parsing or walking these exhausts the stack; the file gets a line, not a traceback
+    with pytest.raises(CircuitSyntaxError, match="line 2: angle expression is nested too deeply"):
+        parse_circuit(f"qubits 1\nry 0 {expr}\n")
+
+
+@pytest.mark.parametrize("expr", ["True", "False", "-True", "2*False"])
+def test_bool_constants_are_not_angles(expr):
+    with pytest.raises(CircuitSyntaxError, match="line 2.*unsupported syntax"):
+        parse_circuit(f"qubits 1\nry 0 {expr}\n")
+
+
 def test_expression_domain_error_diagnostic():
     with pytest.raises(CircuitSyntaxError, match="line 2.*cannot evaluate"):
         parse_circuit("qubits 1\nry 0 arcsin(2)\n")
