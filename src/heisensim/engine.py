@@ -4,8 +4,9 @@ Each qubit carries a descriptor, the triple (x, y, z) of operators that at
 time 0 equals its local (sigma_x, sigma_y, sigma_z) and thereafter evolves
 under the circuit while the global state stays pinned to the all-zeros
 vector.  Gates act through closed-form update rules on the pre-gate
-components (the generic conjugation route lives in :mod:`heisensim.oracle`
-and serves as an independent cross-check):
+components.  The private table ``_GATES`` is the one definition of a gate
+kind (arity, angle, :meth:`Circuit.gate_text` template, rule); the oracle
+keeps its own gate matrices on purpose, as the independent cross-check:
 
 * ``ry(phi)``:   x' = x cos(phi) + z sin(phi),  y' = y,
   z' = z cos(phi) - x sin(phi)
@@ -26,11 +27,12 @@ path: :class:`Circuit` and the circuit-file parser both run them, so qubit
 range, slot order, slot clashes and unique, addressable labels are checked
 in one place.
 :class:`GateStep` checks each gate on its own (kind, arity, integer qubits
-and slot, finite angle).
+and slot, finite angle, stored as ``float``).
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -58,7 +60,6 @@ __all__ = [
     "trace_json_doc",
 ]
 
-GATE_KINDS = ("ry", "h", "cx", "ch")
 COMPONENTS = ("x", "y", "z")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -99,30 +100,25 @@ class GateStep:
             object.__setattr__(self, "slot", operator.index(self.slot))
         except TypeError:
             raise TypeError(f"qubits and slot must be integers, got {self.qubits!r} and {self.slot!r}") from None
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 1 if self.kind in ("ry", "h") else 2
+        arity, takes_angle, _, _ = _GATES[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind} control and target must differ")
-        if self.kind == "ry":
+        if takes_angle:
             if self.angle is None:
-                raise ValueError("ry needs an angle")
+                raise ValueError(f"{self.kind} needs an angle")
+            if not isinstance(self.angle, numbers.Real) or isinstance(self.angle, bool):
+                raise TypeError(f"{self.kind} angle must be a real number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))  # so the angle's repr parses back
             if not math.isfinite(self.angle):
-                raise ValueError(f"ry angle must be finite, got {self.angle!r}")
+                raise ValueError(f"{self.kind} angle must be finite, got {self.angle!r}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         if self.slot < 0:
             raise ValueError("slot must be non-negative")
-
-    @property
-    def control(self) -> int:
-        return self.qubits[0]
-
-    @property
-    def target(self) -> int:
-        return self.qubits[-1]
 
 
 def ry(qubit: int, angle: float, slot: int = 0) -> GateStep:
@@ -159,14 +155,19 @@ def check_step(step: GateStep, n_qubits: int, prev_slot: int, held: set[int]) ->
     held.update(step.qubits)
 
 
-def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int) -> None:
-    """Admit ``name`` for ``qubit`` next to ``labels``: in range, each qubit and name once.
+def check_label(labels: dict[int, str], qubit: int, name: str, n_qubits: int) -> None:
+    """Admit ``name`` for ``qubit`` into ``labels``: in range, each qubit and name once.
 
     A name is one circuit-file token that ``--watch`` can address: non-empty,
     with no whitespace, ``#``, ``,`` or ``;``, not all ASCII digits, which
     ``--watch`` reads as a qubit index, and not ``q<k>`` for another qubit
-    k, which is how an unlabelled qubit k prints.
+    k, which is how an unlabelled qubit k prints.  ``labels`` is updated in
+    place; numpy integer keys pass and are stored as int.
     """
+    try:
+        qubit = operator.index(qubit)
+    except TypeError:
+        raise TypeError(f"label keys must be integer qubit indices, got {qubit!r}") from None
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"label for qubit {qubit} out of range (0..{n_qubits - 1})")
     if qubit in labels:
@@ -181,6 +182,7 @@ def check_label(labels: Mapping[int, str], qubit: int, name: str, n_qubits: int)
     for q, other in labels.items():
         if other == name:
             raise ValueError(f"label {name!r} already names qubit {q}")
+    labels[qubit] = name
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,6 @@ class Circuit:
         labels: dict[int, str] = {}
         for q, name in (self.labels or {}).items():
             check_label(labels, q, name, self.n_qubits)
-            labels[q] = name
         object.__setattr__(self, "labels", labels or None)  # one form, so {} round-trips equal
 
     @property
@@ -228,11 +229,7 @@ class Circuit:
 
     def gate_text(self, step: GateStep) -> str:
         """Human-readable gate description, e.g. ``Rotation on R``."""
-        if step.kind == "ry":
-            return f"Rotation on {self.label(step.qubits[0])}"
-        if step.kind == "h":
-            return f"Hadamard on {self.label(step.qubits[0])}"
-        return "Controlled-not" if step.kind == "cx" else "Controlled-H"
+        return _GATES[step.kind][2].format(*map(self.label, step.qubits))
 
 
 @dataclass(frozen=True)
@@ -290,13 +287,13 @@ def init_network(n_qubits: int) -> NetworkState:
     return NetworkState(0, descriptors)
 
 
-def _rotated(d: Descriptor, angle: float) -> Descriptor:
+def _rotated(d: Descriptor, angle: float) -> tuple[Descriptor]:
     c, s = math.cos(angle), math.sin(angle)
-    return Descriptor(d.qubit, d.x * c + d.z * s, d.y, d.z * c - d.x * s)
+    return (Descriptor(d.qubit, d.x * c + d.z * s, d.y, d.z * c - d.x * s),)
 
 
-def _hadamarded(d: Descriptor) -> Descriptor:
-    return Descriptor(d.qubit, d.z, -d.y, d.x)
+def _hadamarded(d: Descriptor) -> tuple[Descriptor]:
+    return (Descriptor(d.qubit, d.z, -d.y, d.x),)
 
 
 def _cnotted(dc: Descriptor, dt: Descriptor) -> tuple[Descriptor, Descriptor]:
@@ -319,18 +316,24 @@ def _chadamarded(dc: Descriptor, dt: Descriptor) -> tuple[Descriptor, Descriptor
     return control, target
 
 
+# kind: (arity, takes an angle, gate_text template, rule); a rule maps the descriptors
+# of step.qubits, then the angle if taken, to their updates, in the same order.
+_GATES = {
+    "ry": (1, True, "Rotation on {}", _rotated),
+    "h": (1, False, "Hadamard on {}", _hadamarded),
+    "cx": (2, False, "Controlled-not", _cnotted),
+    "ch": (2, False, "Controlled-H", _chadamarded),
+}
+GATE_KINDS = tuple(_GATES)
+
+
 def _apply_step(descriptors: tuple[Descriptor, ...], step: GateStep) -> tuple[Descriptor, ...]:
+    args = [descriptors[q] for q in step.qubits]
+    if step.angle is not None:
+        args.append(step.angle)
     out = list(descriptors)
-    if step.kind == "ry":
-        q = step.qubits[0]
-        out[q] = _rotated(descriptors[q], step.angle)
-    elif step.kind == "h":
-        q = step.qubits[0]
-        out[q] = _hadamarded(descriptors[q])
-    else:
-        c, t = step.qubits
-        rule = _cnotted if step.kind == "cx" else _chadamarded
-        out[c], out[t] = rule(descriptors[c], descriptors[t])
+    for q, d in zip(step.qubits, _GATES[step.kind][3](*args)):
+        out[q] = d
     return tuple(out)
 
 

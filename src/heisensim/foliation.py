@@ -245,7 +245,7 @@ def default_watch_pairs(circuit: Circuit) -> tuple[tuple[int, int], ...]:
     seen: list[tuple[int, int]] = []
     for step in circuit.steps:
         if len(step.qubits) == 2:
-            pair = (step.control, step.target)
+            pair = step.qubits
             if pair not in seen and (pair[1], pair[0]) not in seen:
                 seen.append(pair)
     return tuple(seen)
@@ -493,7 +493,7 @@ def report_rows(circuit: Circuit, timeline: Timeline) -> list[ReportRow]:
         t_end = step.slot + 1
         status = statuses[t_end]
         if len(step.qubits) == 2:
-            own = (step.control, step.target)
+            own = step.qubits
             pairs = [pair for pair in (own, own[::-1]) if pair in status][:1]
         else:
             q = step.qubits[0]

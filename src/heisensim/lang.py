@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 import math
 
-from .engine import GATE_KINDS, Circuit, GateStep, _is_ascii_number, check_label, check_step
+from .engine import _GATES, Circuit, GateStep, _is_ascii_number, check_label, check_step
 
 __all__ = ["CircuitSyntaxError", "parse_circuit", "serialize_circuit"]
 
@@ -157,7 +157,6 @@ def parse_circuit(text: str) -> Circuit:
                 check_label(labels, q, name, n_qubits)
             except (ValueError, IndexError) as exc:
                 raise CircuitSyntaxError(str(exc), lineno) from None
-            labels[q] = name
             continue
 
         # gate line, with optional @slot prefix
@@ -169,14 +168,15 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError("slot prefix without a gate", lineno)
             head = tokens[0]
 
-        if head not in GATE_KINDS:
+        if head not in _GATES:
             raise CircuitSyntaxError(f"unknown gate {head!r}", lineno)
+        arity, takes_angle, _, _ = _GATES[head]
         angle = None
-        if head == "ry":
-            if len(tokens) < 3:
-                raise CircuitSyntaxError("expected: ry <q> <angle-expr>", lineno)
-            angle = _eval_angle(" ".join(tokens[2:]), lineno)
-            tokens = tokens[:2]
+        if takes_angle:
+            if len(tokens) < arity + 2:
+                raise CircuitSyntaxError(f"expected: {head} {'<q> ' * arity}<angle-expr>", lineno)
+            angle = _eval_angle(" ".join(tokens[arity + 1:]), lineno)
+            tokens = tokens[:arity + 1]
         qubits = tuple(_parse_index(token, lineno) for token in tokens[1:])
 
         try:
@@ -199,9 +199,6 @@ def serialize_circuit(circuit: Circuit) -> str:
         for q in sorted(circuit.labels):
             lines.append(f"label {q} {circuit.labels[q]}")
     for step in circuit.steps:
-        args = " ".join(str(q) for q in step.qubits)
-        if step.kind == "ry":
-            lines.append(f"@{step.slot} ry {args} {step.angle!r}")
-        else:
-            lines.append(f"@{step.slot} {step.kind} {args}")
+        angle = "" if step.angle is None else f" {step.angle!r}"  # GateStep: an angle only where one is taken
+        lines.append(f"@{step.slot} {step.kind} {' '.join(map(str, step.qubits))}{angle}")
     return "\n".join(lines) + "\n"

@@ -56,6 +56,7 @@ _H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 # 4x4 blocks indexed by (control_bit * 2 + target_bit)
 _CNOT4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
 _CH4 = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]])
+_FIXED_MATRICES = {"h": _H2, "cx": _CNOT4, "ch": _CH4}
 
 # i^k for k = #Y mod 4; real where it can be, so X/Z-only strings stay real.
 _I_POWERS = (1, 1j, -1, -1j)
@@ -93,9 +94,7 @@ def _small_matrix(step: GateStep) -> np.ndarray:
     if step.kind == "ry":
         c, s = math.cos(step.angle / 2), math.sin(step.angle / 2)
         return np.array([[c, -s], [s, c]])
-    if step.kind == "h":
-        return _H2
-    return _CNOT4 if step.kind == "cx" else _CH4
+    return _FIXED_MATRICES[step.kind]  # KeyError for a kind without a matrix here
 
 
 def _apply_small(small: np.ndarray, qubits: tuple[int, ...], array: np.ndarray, n: int) -> np.ndarray:

@@ -4,12 +4,15 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import heisensim as hs
-from heisensim.engine import trace_json_doc
+from heisensim import oracle
+from heisensim.engine import GATE_KINDS, trace_json_doc
+from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
 from heisensim.pauli import PauliSum, vacuum_expectation
 
@@ -328,8 +331,12 @@ def test_circuit_rejects_unaddressable_label(name):
         (lambda: hs.cx(0, "1"), "qubits and slot must be integers, got (0, '1') and 0"),
         (lambda: hs.h(0, slot=1.5), "qubits and slot must be integers, got (0,) and 1.5"),
         (lambda: hs.Circuit(2.5, ()), "n_qubits must be an integer, got 2.5"),
+        (lambda: hs.ry(0, True), "ry angle must be a real number, got True"),
+        (lambda: hs.ry(0, np.True_), f"ry angle must be a real number, got {np.True_!r}"),
+        (lambda: hs.ry(0, "0.5"), "ry angle must be a real number, got '0.5'"),
+        (lambda: hs.ry(0, 0.5 + 0j), "ry angle must be a real number, got (0.5+0j)"),
     ],
-    ids=["float-qubit", "str-qubit", "float-slot", "float-n-qubits"],
+    ids=["float-qubit", "str-qubit", "float-slot", "float-n-qubits", "bool-angle", "numpy-bool-angle", "str-angle", "complex-angle"],
 )
 def test_non_integer_fields_rejected_at_construction(build, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -342,6 +349,53 @@ def test_numpy_integer_fields_stored_as_int():
     assert step == hs.cx(0, 1, slot=2)
     assert {type(v) for v in (*step.qubits, step.slot, circuit.n_qubits)} == {int}
     assert len(hs.run_circuit(circuit)) == 4
+
+
+@pytest.mark.parametrize("key", [0.5, "0"])
+def test_circuit_rejects_non_integer_label_key(key):
+    with pytest.raises(TypeError, match=f"^label keys must be integer qubit indices, got {re.escape(repr(key))}$"):
+        hs.Circuit(2, (hs.cx(0, 1),), {key: "a", 1: "b"})
+
+
+def test_numpy_integer_label_keys_stored_as_int():
+    circuit = hs.Circuit(2, (hs.cx(0, 1),), {np.int64(0): "a", np.int32(1): "b"})
+    assert circuit.labels == {0: "a", 1: "b"}
+    assert {type(q) for q in circuit.labels} == {int}
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+# Per gate kind: qubits, angle, and the gate text on qubits labelled P (0) and Q (1).
+# A kind added to the engine without a case here fails the test below.
+KIND_CASES = {
+    "ry": ((0,), 0.7, "Rotation on P"),
+    "h": ((1,), None, "Hadamard on Q"),
+    "cx": ((0, 1), None, "Controlled-not"),
+    "ch": ((1, 0), None, "Controlled-H"),
+}
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_gate_kind_defined_across_layers(kind):
+    qubits, angle, text = KIND_CASES[kind]
+    for wrong in (qubits[:-1], qubits + (2,)):
+        with pytest.raises(ValueError, match=f"^{kind} takes {len(qubits)} qubit"):
+            hs.GateStep(kind, wrong, 0, angle)
+    with pytest.raises(ValueError, match=f"^{kind} (needs an|takes no) angle$"):
+        hs.GateStep(kind, qubits, 0, 0.5 if angle is None else None)
+    step = hs.GateStep(kind, qubits, 0, angle)
+    circuit = hs.Circuit(2, (step,), {0: "P", 1: "Q"})
+    assert circuit.gate_text(step) == text
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+    assert oracle._small_matrix(step).shape == (2 ** len(qubits),) * 2
+    report = hs.cross_check(hs.run_circuit(circuit), circuit)
+    assert report.max_expectation_dev <= 1e-12
+    assert report.max_matrix_dev <= 1e-12
+
+
+def test_oracle_has_no_matrix_for_unknown_kind():
+    # GateStep admits only the engine's kinds, so a stand-in step carries the unknown one
+    with pytest.raises(KeyError, match="swap"):
+        oracle._small_matrix(SimpleNamespace(kind="swap", qubits=(0, 1), angle=None))
 
 
 def test_gate_step_rejects_self_control():

@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +215,12 @@ def test_round_trip_preserves_exact_angles():
     circuit = hs.Circuit(1, (hs.ry(0, hs.FR_ANGLE, slot=0),))
     again = parse_circuit(serialize_circuit(circuit))
     assert again.steps[0].angle == circuit.steps[0].angle  # bit-exact
+    # numpy and int angles are stored as float, so their repr is a number the parser reads
+    for angle in (np.float64(0.5), np.float32(0.1), np.int64(-2), 1):
+        circuit = hs.Circuit(1, (hs.ry(0, angle),))
+        assert type(circuit.steps[0].angle) is float and circuit.steps[0].angle == float(angle)
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+    assert serialize_circuit(hs.Circuit(1, (hs.ry(0, 1),))) == "qubits 1\n@0 ry 0 1.0\n"
 
 
 @given(st.integers(0, 10_000))
