@@ -5,6 +5,9 @@ rotations, Hadamards, controlled-nots, and controlled-Hadamards; detects
 entanglement and sharp/non-sharp foliations of qubit pairs; builds the
 branching tree of foliation events; and cross-validates everything against
 a dense state-vector oracle.
+
+The oracle's names (``expand``, ``evolve_state``, ``cross_check``) are
+resolved on first use, so importing the package does not load numpy.
 """
 from .engine import (
     Circuit,
@@ -39,7 +42,6 @@ from .foliation import (
     tree_to_dot,
 )
 from .lang import CircuitSyntaxError, parse_circuit, serialize_circuit
-from .oracle import cross_check, evolve_state, expand
 from .pauli import (
     DEFAULT_TOLERANCE,
     DROP_TOLERANCE,
@@ -101,3 +103,13 @@ __all__ = [
     "get_preset",
     "FR_ANGLE",
 ]
+
+_ORACLE_NAMES = ("expand", "evolve_state", "cross_check")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,6 @@ from .foliation import (
     tree_to_dot,
 )
 from .lang import CircuitSyntaxError, parse_circuit
-from .oracle import SIZE_CAP, cross_check
 from .pauli import DEFAULT_TOLERANCE
 from .presets import PRESETS, get_preset
 
@@ -143,8 +142,11 @@ def main(argv: list[str] | None = None) -> int:
     tol = _tolerance(args.tolerance)
 
     circuit = _load_circuit(args)
-    if args.check and circuit.n_qubits > SIZE_CAP:
-        raise SystemExit(f"--check: dense oracle capped at {SIZE_CAP} qubits, circuit has {circuit.n_qubits}")
+    if args.check:  # numpy is loaded only for the dense oracle
+        from .oracle import SIZE_CAP, cross_check
+
+        if circuit.n_qubits > SIZE_CAP:
+            raise SystemExit(f"--check: dense oracle capped at {SIZE_CAP} qubits, circuit has {circuit.n_qubits}")
     trace = run_circuit(circuit)
     watch = (
         _resolve_watch(args.watch, circuit)

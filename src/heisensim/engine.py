@@ -112,7 +112,11 @@ class GateStep:
                 raise ValueError(f"{self.kind} needs an angle")
             if not isinstance(self.angle, numbers.Real) or isinstance(self.angle, bool):
                 raise TypeError(f"{self.kind} angle must be a real number, got {self.angle!r}")
-            object.__setattr__(self, "angle", float(self.angle))  # so the angle's repr parses back
+            try:
+                angle = float(self.angle)
+            except OverflowError:  # an int or Fraction beyond the float range
+                raise ValueError(f"{self.kind} angle must be finite, got a number beyond the float range") from None
+            object.__setattr__(self, "angle", angle)  # so the angle's repr parses back
             if not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} angle must be finite, got {self.angle!r}")
         elif self.angle is not None:

@@ -17,12 +17,19 @@ U^T (sigma U) is one real product; a Y component is i times a real matrix.
 One walk, :func:`_walk`, carries a state vector or a unitary across the
 slot boundaries; :func:`evolve_state`, :func:`conjugate_descriptor` and
 :func:`cross_check` all read their boundaries off it.  :func:`cross_check`
-walks the state and the identity side by side with the trace and compares
-one component at a time, so its working set is a few 2^n x 2^n arrays.  A
-site whose qubit no gate of the previous slot touched, and whose engine
-descriptor is the very object of the previous boundary, keeps its previous
-matrix deviation: for a gate G acting off q, G^dagger sigma_q G = sigma_q
-exactly.
+walks the state side by side with the trace.  It conjugates each site
+(boundary t, qubit q) on its own causal register: a descriptor changes only
+through the gates of its past light cone (Deutsch & Hayden,
+quant-ph/9906007), so U^dagger sigma_q U = (V^dagger sigma_q V) x I, with V
+the cone's gates.  The register R is the cone plus the support of the
+engine's three components, so a wrong term on a qubit off the cone is
+still compared against the identity there.  Both sides are built on R, and
+the deviation on R is the full register's, since (A x I) - (B x I) has the
+entries of A - B.  When the cone covers all n qubits this is the
+full-register product.  A site whose qubit no gate of the previous slot
+touched, and whose engine descriptor is the very object of the previous
+boundary, keeps its previous matrix deviation: for a gate G acting off q,
+G^dagger sigma_q G = sigma_q exactly.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -32,13 +39,13 @@ it exists for desk-scale validation, not performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
-from .engine import COMPONENTS, Circuit, GateStep, Trace
-from .pauli import PauliSum, vacuum_expectation
+from .engine import COMPONENTS, Circuit, Descriptor, GateStep, Trace
+from .pauli import PauliSum, _support_mask, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -191,16 +198,65 @@ class CrossCheckReport:
         }
 
 
+def _light_cone(groups: list[tuple[GateStep, ...]], qubit: int) -> tuple[int, list[GateStep]]:
+    """Qubit mask of ``qubit``'s past light cone across ``groups``, and its gates in order.
+
+    The slots are walked latest first: a gate joins the cone when it acts on a
+    qubit already in it, and brings its other qubits in.  A slot's gates act
+    on disjoint qubits, so their order inside the slot does not matter.
+    """
+    cone, gates = 1 << qubit, []
+    for group in reversed(groups):
+        for step in group:
+            mask = sum(1 << q for q in step.qubits)
+            if cone & mask:
+                cone |= mask
+                gates.append(step)
+    return cone, gates[::-1]
+
+
+def _compress(mask: int, register: tuple[int, ...]) -> int:
+    """``mask`` read on ``register``: bit i is bit ``register[i]`` of ``mask``."""
+    return sum(1 << i for i, q in enumerate(register) if mask >> q & 1)
+
+
+def _site_matrix_devs(groups: list[tuple[GateStep, ...]], qubit: int, descriptor: Descriptor) -> list[float]:
+    """Matrix deviation of each component of ``qubit``'s ``descriptor`` after ``groups``.
+
+    Both sides are built on the site's register R, the light cone plus the
+    support of the three components, in ascending qubit order: the cone's
+    gates run through :func:`_walk` on the identity of R, and each component
+    is expanded on R.  No walk is shared between sites: two sites with equal
+    R at one boundary can have different cones.
+    """
+    cone, gates = _light_cone(groups, qubit)
+    mask = cone | _support_mask(*descriptor.triple)
+    register = tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+    local = {q: i for i, q in enumerate(register)}
+    steps = tuple(replace(step, qubits=tuple(local[q] for q in step.qubits)) for step in gates)
+    *_, (_, unitary) = _walk(Circuit(len(register), steps), np.eye(2 ** len(register)))
+    devs = []
+    for comp, op in zip(COMPONENTS, descriptor.triple):
+        terms = {(_compress(x, register), _compress(z, register)): c for (x, z), c in op._terms.items()}
+        conjugated = _conjugated(unitary, local[qubit], comp.upper())
+        devs.append(float(np.max(np.abs(expand(PauliSum._from_dict(len(register), terms)) - conjugated))))
+    return devs
+
+
 def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     """Compare the engine trace against both dense routes.
 
     For every slot, qubit, and component this measures the gap between the
     engine's vacuum expectation and the evolved state's expectation, and
     between the dense engine operator and the conjugated bare Pauli.  Both
-    maxima should sit at numerical noise.  The matrix gap of a site is
-    carried over from the previous boundary when no gate of the previous
-    slot touched its qubit and its engine descriptor is the same object;
-    every expectation gap is computed afresh.
+    maxima should sit at numerical noise.  The conjugation of a site runs
+    only the gates of its past light cone, on the register of the cone and
+    the support of the engine's components: with the support included, a
+    wrong term on a qubit off the cone is still compared against the
+    identity there, and the gap equals the full register's.  The matrix
+    gap of a site is carried over from the previous boundary when no gate
+    of the previous slot touched its qubit and its engine descriptor is
+    the same object; every expectation gap is computed afresh.
     """
     states = evolve_state(circuit)
     if len(states) != len(trace):
@@ -208,23 +264,19 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     n = circuit.n_qubits
     if trace[0].n_qubits != n:
         raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
-    mat_devs: dict[tuple[int, str], float] = {}
+    groups = circuit.slot_groups()
+    mat_devs: dict[int, list[float]] = {}
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
-    for t, (state, psi, (group, total)) in enumerate(zip(trace, states, _walk(circuit, np.eye(2 ** n)))):
-        touched = {q for step in group for q in step.qubits}
+    for t, (state, psi) in enumerate(zip(trace, states)):
+        touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
         for q in range(n):
             d = state.descriptor(q)
-            fresh = t == 0 or q in touched or d is not trace[t - 1].descriptor(q)
-            for comp in COMPONENTS:
-                op = d.component(comp)
+            if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
+                mat_devs[q] = _site_matrix_devs(groups[:t], q, d)
+            for comp, op, mat_dev in zip(COMPONENTS, d.triple, mat_devs[q]):
                 dev = abs(vacuum_expectation(op) - state_expectation(psi, q, comp.upper()))
-                if fresh:
-                    mat_devs[q, comp] = float(
-                        np.max(np.abs(expand(op) - _conjugated(total, q, comp.upper())))
-                    )
-                mat_dev = mat_devs[q, comp]
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

@@ -1,10 +1,15 @@
 """Command-line driver tests, run in-process via cli.main."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heisensim
 from heisensim.cli import TOLERANCE_ENV, main, render_table
 from heisensim.oracle import SIZE_CAP
 
@@ -222,3 +227,19 @@ def test_render_table_alignment():
     assert header.startswith("Time")
     assert set(rule) <= {"-", " "}
     assert row.startswith("(0,1)")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only --check needs the dense oracle; the package resolves its names on first use
+    code = (
+        "import sys, heisensim, heisensim.cli\n"
+        "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
+        "from heisensim import oracle\n"
+        "for name in ('cross_check', 'evolve_state', 'expand'):\n"
+        "    assert getattr(heisensim, name) is getattr(oracle, name), name\n"
+        "assert not hasattr(heisensim, 'conjugate_descriptor')\n"
+    )
+    src = str(Path(heisensim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

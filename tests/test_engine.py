@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -308,6 +309,13 @@ def test_apply_out_of_range():
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_gate_step_rejects_non_finite_angle(angle):
     with pytest.raises(ValueError, match="finite"):
+        hs.ry(0, angle)
+
+
+@pytest.mark.parametrize("angle", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"])
+def test_gate_step_rejects_angle_beyond_float_range(angle):
+    # float() overflows on these; the gate says why instead of leaking OverflowError
+    with pytest.raises(ValueError, match="ry angle must be finite, got a number beyond the float range"):
         hs.ry(0, angle)
 
 

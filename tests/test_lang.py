@@ -80,6 +80,14 @@ def test_non_finite_angle_diagnostic(expr):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("expr", ["10**400", "9" * 400])
+def test_angle_beyond_float_range_diagnostic(expr):
+    # the parser reports the overflow itself, before a gate is built
+    with pytest.raises(CircuitSyntaxError, match="line 2: cannot evaluate") as err:
+        parse_circuit(f"qubits 1\nry 0 {expr}\n")
+    assert err.value.line == 2
+
+
 def test_duplicate_label_name_diagnostic():
     with pytest.raises(CircuitSyntaxError, match="line 3.*'R' already names qubit 0"):
         parse_circuit("qubits 2\nlabel 0 R\nlabel 1 R\n")

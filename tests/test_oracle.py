@@ -16,7 +16,7 @@ from heisensim.oracle import (
 )
 from heisensim.pauli import PauliSum
 
-from conftest import LETTER_MATRICES, A, R, S, U_R, gate_unitary, random_circuit, random_parallel_circuit, term
+from conftest import LETTER_MATRICES, A, R, S, U_R, W_B, gate_unitary, random_circuit, random_parallel_circuit, term
 
 
 def kron_chain(*mats):
@@ -325,3 +325,39 @@ def test_cross_check_finds_stale_descriptor_at_touched_qubit(fr_circuit, fr_trac
     report = cross_check(trace, fr_circuit)
     assert report.max_matrix_dev > 0.5
     assert report.worst_site["slot"] == 6 and report.worst_site["qubit"] == R
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cross_check_fault_sweep_on_parallel_slots(seed):
+    # a 1e-6 term on qubit q+4 mod 5 often lies off q's light cone: the site's
+    # register must still hold it, on every qubit, early, midway and last
+    circuit = random_parallel_circuit(random.Random(seed), 5, 8)
+    trace = hs.run_circuit(circuit)
+    for t in sorted({1, len(trace) // 2, len(trace) - 1}):
+        for q in range(5):
+            report = cross_check(_with_fault(trace, t, q), circuit)
+            assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-12), (t, q)
+            assert report.max_expectation_dev <= 1e-9
+            assert report.worst_site == {"slot": t, "qubit": q, "component": "x"}, (t, q)
+
+
+def test_cross_check_ten_qubit_random_circuit():
+    # on the full register every site would cost a 1024 x 1024 product
+    circuit = random_circuit(random.Random(3), 10, 20)
+    report = cross_check(hs.run_circuit(circuit), circuit)
+    assert report.max_expectation_dev <= 1e-9
+    assert report.max_matrix_dev <= 1e-9
+
+
+def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_trace):
+    # A's past light cone at boundary 4 is {R, A, S}; a wrong 1e-6 (X + Y) on
+    # W_B must be compared there too, where its largest entry is |1 + i| 1e-6
+    d = fr_trace[4].descriptor(A)
+    wrong = PauliSum.single(8, W_B, "X", 1e-6) + PauliSum.single(8, W_B, "Y", 1e-6)
+    descriptors = list(fr_trace[4].descriptors)
+    descriptors[A] = dataclasses.replace(d, x=d.x + wrong)
+    trace = list(fr_trace)
+    trace[4] = hs.NetworkState(fr_trace[4].time, tuple(descriptors))
+    report = cross_check(trace, fr_circuit)
+    assert report.max_matrix_dev == pytest.approx(math.sqrt(2) * 1e-6, abs=1e-12)
+    assert report.worst_site == {"slot": 4, "qubit": A, "component": "x"}
