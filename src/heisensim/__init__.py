@@ -113,3 +113,7 @@ def __getattr__(name: str):
 
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals()) + list(_ORACLE_NAMES)

@@ -15,21 +15,16 @@ so the accumulated unitary U stays real orthogonal and each conjugation
 U^T (sigma U) is one real product; a Y component is i times a real matrix.
 
 One walk, :func:`_walk`, carries a state vector or a unitary across the
-slot boundaries; :func:`evolve_state`, :func:`conjugate_descriptor` and
-:func:`cross_check` all read their boundaries off it.  :func:`cross_check`
-walks the state side by side with the trace.  It conjugates each site
-(boundary t, qubit q) on its own causal register: a descriptor changes only
-through the gates of its past light cone (Deutsch & Hayden,
-quant-ph/9906007), so U^dagger sigma_q U = (V^dagger sigma_q V) x I, with V
-the cone's gates.  The register R is the cone plus the support of the
-engine's three components, so a wrong term on a qubit off the cone is
-still compared against the identity there.  Both sides are built on R, and
-the deviation on R is the full register's, since (A x I) - (B x I) has the
-entries of A - B.  When the cone covers all n qubits this is the
-full-register product.  A site whose qubit no gate of the previous slot
-touched, and whose engine descriptor is the very object of the previous
-boundary, keeps its previous matrix deviation: for a gate G acting off q,
-G^dagger sigma_q G = sigma_q exactly.
+slot boundaries; :func:`evolve_state` and :func:`conjugate_descriptor` read
+their boundaries off it, and :func:`cross_check` walks the state side by
+side with the trace.  :func:`cross_check` conjugates each site on a causal
+register rather than on all n qubits: a descriptor changes only through
+the gates of its past light cone (Deutsch & Hayden, quant-ph/9906007).
+:func:`_site_matrix_devs` states the register rule and :class:`_LightCones`
+how the cones' unitaries are built.  A site whose qubit no gate of the
+previous slot touched, and whose engine descriptor is the very object of
+the previous boundary, keeps its previous matrix deviation: for a gate G
+acting off q, G^dagger sigma_q G = sigma_q exactly.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -39,7 +34,7 @@ it exists for desk-scale validation, not performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -198,48 +193,127 @@ class CrossCheckReport:
         }
 
 
-def _light_cone(groups: list[tuple[GateStep, ...]], qubit: int) -> tuple[int, list[GateStep]]:
-    """Qubit mask of ``qubit``'s past light cone across ``groups``, and its gates in order.
+def _qubits(mask: int) -> tuple[int, ...]:
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
-    The slots are walked latest first: a gate joins the cone when it acts on a
-    qubit already in it, and brings its other qubits in.  A slot's gates act
-    on disjoint qubits, so their order inside the slot does not matter.
+
+class _LightCones:
+    """Past light-cone unitaries of one circuit, for sites asked in boundary order.
+
+    A cluster is a set of qubits joined by the gates so far; the unitary of
+    the gates up to the current boundary is the tensor product of each
+    cluster's own product, kept on the cluster's register with one gate
+    application per gate.
+
+    The cone of site (t, q) is walked back slot by slot.  Its frontier f(s)
+    holds the qubits from which a gate path reaches (t, q) after boundary s:
+    a gate of slot s-1 that meets f(s) joins the cone and adds its qubits to
+    f(s-1), and f(0) is the cone's register.  Once f(s) is q's cluster, the
+    cluster's product serves on the same register and the walk stops.  A
+    cone narrower than its cluster is fixed below boundary s by the key
+    (s, f(s)): ``nodes[s, f]`` holds its register, the product of its gates
+    up to s on that register, and the keys of the nodes below it.  A walk
+    also stops at the first stored key and applies the cone's gates from
+    there up to t.  Each qubit keeps the nodes where its latest walk's
+    frontier changed; its next walk has a frontier that contains the old
+    one at every boundary and first equals it at one of those nodes, so it
+    walks only the slots since the two cones parted.
     """
-    cone, gates = 1 << qubit, []
-    for group in reversed(groups):
-        for step in group:
-            mask = sum(1 << q for q in step.qubits)
-            if cone & mask:
-                cone |= mask
-                gates.append(step)
-    return cone, gates[::-1]
+
+    def __init__(self, circuit: Circuit):
+        self.groups = [[(sum(1 << q for q in step.qubits), step) for step in group] for group in circuit.slot_groups()]
+        self.boundary = 0
+        self.clusters = {q: ((q,), np.eye(2)) for q in range(circuit.n_qubits)}
+        self.nodes: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray, tuple]] = {}
+        self.kept: dict[int, list[tuple[int, int]]] = {}
+
+    def _advance(self, t: int):
+        for group in self.groups[self.boundary : t]:
+            for _, step in group:
+                (register, unitary), *rest = {id(self.clusters[q]): self.clusters[q] for q in step.qubits}.values()
+                for more, other in rest:
+                    register, unitary = register + more, np.kron(other, unitary)
+                if rest:  # sort the register; qubit register[i] is axis k-1-i of the [2]*k view
+                    k = len(register)
+                    axes = [k - 1 - i for i in sorted(range(k), key=register.__getitem__, reverse=True)]
+                    unitary = unitary.reshape([2] * 2 * k).transpose(axes + [k + a for a in axes]).reshape(unitary.shape)
+                    register = tuple(sorted(register))
+                local = {q: i for i, q in enumerate(register)}
+                unitary = _apply_small(_small_matrix(step), tuple(local[q] for q in step.qubits), unitary, len(local))
+                self.clusters.update(dict.fromkeys(register, (register, unitary)))
+        self.boundary = max(self.boundary, t)
+
+    def unitary(self, t: int, qubit: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """Register and W, with U^dagger sigma U = (W^dagger sigma W) x I for sigma on ``qubit``."""
+        self._advance(t)
+        cluster = self.clusters[qubit]
+        whole = sum(1 << q for q in cluster[0])
+        frontier, path = 1 << qubit, []
+        while t and frontier != whole and (t, frontier) not in self.nodes:
+            gates = [(mask, step) for mask, step in self.groups[t - 1] if mask & frontier]
+            path.append((t, frontier, gates))
+            for mask, _ in gates:
+                frontier |= mask
+            t -= 1
+        if frontier == whole:
+            return cluster
+        register, unitary, below = self.nodes.get((t, frontier)) or (_qubits(frontier), np.eye(2 ** frontier.bit_count()), ())
+        local = {q: i for i, q in enumerate(register)}
+        rise = [(t, frontier, [])] + path[::-1]
+        keys = list(below)
+        for i, (s, f, gates) in enumerate(rise):
+            for _, step in gates:
+                unitary = _apply_small(_small_matrix(step), tuple(local[q] for q in step.qubits), unitary, len(local))
+            if i + 1 == len(rise) or rise[i + 1][1] != f:
+                self.nodes[s, f] = register, unitary, tuple(keys)
+                keys.append((s, f))
+        self.kept[qubit] = keys
+        live = {key for kept in self.kept.values() for key in kept}
+        for key in self.nodes.keys() - live:
+            del self.nodes[key]
+        return register, unitary
 
 
-def _compress(mask: int, register: tuple[int, ...]) -> int:
-    """``mask`` read on ``register``: bit i is bit ``register[i]`` of ``mask``."""
-    return sum(1 << i for i, q in enumerate(register) if mask >> q & 1)
+def _on_register(op: PauliSum, register: tuple[int, ...]) -> PauliSum:
+    """``op`` read on ``register``: bit i of each key is bit register[i] of the old key.
 
-
-def _site_matrix_devs(groups: list[tuple[GateStep, ...]], qubit: int, descriptor: Descriptor) -> list[float]:
-    """Matrix deviation of each component of ``qubit``'s ``descriptor`` after ``groups``.
-
-    Both sides are built on the site's register R, the light cone plus the
-    support of the three components, in ascending qubit order: the cone's
-    gates run through :func:`_walk` on the identity of R, and each component
-    is expanded on R.  No walk is shared between sites: two sites with equal
-    R at one boundary can have different cones.
+    A stretch of consecutive qubits is read with one shift, and a register
+    of all the qubits in order leaves ``op`` as it is.
     """
-    cone, gates = _light_cone(groups, qubit)
-    mask = cone | _support_mask(*descriptor.triple)
-    register = tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
-    local = {q: i for i, q in enumerate(register)}
-    steps = tuple(replace(step, qubits=tuple(local[q] for q in step.qubits)) for step in gates)
-    *_, (_, unitary) = _walk(Circuit(len(register), steps), np.eye(2 ** len(register)))
+    if register == tuple(range(op.n_qubits)):
+        return op
+    runs = []  # (shift, width mask, position)
+    for i, q in enumerate(register):
+        if runs and q == runs[-1][0] + runs[-1][1].bit_length():
+            shift, width, position = runs[-1]
+            runs[-1] = shift, width << 1 | 1, position
+        else:
+            runs.append((q, 1, i))
+    terms = {
+        (sum((x >> a & w) << b for a, w, b in runs), sum((z >> a & w) << b for a, w, b in runs)): c
+        for (x, z), c in op._terms.items()
+    }
+    return PauliSum._from_dict(len(register), terms)
+
+
+def _site_matrix_devs(cones: _LightCones, t: int, qubit: int, descriptor: Descriptor) -> list[float]:
+    """Matrix deviation of each component of ``qubit``'s ``descriptor`` at boundary ``t``.
+
+    Both sides are built on the site's register R: the light cone, then the
+    qubits where only the engine's components act, on which W acts as the
+    identity.  Without those qubits a wrong term off the cone would not be
+    compared against the identity there.  (A x I) - (B x I) has the entries
+    of A - B, so the deviation on R is the full register's.
+    """
+    cone, unitary = cones.unitary(t, qubit)
+    extra = _support_mask(*descriptor.triple) & ~sum(1 << q for q in cone)
+    register = cone + _qubits(extra)
+    if extra:
+        unitary = np.kron(np.eye(2 ** extra.bit_count()), unitary)
     devs = []
     for comp, op in zip(COMPONENTS, descriptor.triple):
-        terms = {(_compress(x, register), _compress(z, register)): c for (x, z), c in op._terms.items()}
-        conjugated = _conjugated(unitary, local[qubit], comp.upper())
-        devs.append(float(np.max(np.abs(expand(PauliSum._from_dict(len(register), terms)) - conjugated))))
+        conjugated = _conjugated(unitary, register.index(qubit), comp.upper())
+        devs.append(float(np.max(np.abs(expand(_on_register(op, register)) - conjugated))))
     return devs
 
 
@@ -249,14 +323,11 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     For every slot, qubit, and component this measures the gap between the
     engine's vacuum expectation and the evolved state's expectation, and
     between the dense engine operator and the conjugated bare Pauli.  Both
-    maxima should sit at numerical noise.  The conjugation of a site runs
-    only the gates of its past light cone, on the register of the cone and
-    the support of the engine's components: with the support included, a
-    wrong term on a qubit off the cone is still compared against the
-    identity there, and the gap equals the full register's.  The matrix
-    gap of a site is carried over from the previous boundary when no gate
-    of the previous slot touched its qubit and its engine descriptor is
-    the same object; every expectation gap is computed afresh.
+    maxima should sit at numerical noise.  The matrix gap of a site is
+    taken on its causal register (see :func:`_site_matrix_devs`), and
+    carried over from the previous boundary when no gate of the previous
+    slot touched its qubit and its engine descriptor is the same object;
+    every expectation gap is computed afresh.
     """
     states = evolve_state(circuit)
     if len(states) != len(trace):
@@ -265,6 +336,7 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     if trace[0].n_qubits != n:
         raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
     groups = circuit.slot_groups()
+    cones = _LightCones(circuit)
     mat_devs: dict[int, list[float]] = {}
     max_exp = 0.0
     max_mat = 0.0
@@ -274,7 +346,7 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
         for q in range(n):
             d = state.descriptor(q)
             if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
-                mat_devs[q] = _site_matrix_devs(groups[:t], q, d)
+                mat_devs[q] = _site_matrix_devs(cones, t, q, d)
             for comp, op, mat_dev in zip(COMPONENTS, d.triple, mat_devs[q]):
                 dev = abs(vacuum_expectation(op) - state_expectation(psi, q, comp.upper()))
                 if max(dev, mat_dev) > max(max_exp, max_mat):

@@ -234,6 +234,7 @@ def test_cli_import_leaves_numpy_unloaded():
     code = (
         "import sys, heisensim, heisensim.cli\n"
         "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
+        "assert set(heisensim.__all__) <= set(dir(heisensim)), 'dir() misses exported names'\n"
         "from heisensim import oracle\n"
         "for name in ('cross_check', 'evolve_state', 'expand'):\n"
         "    assert getattr(heisensim, name) is getattr(oracle, name), name\n"

@@ -361,3 +361,37 @@ def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_t
     report = cross_check(trace, fr_circuit)
     assert report.max_matrix_dev == pytest.approx(math.sqrt(2) * 1e-6, abs=1e-12)
     assert report.worst_site == {"slot": 4, "qubit": A, "component": "x"}
+
+
+def _spectator_circuit(n_slots):
+    # qubit 2 joins 0's cluster through qubit 1 after 1's last gate with 0, so
+    # 0's light cone {0, 1, 3} stays narrower than its cluster {0, 1, 2, 3}
+    steps = [hs.cx(0, 1, slot=0), hs.cx(1, 2, slot=1)]
+    for slot in range(2, n_slots):
+        steps.append(hs.cx(0, 3, slot=slot) if slot % 2 else hs.ry(0, 0.1 * slot, slot=slot))
+        steps.append(hs.h(2, slot=slot))
+    return hs.Circuit(4, tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [random_circuit(random.Random(0), 4, 60), _spectator_circuit(40)],
+    ids=["cones-fill-register", "cone-inside-cluster"],
+)
+def test_cross_check_deep_circuit_applies_each_gate_a_few_times(circuit, monkeypatch):
+    # a site's cone is not rebuilt from slot 0: the gate applications, the
+    # state walk's included, stay proportional to the circuit's gate count
+    from heisensim import oracle
+
+    applied = []
+    apply_small = oracle._apply_small
+    monkeypatch.setattr(oracle, "_apply_small", lambda *args: applied.append(1) or apply_small(*args))
+    trace = hs.run_circuit(circuit)
+    report = cross_check(trace, circuit)
+    assert report.max_expectation_dev <= 1e-9 and report.max_matrix_dev <= 1e-9
+    assert len(applied) <= 5 * len(circuit.steps)
+    last = len(trace) - 1
+    for q in range(4):
+        report = cross_check(_with_fault(trace, last, q), circuit)
+        assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-9), q
+        assert report.worst_site == {"slot": last, "qubit": q, "component": "x"}, q
