@@ -30,7 +30,7 @@ from .foliation import (
     tree_to_dot,
 )
 from .lang import CircuitSyntaxError, parse_circuit
-from .pauli import DEFAULT_TOLERANCE
+from .pauli import DEFAULT_TOLERANCE, HermiticityError
 from .presets import PRESETS, get_preset
 
 __all__ = ["main", "build_parser", "render_table"]
@@ -139,8 +139,13 @@ def _write_text(path: str, text: str):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    tol = _tolerance(args.tolerance)
+    try:
+        return _run(args, _tolerance(args.tolerance))
+    except HermiticityError as exc:
+        raise SystemExit(f"the engine's coefficients drifted: {exc}")
 
+
+def _run(args, tol: float) -> int:
     circuit = _load_circuit(args)
     if args.check:  # numpy is loaded only for the dense oracle
         from .oracle import SIZE_CAP, cross_check

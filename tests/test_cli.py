@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 import heisensim
 from heisensim.cli import TOLERANCE_ENV, main, render_table
 from heisensim.oracle import SIZE_CAP
+
+from conftest import random_circuit
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +247,19 @@ def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("mode", [["--report", "table"], ["--check"]], ids=["table", "check"])
+def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
+    # 200 random gates on 3 qubits drift the engine's coefficients past the
+    # Hermiticity guard: the CLI must say so in one line, not a traceback
+    path = tmp_path / "drift.qc"
+    path.write_text(heisensim.serialize_circuit(random_circuit(random.Random(0), 3, 200)), encoding="utf-8")
+    src = str(Path(heisensim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "heisensim.cli", "run", "--circuit", str(path), *mode]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.strip().splitlines()
+    assert line.startswith("the engine's coefficients drifted: imaginary residue ")

@@ -395,3 +395,51 @@ def test_cross_check_deep_circuit_applies_each_gate_a_few_times(circuit, monkeyp
         report = cross_check(_with_fault(trace, last, q), circuit)
         assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-9), q
         assert report.worst_site == {"slot": last, "qubit": q, "component": "x"}, q
+
+
+def _backward_cone(groups, t, qubit):
+    # frontier walk from (t, qubit) back to slot 0: a gate meeting the frontier joins it
+    frontier = 1 << qubit
+    for group in reversed(groups[:t]):
+        frontier |= sum(mask for mask in (sum(1 << q for q in step.qubits) for step in group) if mask & frontier)
+    return frontier
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [random_parallel_circuit(random.Random(seed), 5, 8) for seed in range(4)] + [_spectator_circuit(40)],
+    ids=[f"parallel-{seed}" for seed in range(4)] + ["spectator"],
+)
+def test_cluster_walk_cones_match_backward_frontier_walk(circuit):
+    from heisensim import oracle
+
+    groups = circuit.slot_groups()
+    for t, (group, clusters, cones) in enumerate(oracle._cluster_walk(circuit)):
+        assert group == (groups[t - 1] if t else ())
+        for q in range(circuit.n_qubits):
+            assert cones[q] == _backward_cone(groups, t, q), (t, q)
+            assert cones[q] & ~sum(1 << p for p in clusters[q][0]) == 0, (t, q)
+    assert t == len(groups)
+
+
+def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_trace, monkeypatch):
+    # a check that fell back to whole clusters would pass every value test;
+    # the width of each expanded operator shows the register it was read on
+    from heisensim import oracle
+
+    widths = []
+    expand_op = oracle.expand
+    monkeypatch.setattr(oracle, "expand", lambda op: widths.append(op.n_qubits) or expand_op(op))
+    cross_check(fr_trace, fr_circuit)
+    groups = fr_circuit.slot_groups()
+    expected = []
+    for t, state in enumerate(fr_trace):
+        touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
+        for q, d in enumerate(state.descriptors):
+            if t == 0 or q in touched or d is not fr_trace[t - 1].descriptor(q):
+                support = 0
+                for x, z in (key for op in d.triple for key in op._terms):
+                    support |= x | z
+                expected += [(_backward_cone(groups, t, q) | support).bit_count()] * 3
+    assert widths == expected
+    assert min(widths) == 1 and max(widths) < fr_circuit.n_qubits
