@@ -140,12 +140,14 @@ def _write_text(path: str, text: str):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args, _tolerance(args.tolerance))
+        return _run(args)
     except HermiticityError as exc:
         raise SystemExit(f"the engine's coefficients drifted: {exc}")
 
 
-def _run(args, tol: float) -> int:
+def _run(args) -> int:
+    tol = _tolerance(args.tolerance)
+
     circuit = _load_circuit(args)
     if args.check:  # numpy is loaded only for the dense oracle
         from .oracle import SIZE_CAP, cross_check
