@@ -8,11 +8,12 @@ circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
 P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
-:func:`expand` writes once per term and :func:`_pauli_rows` applies to a
-state or a unitary.  A gate is applied by one ``np.tensordot`` on the [2]*n
-view.  Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix,
-so the accumulated unitary U stays real orthogonal and each conjugation
-U^T (sigma U) is one real product; a Y component is i times a real matrix.
+:func:`expand` writes for all terms at once on any register of qubits and
+:func:`_pauli_rows` applies to a state or a unitary.  A gate is applied by
+one ``np.tensordot`` on the [2]*n view.  Every gate kind (``ry``, ``h``,
+``cx``, ``ch``) has a real matrix, so the accumulated unitary U stays real
+orthogonal and each conjugation U^T (sigma U) is one real product; a Y
+component is i times a real matrix.
 
 One walk, :func:`_walk`, carries a state vector or a unitary across the
 slot boundaries; :func:`evolve_state` and :func:`conjugate_descriptor` read
@@ -42,7 +43,7 @@ from itertools import islice
 import numpy as np
 
 from .engine import COMPONENTS, Circuit, Descriptor, GateStep, Trace
-from .pauli import PauliSum, _support_mask, vacuum_expectation
+from .pauli import _I_POWERS, PauliSum, _support_mask, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -61,9 +62,7 @@ _H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 _CNOT4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
 _CH4 = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]])
 _FIXED_MATRICES = {"h": _H2, "cx": _CNOT4, "ch": _CH4}
-
-# i^k for k = #Y mod 4; real where it can be, so X/Z-only strings stay real.
-_I_POWERS = (1, 1j, -1, -1j)
+_POPCOUNT = np.array([i.bit_count() for i in range(2**SIZE_CAP)])
 
 
 def _check_cap(n_qubits: int, cap: int):
@@ -71,26 +70,26 @@ def _check_cap(n_qubits: int, cap: int):
         raise ValueError(f"dense route capped at {cap} qubits, got {n_qubits}")
 
 
-def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
-    """(-1)^{popcount(row & z)} per row, by XOR-folding the rows at z's bits."""
-    parity = np.zeros_like(rows)
-    bit = 0
-    while z:
-        if z & 1:
-            parity ^= rows >> bit
-        z >>= 1
-        bit += 1
-    return 1 - 2 * (parity & 1)
+def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
+    """Dense matrix of ``a`` with bit i of the basis index on qubit ``register[i]``.
 
-
-def expand(a: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of an operator, one signed permutation per term."""
-    _check_cap(a.n_qubits, SIZE_CAP)
-    dim = 2 ** a.n_qubits
-    cols = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for (x, z), coeff in a._terms.items():
-        out[cols ^ x, cols] += coeff * _I_POWERS[(x & z).bit_count() % 4] * _z_signs(cols, z)
+    The default register is every qubit in order; any other lists distinct
+    qubits, each qubit where ``a`` acts among them.  All terms are read at
+    once, and one ``np.add.at`` scatters their signed rows in dict order.
+    """
+    register = tuple(range(a.n_qubits) if register is None else register)
+    width, mask = len(register), sum(1 << q for q in register)
+    _check_cap(width, SIZE_CAP)
+    if mask.bit_count() != width or _support_mask(a) & ~mask:
+        raise ValueError(f"register {register} repeats a qubit or misses one where the operator acts")
+    keys = np.array(list(a._terms), dtype=object).reshape(len(a), 2, 1)  # masks are ints of any width
+    x, z = ((keys >> np.array(register, dtype=object) & 1).astype(int) @ (1 << np.arange(width))).T
+    cols = np.arange(2**width)
+    signs = 1 - 2 * (_POPCOUNT[cols & z[:, None]] & 1)
+    phases = np.array(_I_POWERS)[_POPCOUNT[x & z] % 4]
+    coeffs = np.fromiter(a._terms.values(), dtype=complex, count=len(a)) * phases
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    np.add.at(out, (cols ^ x[:, None], cols), coeffs[:, None] * signs)
     return out
 
 
@@ -149,7 +148,7 @@ def _pauli_rows(array: np.ndarray, qubit: int, letter: str) -> tuple[complex, np
     """
     x, z = int(letter in "XY") << qubit, int(letter in "YZ") << qubit
     rows = np.arange(array.shape[0]) ^ x
-    signs = _z_signs(rows, z).reshape((-1,) + (1,) * (array.ndim - 1))
+    signs = (1 - 2 * (rows & z != 0)).reshape((-1,) + (1,) * (array.ndim - 1))
     return _I_POWERS[(x & z).bit_count()], signs * array[rows]
 
 
@@ -175,7 +174,11 @@ def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.
 
 
 def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
-    """<psi| sigma_letter(qubit) |psi> for a single-qubit Pauli."""
+    """<psi| sigma_letter(qubit) |psi> for a single-qubit Pauli letter X, Y or Z."""
+    if letter not in ("X", "Y", "Z"):
+        raise ValueError(f"Pauli letter must be X, Y or Z, got {letter!r}")
+    if not 0 <= qubit < len(psi).bit_length() - 1:
+        raise IndexError(f"qubit {qubit} is outside a state of {len(psi)} amplitudes")
     phase, rows = _pauli_rows(psi, qubit, letter)
     return float(np.vdot(psi, phase * rows).real)
 
@@ -221,25 +224,6 @@ def _cluster_walk(circuit: Circuit):
         yield group, clusters, cones
 
 
-def _on_register(op: PauliSum, register: tuple[int, ...]) -> PauliSum:
-    """``op`` read on ``register``: bit i of each key is bit register[i] of the old key.
-
-    A stretch of consecutive qubits is read with one shift.
-    """
-    runs = []  # (shift, width mask, position)
-    for i, q in enumerate(register):
-        if runs and q == runs[-1][0] + runs[-1][1].bit_length():
-            shift, width, position = runs[-1]
-            runs[-1] = shift, width << 1 | 1, position
-        else:
-            runs.append((q, 1, i))
-    terms = {
-        (sum((x >> a & w) << b for a, w, b in runs), sum((z >> a & w) << b for a, w, b in runs)): c
-        for (x, z), c in op._terms.items()
-    }
-    return PauliSum._from_dict(len(register), terms)
-
-
 def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descriptor) -> list[float]:
     """Matrix deviation of each component of ``qubit``'s ``descriptor``, given its cluster and cone.
 
@@ -249,8 +233,9 @@ def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descrip
     R within K and I on the rest of K.  X is therefore S^T sigma_q S, where
     the slab S holds the columns of V whose basis states are 0 on K off R.
     Qubits of R outside K get I x X, so a wrong term off the cone is still
-    compared against the identity there.  (A x I) - (B x I) has the entries
-    of A - B, so the deviation on R is the full register's.
+    compared against the identity there; :func:`expand` reads the engine
+    operator on the same register.  (A x I) - (B x I) has the entries of
+    A - B, so the deviation on R is the full register's.
     """
     register, unitary = cluster
     support = _support_mask(*descriptor.triple)
@@ -263,7 +248,7 @@ def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descrip
         conjugated = _conjugated(slab, register.index(qubit), comp.upper())
         if outside:
             conjugated = np.kron(np.eye(2 ** len(outside)), conjugated)
-        devs.append(float(np.max(np.abs(expand(_on_register(op, on)) - conjugated))))
+        devs.append(float(np.max(np.abs(expand(op, on) - conjugated))))
     return devs
 
 

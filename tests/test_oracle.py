@@ -83,6 +83,31 @@ def test_expand_matches_kron_chain_with_y_letters():
 def test_expand_size_cap():
     with pytest.raises(ValueError):
         expand(PauliSum.identity(13))
+    with pytest.raises(ValueError):
+        expand(PauliSum.identity(20), tuple(range(13)))
+
+
+@pytest.mark.parametrize("register", [None, (3, 0, 2, 1), (5, 1, 3, 0, 2)])
+def test_expand_sums_terms_in_dict_order_bit_for_bit(register):
+    # np.add.at documents no order for repeated indices.  The 16 terms of each
+    # x mask hit the same entries, so only a sum in dict order gives these bits
+    on = register or range(4)
+    strings = [
+        ((x, z), complex(math.sqrt(2 + 3 * z + x), math.pi / (1 + z + 5 * x))) for x in (5, 11) for z in range(16)
+    ]
+    a = PauliSum(max(on) + 1, strings)
+    reference = np.zeros((2 ** len(on),) * 2, dtype=complex)
+    for (x, z), coeff in a._terms.items():
+        letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in on]
+        reference += coeff * kron_chain(*(LETTER_MATRICES[letter] for letter in letters))
+    assert np.array_equal(expand(a, register), reference)
+
+
+@pytest.mark.parametrize("register", [(0, 1, 1, 2), (2, 0), (0, 1, 3)])
+def test_expand_rejects_register_that_repeats_or_misses_a_qubit(register):
+    a = PauliSum(3, [term(0.5, {0: "X", 2: "Z"}), term(1.0, {1: "Y"})])
+    with pytest.raises(ValueError, match="register"):
+        expand(a, register)
 
 
 # -- gate unitaries ------------------------------------------------------------
@@ -194,6 +219,17 @@ def test_state_expectation_matches_kron_reference_on_complex_states():
                     sigma = kron_chain(*(LETTER_MATRICES[letter if k == q else "I"] for k in range(n)))
                     reference = np.vdot(psi, sigma @ psi).real
                     assert state_expectation(psi, q, letter) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "qubit, letter, error",
+    [(0, "Q", ValueError), (0, "x", ValueError), (0, "", ValueError), (0, "XY", ValueError), (0, "I", ValueError),
+     (1, "Z", IndexError), (3, "Z", IndexError), (-1, "X", IndexError)],
+)
+def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error):
+    psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1]
+    with pytest.raises(error):
+        state_expectation(psi, qubit, letter)
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -429,7 +465,12 @@ def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_
 
     widths = []
     expand_op = oracle.expand
-    monkeypatch.setattr(oracle, "expand", lambda op: widths.append(op.n_qubits) or expand_op(op))
+
+    def expand_recording_width(op, register=None):
+        widths.append(len(register))
+        return expand_op(op, register)
+
+    monkeypatch.setattr(oracle, "expand", expand_recording_width)
     cross_check(fr_trace, fr_circuit)
     groups = fr_circuit.slot_groups()
     expected = []
