@@ -279,12 +279,13 @@ def init_network(n_qubits: int) -> NetworkState:
     """Fresh network: qubit k carries (X_k, Y_k, Z_k) at time 0."""
     if n_qubits < 1:
         raise ValueError("network needs at least one qubit")
+    # each component is one canonical term, so it skips the validating constructor
     descriptors = tuple(
         Descriptor(
             qubit=q,
-            x=PauliSum.single(n_qubits, q, "X"),
-            y=PauliSum.single(n_qubits, q, "Y"),
-            z=PauliSum.single(n_qubits, q, "Z"),
+            x=PauliSum._from_dict(n_qubits, {(1 << q, 0): 1 + 0j}),
+            y=PauliSum._from_dict(n_qubits, {(1 << q, 1 << q): 1 + 0j}),
+            z=PauliSum._from_dict(n_qubits, {(0, 1 << q): 1 + 0j}),
         )
         for q in range(n_qubits)
     )

@@ -149,7 +149,7 @@ def _pauli_rows(array: np.ndarray, qubit: int, letter: str) -> tuple[complex, np
     x, z = int(letter in "XY") << qubit, int(letter in "YZ") << qubit
     rows = np.arange(array.shape[0]) ^ x
     signs = (1 - 2 * (rows & z != 0)).reshape((-1,) + (1,) * (array.ndim - 1))
-    return _I_POWERS[(x & z).bit_count()], signs * array[rows]
+    return (1j if x & z else 1), signs * array[rows]  # an int phase keeps a real A real
 
 
 def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:

@@ -6,9 +6,17 @@ string's bit masks (x, z) to its coefficient: bit q of x is set for X or Y
 on qubit q, bit q of z for Z or Y, so the string is i^{#Y} X^x Z^z with
 #Y = popcount(x & z) (Aaronson & Gottesman, quant-ph/0406196).  Python
 integers have no width, so any register size works the same way.
-:func:`_mul_into` is the one product rule; :func:`pair_expectation`
-specialises it to the term pairs with equal x masks, the only pairs whose
-product has an expectation in the all-zeros state.
+
+:func:`_mul_into` is the product rule.  A product of at least
+:data:`_CROSSOVER` term pairs on at most 31 qubits runs instead in the
+numpy kernel :func:`_vector_product`, which is imported only then.  The
+kernel's contract is bit identity with the loop: the same terms in the same
+dict order, with the same bits in every coefficient, signed zeros included.
+It takes the pairs in the loop's order, forms each complex product as
+CPython does, one ufunc per step, and sums each key in pair order.
+:func:`pair_expectation` specialises the loop to the term pairs with equal
+x masks, the only pairs whose product has an expectation in the all-zeros
+state.
 
 An operator is built from ``((x, z), coeff)`` terms, or from
 :meth:`PauliSum.single` and :meth:`PauliSum.identity` and the algebra:
@@ -25,6 +33,7 @@ functions, so they are safe to evaluate concurrently.
 """
 from __future__ import annotations
 
+from itertools import chain
 from math import fsum
 from typing import Iterable
 
@@ -51,7 +60,16 @@ _BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = ("I", "X", "Z", "Y")
 
 # i^k for k mod 4; the phases are exact, so products stay bit-reproducible.
-_I_POWERS = (1, 1j, -1, -1j)
+# All complex: since Python 3.14 complex * int follows C99 Annex G and can
+# differ from complex * complex in the sign of a zero.
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+#: Products with at least this many term pairs, on at most 31 qubits, go to
+#: :func:`_vector_product`; smaller ones cost less in the :func:`_mul_into` loop.
+_CROSSOVER = 500
+
+# Term pairs per chunk of the vector product, to bound its memory.
+_CHUNK = 1 << 16
 
 Key = tuple[int, int]
 
@@ -76,6 +94,85 @@ def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -
         k = y1 + (x2 & z2).bit_count() - (x & z).bit_count() + 2 * (z1 & x2).bit_count()
         key = (x, z)
         terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
+
+
+def _popcount(v):
+    """Set bits of each entry of an int64 array of values below 2**32."""
+    v = v - (v >> 1 & 0x55555555)
+    v = (v & 0x33333333) + (v >> 2 & 0x33333333)
+    v = v + (v >> 4) & 0x0F0F0F0F
+    return v * 0x01010101 >> 24 & 0xFF
+
+
+def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int) -> dict[Key, complex]:
+    """The canonical terms of ``left @ right`` on ``n <= 31`` qubits, as numpy array operations.
+
+    The result equals the :func:`_mul_into` loop bit for bit, dict order
+    included.  Each key ``x << n | z`` is one int64, so the product key of a
+    pair is the XOR of its factors' keys.  Pairs are taken in the loop's
+    order, left terms outer, a chunk of left rows at a time.  Every complex
+    product is written component-wise as CPython computes it, one ufunc per
+    step, so nothing can fuse into an FMA.  Each key is summed in pair order
+    from 0.0, by a ``bincount`` whose weights start with the running totals
+    (never ``-0.0``, so adding them to 0.0 is exact).  Keys are numbered in
+    order of first occurrence, and the drop test is Python's ``abs``.
+    """
+    import numpy as np
+
+    if not (left and right):
+        return {}
+
+    def arrays(terms):
+        masks = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=2 * len(terms))
+        keys = masks[::2] << n | masks[1::2]
+        coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+        return keys, coeffs.real, coeffs.imag, _popcount(keys >> n & keys)
+
+    mask = (1 << n) - 1
+    k1, re1, im1, y1 = arrays(left)
+    k2, re2, im2, y2 = arrays(right)
+    x2 = k2 >> n
+    phases = np.array(_I_POWERS)
+    known = slots = np.empty(0, dtype=np.int64)  # keys met so far, sorted, and the slot of each
+    total_re = total_im = np.empty(0)  # running sums by slot; slots count keys in order of first occurrence
+    rows = max(1, _CHUNK // len(right))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan silently, as in Python
+        for i in range(0, len(left), rows):
+            part = slice(i, i + rows)
+            keys = (k1[part, None] ^ k2).ravel()
+            k = (y1[part, None] + y2 + 2 * _popcount(k1[part, None] & mask & x2)).ravel()
+            k = (k - _popcount(keys >> n & keys)) & 3
+            re_a, im_a = re1[part, None], im1[part, None]
+            re = (re_a * re2 - im_a * im2).ravel()
+            im = (re_a * im2 + im_a * re2).ravel()
+            p_re, p_im = phases.real[k], phases.imag[k]
+            re, im = re * p_re - im * p_im, re * p_im + im * p_re
+            # group the keys met so far (sorted) and this chunk's; each key keeps its slot, and new
+            # keys take the next slots in order of first occurrence.  The sort need not be stable:
+            # a key's first occurrence is the least index in its group.
+            m = len(known)
+            every = np.concatenate((known, keys))
+            order = np.argsort(every)
+            every = every[order]
+            starts = np.empty(len(every), dtype=bool)
+            starts[0] = True
+            np.not_equal(every[1:], every[:-1], out=starts[1:])
+            group = np.cumsum(starts) - 1
+            starts = np.flatnonzero(starts)
+            first = np.minimum.reduceat(order, starts)
+            known, slots_before, slots = every[starts], slots, np.empty(len(starts), dtype=np.int64)
+            slots[np.argsort(first)] = np.concatenate((slots_before, np.arange(m, len(known))))
+            at = np.empty(len(order), dtype=np.int64)
+            at[order] = slots[group]
+            # the running totals lead the weights, so each slot adds this chunk's terms to its total
+            total_re = np.bincount(at, weights=np.concatenate((total_re[slots_before], re)))
+            total_im = np.bincount(at, weights=np.concatenate((total_im[slots_before], im)))
+    out = np.empty(len(known), dtype=np.int64)
+    out[slots] = known
+    coeffs = np.empty(len(known), dtype=complex)
+    coeffs.real, coeffs.imag = total_re, total_im
+    keys = zip((out >> n).tolist(), (out & mask).tolist())
+    return {key: c for key, c in zip(keys, coeffs.tolist()) if abs(c) >= DROP_TOLERANCE}
 
 
 def _support_mask(*ops: "PauliSum") -> int:
@@ -131,10 +228,10 @@ class PauliSum:
 
     @classmethod
     def _from_dict(cls, n_qubits: int, terms: dict[Key, complex]) -> "PauliSum":
-        """Internal fast path: keys already valid, just drop tiny coefficients."""
+        """Internal fast path: ``terms`` already canonical, valid keys and no coefficient to drop."""
         self = object.__new__(cls)
         self.n_qubits = n_qubits
-        self._terms = {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE}
+        self._terms = terms
         self._order = None
         return self
 
@@ -198,22 +295,28 @@ class PauliSum:
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)
-        terms = dict(self._terms)
+        terms = dict(self._terms)  # canonical already: only the keys of other need the drop test
         for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0j) + c
+            c = terms.get(key, 0j) + c
+            if abs(c) >= DROP_TOLERANCE:
+                terms[key] = c
+            else:
+                terms.pop(key, None)
         return PauliSum._from_dict(self.n_qubits, terms)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
+        # abs(-c) == abs(c), so nothing new falls below the drop tolerance
         return PauliSum._from_dict(self.n_qubits, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar: complex) -> "PauliSum":
         if isinstance(scalar, PauliSum):
             raise TypeError("use @ for operator products, * for scalars")
         return PauliSum._from_dict(
-            self.n_qubits, {k: c * scalar for k, c in self._terms.items()}
+            self.n_qubits,
+            {k: p for k, c in self._terms.items() if abs(p := c * scalar) >= DROP_TOLERANCE},
         )
 
     __rmul__ = __mul__
@@ -223,11 +326,13 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)
+        if len(self) * len(other) >= _CROSSOVER and self.n_qubits <= 31:  # x << n | z fits in an int64
+            return PauliSum._from_dict(self.n_qubits, _vector_product(self._terms, other._terms, self.n_qubits))
         terms: dict[Key, complex] = {}
         right = other._terms.items()
         for (x1, z1), c1 in self._terms.items():
             _mul_into(terms, x1, z1, c1, right)
-        return PauliSum._from_dict(self.n_qubits, terms)
+        return PauliSum._from_dict(self.n_qubits, {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE})
 
     # -- serialisation -----------------------------------------------------
 

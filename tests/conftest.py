@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heisensim as hs
-from heisensim import oracle
+from heisensim import oracle, pauli
 from heisensim.pauli import DEFAULT_TOLERANCE
 
 R, A, S, B, U_R, U_A, W_S, W_B = range(8)
@@ -51,6 +51,12 @@ def gate_unitary(step, n_qubits):
     oracle's tensor-axis mapping."""
     *_, (_, u) = oracle._walk(hs.Circuit(n_qubits, (step,)), np.eye(2 ** n_qubits, dtype=complex))
     return u
+
+
+@pytest.fixture
+def every_product_vectorised(monkeypatch):
+    """Every Pauli product on at most 31 qubits runs in the numpy kernel, however few its term pairs."""
+    monkeypatch.setattr(pauli, "_CROSSOVER", 0)
 
 
 @pytest.fixture(scope="session")

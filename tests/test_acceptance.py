@@ -282,6 +282,12 @@ def test_golden_tree(fr_circuit, fr_trace, fr_watch):
     assert dot == (GOLDEN / "fr_tree.dot").read_text()
 
 
+def test_golden_outputs_with_every_product_vectorised(fr_circuit, fr_watch, every_product_vectorised):
+    # every fr product is below the crossover, so only here do its products run in the kernel
+    outputs = _current_outputs(fr_circuit, hs.run_circuit(fr_circuit), fr_watch)
+    assert outputs == tuple((GOLDEN / name).read_text() for name in ("fr_report.txt", "fr_trace.json", "fr_tree.dot"))
+
+
 # -- 8: public names ------------------------------------------------------------------
 
 

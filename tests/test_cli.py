@@ -50,6 +50,14 @@ def test_check_passes_on_preset(capsys):
     assert "max expectation deviation" in out
 
 
+def test_check_output_same_with_every_product_vectorised(capsys, monkeypatch):
+    from heisensim import pauli
+
+    expected = run_cli(capsys, "run", "--preset", "fr", "--check")
+    monkeypatch.setattr(pauli, "_CROSSOVER", 0)
+    assert run_cli(capsys, "run", "--preset", "fr", "--check") == expected
+
+
 def test_tree_dot_for_empty_circuit(tmp_path, capsys):
     source = tmp_path / "empty.qc"
     source.write_text("qubits 2\n")
@@ -232,6 +240,12 @@ def test_render_table_alignment():
     assert row.startswith("(0,1)")
 
 
+def _src_env():
+    """The environment with this checkout's heisensim first on PYTHONPATH, for subprocesses."""
+    src = str(Path(heisensim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # only --check needs the dense oracle; the package resolves its names on first use
     code = (
@@ -243,10 +257,21 @@ def test_cli_import_leaves_numpy_unloaded():
         "    assert getattr(heisensim, name) is getattr(oracle, name), name\n"
         "assert not hasattr(heisensim, 'conjugate_descriptor')\n"
     )
-    src = str(Path(heisensim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fr_run_leaves_numpy_unloaded():
+    # every fr product is far below the vector product's crossover
+    code = (
+        "import sys\n"
+        "from heisensim.cli import main\n"
+        "assert main(['run', '--preset', 'fr', '--report', 'table']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'run --preset fr loaded numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden" / "fr_report.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", [["--report", "table"], ["--check"]], ids=["table", "check"])
@@ -255,10 +280,8 @@ def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
     # Hermiticity guard: the CLI must say so in one line, not a traceback
     path = tmp_path / "drift.qc"
     path.write_text(heisensim.serialize_circuit(random_circuit(random.Random(0), 3, 200)), encoding="utf-8")
-    src = str(Path(heisensim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = [sys.executable, "-m", "heisensim.cli", "run", "--circuit", str(path), *mode]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.strip().splitlines()

@@ -432,11 +432,13 @@ def test_trace_json_shape(fr_circuit, fr_trace):
 
 
 # SHA-256 of json.dumps(trace_json_doc(...)) for random_circuit(Random(seed),
-# n, 40); the operators reach 1620 and 800 terms per component, beyond the
-# few-term operators the fr goldens cover.
+# n, 40), computed with the pure-Python product loop; the operators reach
+# 1620, 800 and 3601 terms per component, beyond the few-term operators the
+# fr goldens cover, and seed 2 on 8 qubits multiplies 2037 by 2432 terms.
 LARGE_TRACE_DIGESTS = [
     (4, 8, "24eee2d07d029e8f066ccf377f4723dd00b9d5317b4c63cf28592a7e66240843"),
     (2, 12, "5e105bfb19445c9352c1ff60c1097e7bf2b4338595fdd22b1c34b275b7c9dee1"),
+    (2, 8, "4f345fe348478af78fc0302b0cf93e024473519797b4bdbef2293e5990ede3db"),
 ]
 
 
@@ -445,3 +447,8 @@ def test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest):
     circuit = random_circuit(random.Random(seed), n_qubits, 40)
     text = json.dumps(trace_json_doc(circuit, hs.run_circuit(circuit)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed,n_qubits,digest", LARGE_TRACE_DIGESTS)
+def test_trace_json_bytes_pinned_with_every_product_vectorised(seed, n_qubits, digest, every_product_vectorised):
+    test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest)

@@ -408,16 +408,21 @@ FOLD_DIGESTS = {
     "random-5": "0252891f3e3eeac224474c181b8c792d4348684026f62631b5233902ba2e625f",
     "random-6": "fbf0fb2a452798904ee92ca13947c3625fdb9231490721e6625a8c3e30aaf5f7",
 }
+PINNED_FOLDS = [
+    pytest.param(*case.values, FOLD_DIGESTS[case.id], id=case.id) for case in _carry_over_cases() if case.id in FOLD_DIGESTS
+]
 
 
-@pytest.mark.parametrize(
-    "circuit, watch, digest",
-    [pytest.param(*case.values, FOLD_DIGESTS[case.id], id=case.id) for case in _carry_over_cases() if case.id in FOLD_DIGESTS],
-)
+@pytest.mark.parametrize("circuit, watch, digest", PINNED_FOLDS)
 def test_timeline_reports_pinned(circuit, watch, digest):
     _, reports = foliation_timeline(hs.run_circuit(circuit), watch)
     text = "\n".join(repr(report) for slot_reports in reports for report in slot_reports.values())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("circuit, watch, digest", PINNED_FOLDS)
+def test_timeline_reports_pinned_with_every_product_vectorised(circuit, watch, digest, every_product_vectorised):
+    test_timeline_reports_pinned(circuit, watch, digest)
 
 
 @pytest.mark.parametrize("circuit", [hs.preset_fr(), random_circuit(random.Random(0), 8, 40)], ids=["fr", "random-0"])

@@ -1,6 +1,7 @@
 """Operator algebra unit tests, with dense 2x2/2^n matrices as the oracle."""
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
+from heisensim import pauli
 from heisensim.oracle import expand
 from heisensim.pauli import (
     DEFAULT_TOLERANCE,
@@ -15,6 +17,7 @@ from heisensim.pauli import (
     DimensionMismatch,
     HermiticityError,
     PauliSum,
+    _mul_into,
     pair_expectation,
     vacuum_expectation,
 )
@@ -133,6 +136,74 @@ def sum_pairs_with_y(draw):
 def test_sum_product_matches_dense_product(pair):
     a, b = pair
     assert np.allclose(expand(a @ b), expand(a) @ expand(b), rtol=0, atol=1e-12)
+
+
+# -- the vector product: the loop's result, bit for bit ------------------------
+
+
+def _loop_terms(a, b):
+    """``(key, re.hex(), im.hex())`` per term of ``a @ b`` computed by the loop alone."""
+    terms = {}
+    for (x1, z1), c1 in a._terms.items():
+        _mul_into(terms, x1, z1, c1, b._terms.items())
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in terms.items() if abs(c) >= DROP_TOLERANCE]
+
+
+@st.composite
+def product_operands(draw):
+    """Operands on up to 32 qubits whose keys span a few XOR generators, so products merge and cancel."""
+    n = draw(st.sampled_from((1, 4, 31, 32)))
+    masks = st.integers(0, 2**n - 1) | st.sampled_from((1 << n - 1, 1 << min(n, 31) - 1))
+    pool = {(0, 0)}
+    for gx, gz in draw(st.lists(st.tuples(masks, masks), min_size=2, max_size=3)):
+        pool |= {(x ^ gx, z ^ gz) for x, z in pool}
+    pool = sorted(pool)
+    # signed zeros, exact cancellations, sums inside the drop band and
+    # subnormal products; values of about one binade round in every sum, so
+    # the order of the sums shows.  No overflow: its nan differs by interpreter
+    plain = st.floats(0.25, 4) | st.floats(-4, -0.25)
+    real = plain | st.sampled_from((1.0, -1.0, 1e-13, 1e-160, 1e150))
+    imag = plain | st.sampled_from((0.0, -0.0, 1.0, -1.0))
+
+    def one():
+        keys = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), max_size=len(pool), unique=True))
+        terms = {key: complex(draw(real), draw(imag)) for key in keys}
+        return PauliSum._from_dict(n, {key: c for key, c in terms.items() if abs(c) >= DROP_TOLERANCE})
+
+    return one(), one()
+
+
+def _kernel_product(a, b, rows=None):
+    """``a @ b`` with the kernel taking every product, ``rows`` left terms per chunk if given."""
+    chunk = rows * len(b) if rows else pauli._CHUNK
+    with mock.patch.object(pauli, "_CROSSOVER", 0), mock.patch.object(pauli, "_CHUNK", chunk):
+        return a @ b
+
+
+def _bits(op):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in op._terms.items()]
+
+
+@given(product_operands(), st.integers(1, 3) | st.none())
+@settings(max_examples=300)
+def test_vector_product_equals_loop_bit_for_bit(pair, rows):
+    # 32 qubits do not fit x << n | z in an int64 and stay in the loop
+    a, b = pair
+    with mock.patch.object(pauli, "_vector_product", wraps=pauli._vector_product) as kernel:
+        product = _kernel_product(a, b, rows)
+    assert kernel.called == (a.n_qubits <= 31)
+    assert _bits(product) == _loop_terms(a, b)
+
+
+@pytest.mark.parametrize("rows", [1, 5, None])
+def test_vector_product_equals_loop_on_descriptors(rows):
+    # engine operands of up to a few hundred terms, whose products merge hard
+    final = hs.run_circuit(random_circuit(random.Random(5), 8, 40))[-1]
+    components = [final.descriptor(q).component(c) for q in range(8) for c in "xyz"]
+    big = sorted(components, key=len)[-6:]
+    for a in big:
+        for b in big:
+            assert _bits(_kernel_product(a, b, rows)) == _loop_terms(a, b)
 
 
 # -- sums --------------------------------------------------------------------
