@@ -15,18 +15,20 @@ one ``np.tensordot`` on the [2]*n view.  Every gate kind (``ry``, ``h``,
 orthogonal and each conjugation U^T (sigma U) is one real product; a Y
 component is i times a real matrix.
 
-One walk, :func:`_walk`, carries a state vector or a unitary across the
-slot boundaries; :func:`evolve_state` and :func:`conjugate_descriptor` read
-their boundaries off it.  :func:`cross_check` zips the state walk with the
-trace and with :func:`_cluster_walk`, which keeps each cluster's product on
-the cluster's own register and each qubit's past light cone as a mask.  A
-descriptor changes only through the gates of its past light cone (Deutsch
-& Hayden, quant-ph/9906007), so each site is conjugated on its cone plus
-the engine operator's support, read off its cluster's product by the slab
-rule of :func:`_site_matrix_devs`.  A site whose qubit no gate of the
-previous slot touched, and whose engine descriptor is the very object of
-the previous boundary, keeps its previous matrix deviation: for a gate G
-acting off q, G^dagger sigma_q G = sigma_q exactly.
+One walk, :func:`_walk`, applies every gate.  It carries blocks of qubits
+across the slot boundaries, each block's product on its own register, each
+gate applied once, and each qubit's past light cone as a mask.
+:func:`evolve_state` and :func:`conjugate_descriptor` walk one block that
+holds every qubit, a state vector or the identity.  :func:`cross_check`
+zips the state walk with the trace and with a walk that starts from one
+identity block per qubit, so its blocks are the clusters the gates have
+joined.  A descriptor changes only through the gates of its past light
+cone (Deutsch & Hayden, quant-ph/9906007), so each site is conjugated on
+its cone plus the engine operator's support, read off its cluster's
+product by the slab rule of :func:`_site_matrix_devs`.  A site whose qubit
+no gate of the previous slot touched, and whose engine descriptor is the
+very object of the previous boundary, keeps its previous matrix deviation:
+for a gate G acting off q, G^dagger sigma_q G = sigma_q exactly.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -74,14 +76,17 @@ def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
     """Dense matrix of ``a`` with bit i of the basis index on qubit ``register[i]``.
 
     The default register is every qubit in order; any other lists distinct
-    qubits, each qubit where ``a`` acts among them.  All terms are read at
-    once, and one ``np.add.at`` scatters their signed rows in dict order.
+    qubits of ``a``, each qubit where ``a`` acts among them.  All terms are
+    read at once, and one ``np.add.at`` scatters their signed rows in dict
+    order.
     """
     register = tuple(range(a.n_qubits) if register is None else register)
-    width, mask = len(register), sum(1 << q for q in register)
+    width, mask = len(register), sum(1 << q for q in register if 0 <= q < a.n_qubits)
     _check_cap(width, SIZE_CAP)
     if mask.bit_count() != width or _support_mask(a) & ~mask:
-        raise ValueError(f"register {register} repeats a qubit or misses one where the operator acts")
+        raise ValueError(
+            f"register {register} repeats a qubit, names one outside the operator or misses one where it acts"
+        )
     keys = np.array(list(a._terms), dtype=object).reshape(len(a), 2, 1)  # masks are ints of any width
     x, z = ((keys >> np.array(register, dtype=object) & 1).astype(int) @ (1 << np.arange(width))).T
     cols = np.arange(2**width)
@@ -113,17 +118,29 @@ def _apply_small(small: np.ndarray, qubits: tuple[int, ...], array: np.ndarray, 
     return np.moveaxis(out, list(range(k)), axes).reshape(array.shape)
 
 
-def _walk(circuit: Circuit, array: np.ndarray):
-    """Yield (gates ending at t, array at t) for every boundary t = 0..max_slot+1.
+def _walk(circuit: Circuit, blocks: dict[int, tuple[tuple[int, ...], np.ndarray]]):
+    """Yield (gates ending at t, blocks, cones) for every boundary t = 0..max_slot+1.
 
-    ``array`` is a state (2**n,) or a stack of columns (2**n, m); each slot's
-    gates are applied in list order.  An empty slot yields the same object again.
+    ``blocks[q]`` is (register, A) for the block that holds qubit q, with bit
+    i of A's basis index on qubit register[i]; A is a state (2**k,) or a stack
+    of columns (2**k, m).  Each slot's gates are applied in list order, each
+    once, to the block of its qubits; a gate whose qubits sit in several
+    blocks first joins them with ``np.kron``.  ``cones[q]`` is q's past light
+    cone as a mask: a gate sets the cone of each of its qubits to the union of
+    their cones.  Both dicts are updated in place and yielded again.
     """
-    yield (), array
+    cones = {q: 1 << q for q in range(circuit.n_qubits)}
+    yield (), blocks, cones
     for group in circuit.slot_groups():
         for step in group:
-            array = _apply_small(_small_matrix(step), step.qubits, array, circuit.n_qubits)
-        yield group, array
+            (register, array), *rest = {id(blocks[q]): blocks[q] for q in step.qubits}.values()
+            for more, other in rest:
+                register, array = register + more, np.kron(other, array)
+            local = {q: i for i, q in enumerate(register)}
+            array = _apply_small(_small_matrix(step), tuple(local[q] for q in step.qubits), array, len(local))
+            blocks.update(dict.fromkeys(register, (register, array)))
+            cones.update(dict.fromkeys(step.qubits, reduce(int.__or__, (cones[q] for q in step.qubits))))
+        yield group, blocks, cones
 
 
 def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
@@ -131,8 +148,9 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     _check_cap(circuit.n_qubits, cap)
     psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
     psi[0] = 1.0
-    states = []
-    for _, psi in _walk(circuit, psi):
+    states, register = [], tuple(range(circuit.n_qubits))
+    for _, blocks, _ in _walk(circuit, dict.fromkeys(register, (register, psi))):
+        psi = blocks[0][1]
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"state norm drifted to {norm}")
@@ -168,8 +186,9 @@ def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.
     _check_cap(circuit.n_qubits, SIZE_CAP)
     if not 0 <= upto_slot <= circuit.max_slot + 1:
         raise IndexError(f"boundary {upto_slot} out of range (0..{circuit.max_slot + 1})")
-    n = circuit.n_qubits
-    _, total = next(islice(_walk(circuit, np.eye(2 ** n)), upto_slot, None))
+    n, register = circuit.n_qubits, tuple(range(circuit.n_qubits))
+    _, blocks, _ = next(islice(_walk(circuit, dict.fromkeys(register, (register, np.eye(2 ** n)))), upto_slot, None))
+    total = blocks[0][1]
     return [{comp: _conjugated(total, q, comp.upper()).astype(complex) for comp in COMPONENTS} for q in range(n)]
 
 
@@ -196,32 +215,6 @@ class CrossCheckReport:
             "max_matrix_dev": self.max_matrix_dev,
             "worst_site": dict(self.worst_site),
         }
-
-
-def _cluster_walk(circuit: Circuit):
-    """Yield (gates ending at t, clusters, cones) for every boundary t = 0..max_slot+1.
-
-    A cluster is a set of qubits joined by the gates so far.  ``clusters[q]``
-    is (register, V) for q's cluster, with bit i of V's basis index on qubit
-    register[i]: V is the product of the cluster's gates, each applied once,
-    and the unitary up to t is the tensor product of the clusters' products.
-    ``cones[q]`` is q's past light cone as a mask: a gate sets the cone of
-    each of its qubits to the union of their cones.  Both dicts are updated
-    in place and yielded again.
-    """
-    clusters = {q: ((q,), np.eye(2)) for q in range(circuit.n_qubits)}
-    cones = {q: 1 << q for q in range(circuit.n_qubits)}
-    yield (), clusters, cones
-    for group in circuit.slot_groups():
-        for step in group:
-            (register, unitary), *rest = {id(clusters[q]): clusters[q] for q in step.qubits}.values()
-            for more, other in rest:
-                register, unitary = register + more, np.kron(other, unitary)
-            local = {q: i for i, q in enumerate(register)}
-            unitary = _apply_small(_small_matrix(step), tuple(local[q] for q in step.qubits), unitary, len(local))
-            clusters.update(dict.fromkeys(register, (register, unitary)))
-            cones.update(dict.fromkeys(step.qubits, reduce(int.__or__, (cones[q] for q in step.qubits))))
-        yield group, clusters, cones
 
 
 def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descriptor) -> list[float]:
@@ -274,12 +267,13 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
-    for t, (state, psi, (group, clusters, cones)) in enumerate(zip(trace, states, _cluster_walk(circuit))):
+    walk = _walk(circuit, {q: ((q,), np.eye(2)) for q in range(n)})  # one block per qubit, joined by gates
+    for t, (state, psi, (group, blocks, cones)) in enumerate(zip(trace, states, walk)):
         touched = {q for step in group for q in step.qubits}
         for q in range(n):
             d = state.descriptor(q)
             if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
-                mat_devs[q] = _site_matrix_devs(clusters[q], cones[q], q, d)
+                mat_devs[q] = _site_matrix_devs(blocks[q], cones[q], q, d)
             for comp, op, mat_dev in zip(COMPONENTS, d.triple, mat_devs[q]):
                 dev = abs(vacuum_expectation(op) - state_expectation(psi, q, comp.upper()))
                 if max(dev, mat_dev) > max(max_exp, max_mat):

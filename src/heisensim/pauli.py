@@ -133,8 +133,8 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
     k2, re2, im2, y2 = arrays(right)
     x2 = k2 >> n
     phases = np.array(_I_POWERS)
-    known = slots = np.empty(0, dtype=np.int64)  # keys met so far, sorted, and the slot of each
-    total_re = total_im = np.empty(0)  # running sums by slot; slots count keys in order of first occurrence
+    known = np.empty(0, dtype=np.int64)  # keys met so far, numbered in order of first occurrence
+    total_re = total_im = np.empty(0)  # running sums by key number
     rows = max(1, _CHUNK // len(right))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan silently, as in Python
         for i in range(0, len(left), rows):
@@ -147,10 +147,9 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
             im = (re_a * im2 + im_a * re2).ravel()
             p_re, p_im = phases.real[k], phases.imag[k]
             re, im = re * p_re - im * p_im, re * p_im + im * p_re
-            # group the keys met so far (sorted) and this chunk's; each key keeps its slot, and new
-            # keys take the next slots in order of first occurrence.  The sort need not be stable:
-            # a key's first occurrence is the least index in its group.
-            m = len(known)
+            # group the keys met so far and this chunk's.  The known keys lead, so each keeps its
+            # number, and new keys take the next numbers in order of first occurrence.  The sort need
+            # not be stable: a key's first occurrence is the least index in its group.
             every = np.concatenate((known, keys))
             order = np.argsort(every)
             every = every[order]
@@ -159,19 +158,17 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
             np.not_equal(every[1:], every[:-1], out=starts[1:])
             group = np.cumsum(starts) - 1
             starts = np.flatnonzero(starts)
-            first = np.minimum.reduceat(order, starts)
-            known, slots_before, slots = every[starts], slots, np.empty(len(starts), dtype=np.int64)
-            slots[np.argsort(first)] = np.concatenate((slots_before, np.arange(m, len(known))))
+            by_first = np.argsort(np.minimum.reduceat(order, starts))
+            known, numbers = every[starts[by_first]], np.empty(len(starts), dtype=np.int64)
+            numbers[by_first] = np.arange(len(starts))
             at = np.empty(len(order), dtype=np.int64)
-            at[order] = slots[group]
-            # the running totals lead the weights, so each slot adds this chunk's terms to its total
-            total_re = np.bincount(at, weights=np.concatenate((total_re[slots_before], re)))
-            total_im = np.bincount(at, weights=np.concatenate((total_im[slots_before], im)))
-    out = np.empty(len(known), dtype=np.int64)
-    out[slots] = known
+            at[order] = numbers[group]
+            # the running totals lead the weights, so each key adds this chunk's terms to its total
+            total_re = np.bincount(at, weights=np.concatenate((total_re, re)))
+            total_im = np.bincount(at, weights=np.concatenate((total_im, im)))
     coeffs = np.empty(len(known), dtype=complex)
     coeffs.real, coeffs.imag = total_re, total_im
-    keys = zip((out >> n).tolist(), (out & mask).tolist())
+    keys = zip((known >> n).tolist(), (known & mask).tolist())
     return {key: c for key, c in zip(keys, coeffs.tolist()) if abs(c) >= DROP_TOLERANCE}
 
 
@@ -246,6 +243,8 @@ class PauliSum:
         """A single-letter operator, e.g. ``single(4, 2, "Z")`` for Z on qubit 2."""
         if letter not in _BITS:
             raise ValueError(f"not a Pauli letter: {letter!r}")
+        if qubit < 0:
+            raise DimensionMismatch(f"string on qubit {qubit} does not fit in {n_qubits} qubits")
         xb, zb = _BITS[letter]
         return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])
 

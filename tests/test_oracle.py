@@ -1,5 +1,6 @@
 """Dense-route tests: expansions, unitaries, state evolution, cross-checks."""
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -108,6 +109,12 @@ def test_expand_rejects_register_that_repeats_or_misses_a_qubit(register):
     a = PauliSum(3, [term(0.5, {0: "X", 2: "Z"}), term(1.0, {1: "Y"})])
     with pytest.raises(ValueError, match="register"):
         expand(a, register)
+
+
+@pytest.mark.parametrize("register", [(0, 7), (0, -1), (2, 0)], ids=["past-end", "negative", "past-end-first"])
+def test_expand_rejects_register_qubit_outside_operator(register):
+    with pytest.raises(ValueError, match="register .* names one outside the operator"):
+        expand(PauliSum.single(2, 0, "X"), register)
 
 
 # -- gate unitaries ------------------------------------------------------------
@@ -441,21 +448,94 @@ def _backward_cone(groups, t, qubit):
     return frontier
 
 
-@pytest.mark.parametrize(
+def _assert_walk_cones_match_backward_frontier_walk(circuit, blocks):
+    from heisensim import oracle
+
+    groups = circuit.slot_groups()
+    for t, (group, blocks, cones) in enumerate(oracle._walk(circuit, blocks)):
+        assert group == (groups[t - 1] if t else ())
+        for q in range(circuit.n_qubits):
+            assert cones[q] == _backward_cone(groups, t, q), (t, q)
+            assert cones[q] & ~sum(1 << p for p in blocks[q][0]) == 0, (t, q)
+    assert t == len(groups)
+
+
+_CONE_CIRCUITS = pytest.mark.parametrize(
     "circuit",
     [random_parallel_circuit(random.Random(seed), 5, 8) for seed in range(4)] + [_spectator_circuit(40)],
     ids=[f"parallel-{seed}" for seed in range(4)] + ["spectator"],
 )
+
+
+@_CONE_CIRCUITS
 def test_cluster_walk_cones_match_backward_frontier_walk(circuit):
+    # the cross-check's walk: one identity block per qubit, joined by the gates
+    blocks = {q: ((q,), np.eye(2)) for q in range(circuit.n_qubits)}
+    _assert_walk_cones_match_backward_frontier_walk(circuit, blocks)
+
+
+@_CONE_CIRCUITS
+def test_whole_register_walk_cones_match_backward_frontier_walk(circuit):
+    # the state and unitary walks: one block holds every qubit from the start
+    register = tuple(range(circuit.n_qubits))
+    blocks = dict.fromkeys(register, (register, np.eye(2 ** circuit.n_qubits)))
+    _assert_walk_cones_match_backward_frontier_walk(circuit, blocks)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [hs.preset_fr(), random_circuit(random.Random(0), 4, 60), random_parallel_circuit(random.Random(1), 5, 8)],
+    ids=["fr", "random", "parallel"],
+)
+def test_cross_check_applies_each_gate_twice(circuit, monkeypatch):
+    # once in the state walk and once in the cluster walk, never again
     from heisensim import oracle
 
-    groups = circuit.slot_groups()
-    for t, (group, clusters, cones) in enumerate(oracle._cluster_walk(circuit)):
-        assert group == (groups[t - 1] if t else ())
-        for q in range(circuit.n_qubits):
-            assert cones[q] == _backward_cone(groups, t, q), (t, q)
-            assert cones[q] & ~sum(1 << p for p in clusters[q][0]) == 0, (t, q)
-    assert t == len(groups)
+    applied = []
+    apply_small = oracle._apply_small
+    monkeypatch.setattr(oracle, "_apply_small", lambda *args: applied.append(1) or apply_small(*args))
+    cross_check(hs.run_circuit(circuit), circuit)
+    assert len(applied) == 2 * len(circuit.steps)
+
+
+def _dense_route_circuits():
+    yield "fr", hs.preset_fr()
+    for seed in range(6):
+        yield f"random-{seed}", random_circuit(random.Random(seed), 6, 25)
+    for seed in range(4):
+        yield f"parallel-{seed}", random_parallel_circuit(random.Random(seed), 5, 8)
+
+
+# SHA-256 over the raw bytes of every evolve_state state, every
+# conjugate_descriptor matrix at every boundary (qubit order, then x, y, z)
+# and the repr of the cross_check report, computed before the state walk,
+# the unitary walk and the cluster walk became one generator.
+DENSE_ROUTE_DIGESTS = {
+    "fr": "4b432f4b8ff52397e0d379d286812bdb662d794a5d20a45b4a2af542f48bb7ae",
+    "random-0": "c1bf524ed3e00b0c1455496ed3268b014b1e4dbac8e7d077d67da7fc3b84b645",
+    "random-1": "1fa9334caaba4b3542ce67a51641d2552d7fc52aa7008ff12a77e854e6e600a8",
+    "random-2": "30e8ae3c6afc192c112b987762b6cdaaa6a128c6571d8f601659b28342a8ca7f",
+    "random-3": "a7a250934582caf961136995d6aa85eacb7c441eba0cdfc3c930e290484e517b",
+    "random-4": "0d64b41f43f7ffaeb7a57a05046f1c2fc83c5f3568730217e8f4a8f288a0c0ec",
+    "random-5": "492397957309911a2b098d1105a4014b4b5f685d39efebd4a6f5191791efc606",
+    "parallel-0": "b38c800e13f72c8fe06d79c269cdf4f25cb161a48340b69d0339a3b4b055592a",
+    "parallel-1": "845d623857a3f0946733404dcaf058e3e78e2b5b7c6470b82b612ebf87566ed0",
+    "parallel-2": "ae74b0335e026c3ed51f5d8907889b70b272d6ef92f9838d2fb9f429f727df35",
+    "parallel-3": "ef111c93d5cdc804efd915de2a727cbb22701917c16e1dc1c1a001729755de8d",
+}
+
+
+@pytest.mark.parametrize("name, circuit", [pytest.param(*case, id=case[0]) for case in _dense_route_circuits()])
+def test_dense_route_bytes_pinned(name, circuit):
+    digest = hashlib.sha256()
+    for psi in evolve_state(circuit):
+        digest.update(psi.tobytes())
+    for t in range(circuit.max_slot + 2):
+        for triple in conjugate_descriptor(circuit, t):
+            for comp in "xyz":
+                digest.update(triple[comp].tobytes())
+    digest.update(repr(cross_check(hs.run_circuit(circuit), circuit)).encode())
+    assert digest.hexdigest() == DENSE_ROUTE_DIGESTS[name]
 
 
 def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_trace, monkeypatch):

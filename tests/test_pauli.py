@@ -56,6 +56,12 @@ def test_letter_mul_rejects_garbage():
             PauliSum.single(2, 0, letter)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2, 5])
+def test_single_rejects_qubit_outside_register(qubit):
+    with pytest.raises(DimensionMismatch, match=f"qubit {qubit} does not fit in 2 qubits"):
+        PauliSum.single(2, qubit, "X")
+
+
 # -- strings: products of one-term operators ---------------------------------
 
 
