@@ -66,6 +66,13 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _DEFAULT_LABEL = re.compile(r"q(0|[1-9][0-9]*)")
 
 
+def _integer(value) -> int:
+    """``value`` as an int: numpy integers pass, bools do not."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return operator.index(value)
+
+
 def _is_ascii_number(token: str) -> bool:
     """The one number format of circuit files and ``--watch``: ASCII digits only."""
     return token.isascii() and token.isdigit()
@@ -96,8 +103,8 @@ class GateStep:
 
     def __post_init__(self):
         try:  # numpy integers pass and are stored as int
-            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
-            object.__setattr__(self, "slot", operator.index(self.slot))
+            object.__setattr__(self, "qubits", tuple(map(_integer, self.qubits)))
+            object.__setattr__(self, "slot", _integer(self.slot))
         except TypeError:
             raise TypeError(f"qubits and slot must be integers, got {self.qubits!r} and {self.slot!r}") from None
         if self.kind not in _GATES:
@@ -169,7 +176,7 @@ def check_label(labels: dict[int, str], qubit: int, name: str, n_qubits: int) ->
     place; numpy integer keys pass and are stored as int.
     """
     try:
-        qubit = operator.index(qubit)
+        qubit = _integer(qubit)
     except TypeError:
         raise TypeError(f"label keys must be integer qubit indices, got {qubit!r}") from None
     if not 0 <= qubit < n_qubits:
@@ -199,7 +206,7 @@ class Circuit:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+            object.__setattr__(self, "n_qubits", _integer(self.n_qubits))
         except TypeError:
             raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}") from None
         object.__setattr__(self, "steps", tuple(self.steps))

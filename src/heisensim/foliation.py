@@ -143,27 +143,28 @@ def sharp_foliation(
     ``<P_+1[q_Cz]>`` and ``<P_-1[q_Cz]>``.  The witness is the first of the
     nine component pairs, in (x, y, z) x (x, y, z) order, that violates
     factorisation; when all nine factorise it records the (z, z) values
-    with ``entangled=False``.
+    with ``entangled=False``.  An expectation whose imaginary part reaches
+    ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`.
     """
     if control == target:
         raise ValueError("foliation test needs two distinct qubits")
     dc, dt = state.descriptor(control), state.descriptor(target)
     ops_c, ops_t = dc.triple, dt.triple
-    # each mean is read once; the z means serve the verdict too, so tol guards them as well
-    guards = (DEFAULT_TOLERANCE, DEFAULT_TOLERANCE, min(tol, DEFAULT_TOLERANCE))
-    means_c = [vacuum_expectation(op, guard) for op, guard in zip(ops_c, guards)]
-    means_t = [vacuum_expectation(op, guard) for op, guard in zip(ops_t, guards)]
+    # each mean and pair is read once, under one Hermiticity guard whichever pair ends the scan
+    guard = min(tol, DEFAULT_TOLERANCE)
+    means_c = [vacuum_expectation(op, guard) for op in ops_c]
+    means_t = [vacuum_expectation(op, guard) for op in ops_t]
     # the scan: the first component pair violating factorisation is the witness
     pairs = _cartesian(zip(COMPONENTS, ops_c, means_c), zip(COMPONENTS, ops_t, means_t))
     for (i, a, mean_a), (j, b, mean_b) in pairs:
-        joint = pair_expectation(a, b)
+        joint = pair_expectation(a, b, guard)
         product = mean_a * mean_b
         violated = abs(joint - product) > tol
         if violated:
             break
     witness = EntanglementWitness((control, target), (i, j), joint, product, violated)
     # a scan that got as far as (z, z) has already read <q_Cz q_Tz>
-    zz = joint if i == j == "z" else pair_expectation(dc.z, dt.z, tol)
+    zz = joint if i == j == "z" else pair_expectation(dc.z, dt.z, guard)
     z_mean_c, z_mean_t = means_c[-1], means_t[-1]
 
     # correlation: the (z, z) factorisation violation, or a record -- one
@@ -222,13 +223,13 @@ def conditional_expectation(
     """Branch expectation <q_T P_sign>/<P_sign> of one target component.
 
     Raises :class:`ZeroWeightBranch` when the branch weight <P_sign> is at
-    most ``tol``.
+    most ``tol``, and :class:`HermiticityError` as :func:`sharp_foliation` does.
     """
-    p = projector(state, control, sign)
-    weight = vacuum_expectation(p, tol)
+    p, guard = projector(state, control, sign), min(tol, DEFAULT_TOLERANCE)
+    weight = vacuum_expectation(p, guard)
     if weight <= tol:
         raise ZeroWeightBranch(f"branch {sign:+d} of qubit {control} has weight {weight:g}")
-    return pair_expectation(state.descriptor(target).component(component), p, tol) / weight
+    return pair_expectation(state.descriptor(target).component(component), p, guard) / weight
 
 
 # ---------------------------------------------------------------------------

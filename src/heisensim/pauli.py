@@ -33,6 +33,7 @@ functions, so they are safe to evaluate concurrently.
 """
 from __future__ import annotations
 
+from cmath import isfinite
 from itertools import chain
 from math import fsum
 from typing import Iterable
@@ -147,22 +148,14 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
             im = (re_a * im2 + im_a * re2).ravel()
             p_re, p_im = phases.real[k], phases.imag[k]
             re, im = re * p_re - im * p_im, re * p_im + im * p_re
-            # group the keys met so far and this chunk's.  The known keys lead, so each keeps its
-            # number, and new keys take the next numbers in order of first occurrence.  The sort need
-            # not be stable: a key's first occurrence is the least index in its group.
+            # number the keys met so far and this chunk's by first occurrence.  The known keys lead, so
+            # each keeps its number; a key's first occurrence is the least index of its np.unique group
             every = np.concatenate((known, keys))
-            order = np.argsort(every)
-            every = every[order]
-            starts = np.empty(len(every), dtype=bool)
-            starts[0] = True
-            np.not_equal(every[1:], every[:-1], out=starts[1:])
-            group = np.cumsum(starts) - 1
-            starts = np.flatnonzero(starts)
-            by_first = np.argsort(np.minimum.reduceat(order, starts))
-            known, numbers = every[starts[by_first]], np.empty(len(starts), dtype=np.int64)
-            numbers[by_first] = np.arange(len(starts))
-            at = np.empty(len(order), dtype=np.int64)
-            at[order] = numbers[group]
+            unique, inverse = np.unique(every, return_inverse=True)
+            first = np.full(len(unique), len(every))
+            np.minimum.at(first, inverse, np.arange(len(every)))
+            by_first = np.argsort(first)
+            known, at = unique[by_first], np.argsort(by_first)[inverse]
             # the running totals lead the weights, so each key adds this chunk's terms to its total
             total_re = np.bincount(at, weights=np.concatenate((total_re, re)))
             total_im = np.bincount(at, weights=np.concatenate((total_im, im)))
@@ -213,7 +206,9 @@ class PauliSum:
                 raise DimensionMismatch(
                     f"string on qubit {(x | z).bit_length() - 1} does not fit in {n_qubits} qubits"
                 )
-            buckets.setdefault((x, z), []).append(complex(coeff))
+            if not isfinite(coeff := complex(coeff)):
+                raise ValueError(f"coefficient {coeff!r} of key {(x, z)} is not finite")
+            buckets.setdefault((x, z), []).append(coeff)
         merged: dict[Key, complex] = {}
         for key, coeffs in buckets.items():
             c = complex(fsum(v.real for v in coeffs), fsum(v.imag for v in coeffs))
@@ -313,6 +308,8 @@ class PauliSum:
     def __mul__(self, scalar: complex) -> "PauliSum":
         if isinstance(scalar, PauliSum):
             raise TypeError("use @ for operator products, * for scalars")
+        if not isfinite(scalar):
+            raise ValueError(f"scalar {scalar!r} is not finite")
         return PauliSum._from_dict(
             self.n_qubits,
             {k: p for k, c in self._terms.items() if abs(p := c * scalar) >= DROP_TOLERANCE},
@@ -321,7 +318,7 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "PauliSum":
-        return self * (1 / scalar)
+        return self * (1 / scalar if isfinite(scalar) else scalar)  # 1 / inf would pass as 0
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)

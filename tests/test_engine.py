@@ -6,18 +6,21 @@ import random
 import re
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import heisensim as hs
-from heisensim import oracle
+from heisensim import oracle, pauli
 from heisensim.engine import GATE_KINDS, trace_json_doc
 from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
 from heisensim.pauli import PauliSum, vacuum_expectation
 
-from conftest import A, B, R, S, allclose, commutes, random_circuit, term
+from conftest import A, B, R, S, allclose, commutes, random_circuit, random_parallel_circuit, term
 
 PHI = hs.FR_ANGLE
 C = math.cos(PHI)  # -1/3
@@ -339,12 +342,18 @@ def test_circuit_rejects_unaddressable_label(name):
         (lambda: hs.cx(0, "1"), "qubits and slot must be integers, got (0, '1') and 0"),
         (lambda: hs.h(0, slot=1.5), "qubits and slot must be integers, got (0,) and 1.5"),
         (lambda: hs.Circuit(2.5, ()), "n_qubits must be an integer, got 2.5"),
+        (lambda: hs.cx(True, False), "qubits and slot must be integers, got (True, False) and 0"),
+        (lambda: hs.h(0, slot=True), "qubits and slot must be integers, got (0,) and True"),
+        (lambda: hs.Circuit(True), "n_qubits must be an integer, got True"),
         (lambda: hs.ry(0, True), "ry angle must be a real number, got True"),
         (lambda: hs.ry(0, np.True_), f"ry angle must be a real number, got {np.True_!r}"),
         (lambda: hs.ry(0, "0.5"), "ry angle must be a real number, got '0.5'"),
         (lambda: hs.ry(0, 0.5 + 0j), "ry angle must be a real number, got (0.5+0j)"),
     ],
-    ids=["float-qubit", "str-qubit", "float-slot", "float-n-qubits", "bool-angle", "numpy-bool-angle", "str-angle", "complex-angle"],
+    ids=[
+        "float-qubit", "str-qubit", "float-slot", "float-n-qubits", "bool-qubit", "bool-slot", "bool-n-qubits",
+        "bool-angle", "numpy-bool-angle", "str-angle", "complex-angle",
+    ],
 )
 def test_non_integer_fields_rejected_at_construction(build, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -359,7 +368,7 @@ def test_numpy_integer_fields_stored_as_int():
     assert len(hs.run_circuit(circuit)) == 4
 
 
-@pytest.mark.parametrize("key", [0.5, "0"])
+@pytest.mark.parametrize("key", [0.5, "0", True])
 def test_circuit_rejects_non_integer_label_key(key):
     with pytest.raises(TypeError, match=f"^label keys must be integer qubit indices, got {re.escape(repr(key))}$"):
         hs.Circuit(2, (hs.cx(0, 1),), {key: "a", 1: "b"})
@@ -452,3 +461,32 @@ def test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest):
 @pytest.mark.parametrize("seed,n_qubits,digest", LARGE_TRACE_DIGESTS)
 def test_trace_json_bytes_pinned_with_every_product_vectorised(seed, n_qubits, digest, every_product_vectorised):
     test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest)
+
+
+@st.composite
+def parallel_circuits(draw):
+    """``random_parallel_circuit`` on 2-6 qubits and at most 30 slots.
+
+    At most 60 qubit-slots, so the operators stay a few hundred terms: a
+    6-qubit circuit of 27 slots grows them past 2000, and both routes with
+    their oracle checks then take about 40 s of CPU on a 2-vCPU Xeon.
+    Deeper circuits drift (ROADMAP item 12).
+    """
+    n_qubits = draw(st.integers(2, 6))
+    n_slots = draw(st.integers(1, min(30, 60 // n_qubits)))
+    return random_parallel_circuit(draw(st.randoms(use_true_random=False)), n_qubits, n_slots)
+
+
+# No shrink phase: each shrink step reruns both routes and the oracle, and a
+# kernel that summed keys out of pair order took 22 minutes to shrink.
+@given(parallel_circuits())
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_loop_and_kernel_traces_agree_byte_for_byte_and_with_the_oracle(circuit):
+    texts = []
+    for crossover in (math.inf, 0):  # every product in the loop, then every product in the kernel
+        with mock.patch.object(pauli, "_CROSSOVER", crossover):
+            trace = hs.run_circuit(circuit)
+        texts.append(json.dumps(trace_json_doc(circuit, trace)))
+        report = hs.cross_check(trace, circuit)
+        assert report.max_expectation_dev <= 1e-9 and report.max_matrix_dev <= 1e-9
+    assert texts[0] == texts[1]

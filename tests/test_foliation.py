@@ -188,6 +188,45 @@ def test_sharp_foliation_guards_z_means_at_both_tolerances(residue, tol, raises)
             assert hs.sharp_foliation(bad, 0, 1, tol).verdict == SHARP
 
 
+def _skewed_pair_state(x_qubit, residue):
+    """Control (X0, Y0, Z0 + i*residue*X2), target (X_{x_qubit}, Y1, Z1 + X2) and a bare qubit 2.
+
+    Only <q_Cz q_Tz> = 1 + i*residue carries an imaginary part.  With the
+    target's x on qubit 1 the scan factorises up to (z, z), which reads it; on
+    qubit 0 the (x, x) witness ends the scan first, and the verdict reads it.
+    """
+    def op(letter, q, coeff=1.0):
+        return PauliSum.single(3, q, letter, coeff)
+
+    control = hs.Descriptor(0, op("X", 0), op("Y", 0), op("Z", 0) + op("X", 2, residue * 1j))
+    target = hs.Descriptor(1, op("X", x_qubit), op("Y", 1), op("Z", 1) + op("X", 2))
+    return hs.NetworkState(0, (control, target, hs.init_network(3).descriptor(2)))
+
+
+@pytest.mark.parametrize("residue, tol, raises", [(1e-11, 1e-12, True), (1e-6, 1e-3, True), (1e-10, 1e-3, False)])
+@pytest.mark.parametrize("x_qubit", [0, 1], ids=["xx-witness", "scan-reaches-zz"])
+def test_sharp_foliation_guard_does_not_depend_on_the_scan_route(x_qubit, residue, tol, raises):
+    # every mean and pair is read under min(tol, DEFAULT_TOLERANCE), whichever
+    # component pair ends the scan
+    state = _skewed_pair_state(x_qubit, residue)
+    if raises:
+        with pytest.raises(HermiticityError):
+            hs.sharp_foliation(state, 0, 1, tol)
+    else:
+        report = hs.sharp_foliation(state, 0, 1, tol)
+        assert report.verdict == NON_SHARP  # the two z components meet on qubit 2
+        assert report.zz_product == 1.0
+        assert report.witness.entangled == (x_qubit == 0)
+
+
+@pytest.mark.parametrize("residue, tol", [(1e-11, 1e-12), (1e-6, 1e-3)])
+def test_conditional_expectation_guard_is_the_verdicts(residue, tol):
+    # <(Z1 + X2) P_+> = 1 + i*residue/2, read under min(tol, DEFAULT_TOLERANCE)
+    with pytest.raises(HermiticityError):
+        hs.conditional_expectation(_skewed_pair_state(1, residue), 1, "z", 0, +1, tol)
+    assert hs.conditional_expectation(_skewed_pair_state(1, 1e-10), 1, "z", 0, +1, 1e-3) == 1.0
+
+
 # -- relative descriptors ---------------------------------------------------------
 
 

@@ -229,12 +229,19 @@ def test_state_expectation_matches_kron_reference_on_complex_states():
 
 
 @pytest.mark.parametrize(
-    "qubit, letter, error",
-    [(0, "Q", ValueError), (0, "x", ValueError), (0, "", ValueError), (0, "XY", ValueError), (0, "I", ValueError),
-     (1, "Z", IndexError), (3, "Z", IndexError), (-1, "X", IndexError)],
+    "qubit, letter, error, size",
+    [
+        pytest.param(qubit, letter, error, 2, id=f"{qubit}-{letter}-{error.__name__}")
+        for qubit, letter, error in [
+            (0, "Q", ValueError), (0, "x", ValueError), (0, "", ValueError), (0, "XY", ValueError),
+            (0, "I", ValueError), (1, "Z", IndexError), (3, "Z", IndexError), (-1, "X", IndexError),
+        ]
+    ]
+    # a state whose length is no power of two >= 2 holds no register of qubits
+    + [pytest.param(0, "Z", ValueError, size, id=f"{size}-amplitudes") for size in (6, 12, 3, 1)],
 )
-def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error):
-    psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1]
+def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error, size):
+    psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1] if size == 2 else np.full(size, size ** -0.5)
     with pytest.raises(error):
         state_expectation(psi, qubit, letter)
 

@@ -375,6 +375,24 @@ def test_rejects_negative_mask():
             PauliSum(3, [(key, 1.0)])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)])
+def test_rejects_non_finite_coefficient_or_scalar(value):
+    # NaN fails the drop test: unchecked, it would vanish into the zero operator
+    x0 = PauliSum.single(2, 0, "X")
+    builds = [
+        lambda: PauliSum(2, [((1, 0), value)]),
+        lambda: PauliSum(2, [((1, 0), 1.0), ((1, 0), value)]),
+        lambda: PauliSum.single(2, 0, "X", coeff=value),
+        lambda: PauliSum.identity(2, value),
+        lambda: x0 * value,
+        lambda: value * x0,
+        lambda: x0 / value,
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="not finite"):
+            build()
+
+
 # -- vacuum expectation ------------------------------------------------------
 
 
