@@ -111,6 +111,8 @@ def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
         if pair in pairs or pair[::-1] in pairs:
             raise SystemExit(f"watch pair {chunk!r} is given twice")
         pairs.append(pair)
+    if not pairs:
+        raise SystemExit(f"--watch {spec!r} names no pair (expected 'C,T;...')")
     return tuple(pairs)
 
 
@@ -154,12 +156,8 @@ def _run(args) -> int:
 
         if circuit.n_qubits > SIZE_CAP:
             raise SystemExit(f"--check: dense oracle capped at {SIZE_CAP} qubits, circuit has {circuit.n_qubits}")
+    watch = default_watch_pairs(circuit) if args.watch is None else _resolve_watch(args.watch, circuit)
     trace = run_circuit(circuit)
-    watch = (
-        _resolve_watch(args.watch, circuit)
-        if args.watch
-        else default_watch_pairs(circuit)
-    )
 
     # one fold feeds both the table and the tree
     timeline = foliation_timeline(trace, watch, tol) if args.report == "table" or args.tree else None

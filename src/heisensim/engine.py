@@ -339,35 +339,27 @@ _GATES = {
 GATE_KINDS = tuple(_GATES)
 
 
-def _apply_step(descriptors: tuple[Descriptor, ...], step: GateStep) -> tuple[Descriptor, ...]:
-    args = [descriptors[q] for q in step.qubits]
-    if step.angle is not None:
-        args.append(step.angle)
-    out = list(descriptors)
-    for q, d in zip(step.qubits, _GATES[step.kind][3](*args)):
-        out[q] = d
-    return tuple(out)
-
-
 def run_circuit(circuit: Circuit) -> Trace:
     """Evolve the network slot by slot; one state per slot boundary.
 
-    ``trace[0]`` is the fresh network and ``trace[t]`` holds the
-    descriptors after every gate in slots 0..t-1, so a circuit whose last
-    gate sits in slot k yields k + 2 states.  Deterministic: within a slot
-    gates act on disjoint qubits, so list order cannot matter.
+    ``trace[0]`` is the fresh network and ``trace[t]`` holds the descriptors
+    after every gate in slots 0..t-1, so a last gate in slot k yields k + 2
+    states.  A slot's gates act on disjoint qubits, so in any order they write
+    into one copy of the previous descriptors, from which one state is built.
     """
-    state = init_network(circuit.n_qubits)
-    trace = [state]
+    trace = [init_network(circuit.n_qubits)]
     for slot, group in enumerate(circuit.slot_groups()):
-        descriptors = state.descriptors
+        descriptors = list(trace[-1].descriptors)
         for step in group:
             try:
-                descriptors = _apply_step(descriptors, step)
+                args = [descriptors[q] for q in step.qubits]
+                if step.angle is not None:
+                    args.append(step.angle)
+                for q, d in zip(step.qubits, _GATES[step.kind][3](*args)):
+                    descriptors[q] = d
             except Exception as exc:
                 raise SlotError(slot, exc) from exc
-        state = NetworkState(slot + 1, descriptors)
-        trace.append(state)
+        trace.append(NetworkState(slot + 1, tuple(descriptors)))
     return trace
 
 

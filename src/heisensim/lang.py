@@ -20,8 +20,8 @@
   qubits) but may not go backwards.  Counts, indices and slots are
   written in ASCII digits only.
 * Angle expressions allow numbers, ``pi``, arithmetic (+ - * / **), and
-  ``sqrt``, ``arcsin``, ``arccos``, ``arctan``, ``sin``, ``cos``, ``tan``;
-  the value must be finite.
+  ``sqrt``, ``arcsin``, ``arccos``, ``arctan`` (or ``asin``, ``acos``,
+  ``atan``), ``sin``, ``cos``, ``tan``; the value must be finite.
 
 The parser checks only the syntax.  Each gate line becomes a
 :class:`~heisensim.engine.GateStep` and each gate and label line goes

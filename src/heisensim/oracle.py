@@ -196,6 +196,8 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
     """<psi| sigma_letter(qubit) |psi> for a single-qubit Pauli letter X, Y or Z."""
     if letter not in ("X", "Y", "Z"):
         raise ValueError(f"Pauli letter must be X, Y or Z, got {letter!r}")
+    if np.ndim(psi) != 1:
+        raise ValueError(f"a state is one vector of amplitudes, got an array of shape {np.shape(psi)}")
     if len(psi) < 2 or len(psi) & (len(psi) - 1):
         raise ValueError(f"a state of {len(psi)} amplitudes is no register of qubits: the length must be 2**n, n >= 1")
     if not 0 <= qubit < len(psi).bit_length() - 1:

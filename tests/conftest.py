@@ -91,6 +91,25 @@ def fr_timeline(fr_trace, fr_watch):
     return hs.foliation_timeline(fr_trace, fr_watch)
 
 
+def chain(k: int) -> hs.Circuit:
+    """The fr protocol on k labs of two qubits each, recorded by 2k outside agents.
+
+    Lab i holds qubits (2i, 2i+1): 2i is the system, 2i+1 its memory.  Lab 0
+    prepares qubit 0 with ``ry(FR_ANGLE)`` and measures it (slots 0 and 1);
+    lab i >= 1 receives its system from the previous memory through a
+    controlled-Hadamard and measures it (slots 2i and 2i+1).  Then every lab
+    takes a Bell-basis measurement (slots 2k and 2k+1), and qubit j's outcome
+    is recorded into agent 2k+j (slot 2k+2).  ``chain(2)`` is the fr preset.
+    """
+    steps = [hs.ry(0, hs.FR_ANGLE, slot=0), hs.cx(0, 1, slot=1)]
+    for i in range(1, k):
+        steps += [hs.ch(2 * i - 1, 2 * i, slot=2 * i), hs.cx(2 * i, 2 * i + 1, slot=2 * i + 1)]
+    steps += [hs.cx(2 * i, 2 * i + 1, slot=2 * k) for i in range(k)]
+    steps += [hs.h(2 * i, slot=2 * k + 1) for i in range(k)]
+    steps += [hs.cx(j, 2 * k + j, slot=2 * k + 2) for j in range(2 * k)]
+    return hs.Circuit(4 * k, tuple(steps))
+
+
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int) -> hs.Circuit:
     """One gate per slot, kinds weighted to keep term growth moderate."""
     steps = []

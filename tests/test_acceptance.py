@@ -27,10 +27,10 @@ import pytest
 import heisensim as hs
 from heisensim.cli import render_table
 from heisensim.engine import trace_json_doc
-from heisensim.foliation import NON_SHARP, ZeroWeightBranch, tree_to_dot
+from heisensim.foliation import NON_SHARP, SHARP, ZeroWeightBranch, tree_to_dot
 from heisensim.pauli import PauliSum, vacuum_expectation
 
-from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, gate_unitary, random_circuit
+from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, chain, gate_unitary, random_circuit
 from conftest import allclose, canonical_terms, commutes
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -288,7 +288,59 @@ def test_golden_outputs_with_every_product_vectorised(fr_circuit, fr_watch, ever
     assert outputs == tuple((GOLDEN / name).read_text() for name in ("fr_report.txt", "fr_trace.json", "fr_tree.dot"))
 
 
-# -- 8: public names ------------------------------------------------------------------
+# -- 8: the protocol on k labs ---------------------------------------------------------
+
+
+def test_chain_of_two_labs_is_the_fr_preset():
+    assert chain(2).steps == hs.get_preset("fr").steps
+
+
+@pytest.fixture(scope="module", params=range(1, 9), ids=lambda k: f"k{k}")
+def chain_trace(request):
+    return request.param, hs.run_circuit(chain(request.param))
+
+
+def test_chain_memory_weights(chain_trace):
+    # Memory 1 reads R's +1 branch, of weight cos^2(FR_ANGLE / 2) = 1/3.  Lab i's
+    # system is |0> on the previous memory's +1 branch and |+> on its -1 branch,
+    # so w_i = w_(i-1) + (1 - w_(i-1))/2 and 1 - w_i = (2/3) 2^-i, after the labs
+    k, trace = chain_trace
+    for i in range(k):
+        weight = vacuum_expectation(hs.projector(trace[2 * k], 2 * i + 1, +1))
+        assert abs(weight - (1 - 2 / 3 * 2.0 ** -i)) <= 1e-12
+
+
+def test_chain_records_end_sharp(chain_trace):
+    # the Bell stage's cx returns each memory to |0>, which its record copies
+    k, trace = chain_trace
+    for i in range(k):
+        report = hs.sharp_foliation(trace[-1], 2 * i + 1, 2 * k + 2 * i + 1)
+        assert report.verdict == SHARP
+        assert abs(report.proj_plus - 1) <= 1e-12 and abs(report.proj_minus) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chain_tree_events(k):
+    # each memory's cx creates a sharp pair, each ch opens a bubble, the Bell
+    # stage diffuses every lab, and the records create 2k sharp pairs
+    expected = [(2 * i + 2, (2 * i, 2 * i + 1), "created-sharp") for i in range(k)]
+    expected += [(2 * i + 1, (2 * i - 1, 2 * i), "non-sharp-bubble") for i in range(1, k)]
+    expected += [(2 * k + 1, (2 * i, 2 * i + 1), "diffused") for i in range(k)]
+    expected += [(2 * k + 3, (j, 2 * k + j), "created-sharp") for j in range(2 * k)]
+    circuit = chain(k)
+    timeline = hs.foliation_timeline(hs.run_circuit(circuit), hs.default_watch_pairs(circuit))
+    nodes = hs.build_branch_tree(circuit, timeline).nodes[1:]  # past the trunk
+    assert sorted((n.slot, n.pair, n.kind) for n in nodes) == sorted(expected)
+
+
+def test_chain_of_three_labs_matches_state_vector():
+    circuit = chain(3)
+    report = hs.cross_check(hs.run_circuit(circuit), circuit)
+    assert report.max_expectation_dev <= 1e-12
+    assert report.max_matrix_dev <= 1e-12
+
+
+# -- 9: public names ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,16 @@ def test_watch_rejects_unknown_names(capsys):
         main(["run", "--preset", "fr", "--report", "table", "--watch", "²,1"])
 
 
+@pytest.mark.parametrize("spec", ["", ";", " ", " ; "])
+def test_watch_rejects_spec_naming_no_pair(spec, capsys, monkeypatch):
+    # an empty spec is no request for the default pairs, and no pair is no
+    # analysis; the spec is refused before the engine runs
+    monkeypatch.setattr(heisensim.cli, "run_circuit", None)
+    with pytest.raises(SystemExit, match=rf"--watch '{spec}' names no pair"):
+        main(["run", "--preset", "fr", "--report", "table", "--watch", spec])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("spec", ["R,A;R,A", "R,A;A,R", "0,1;R,A"])
 def test_watch_rejects_repeated_pair(spec, capsys):
     repeat = spec.split(";")[1]

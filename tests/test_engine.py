@@ -208,14 +208,14 @@ class _TwoArgumentError(Exception):
 def test_run_circuit_names_failing_slot_and_chains_cause(fr_circuit, monkeypatch):
     from heisensim import engine
 
-    original = engine._apply_step
+    arity, takes_angle, text, rule = engine._GATES["cx"]
 
-    def failing(descriptors, step):
-        if step.slot == 3:
+    def failing(dc, dt):  # cx(S, B) first acts in slot 3
+        if (dc.qubit, dt.qubit) == (S, B):
             raise _TwoArgumentError(7, "no such rule")
-        return original(descriptors, step)
+        return rule(dc, dt)
 
-    monkeypatch.setattr(engine, "_apply_step", failing)
+    monkeypatch.setitem(engine._GATES, "cx", (arity, takes_angle, text, failing))
     with pytest.raises(hs.SlotError) as info:
         hs.run_circuit(fr_circuit)
     assert isinstance(info.value, ValueError)

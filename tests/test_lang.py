@@ -173,6 +173,10 @@ def test_qubits_must_come_first():
         ("2**3", 8.0),
         ("cos(0)", 1.0),
         ("arccos(-1)", math.pi),
+        ("2*asin(sqrt(2/3))", hs.FR_ANGLE),
+        ("acos(-1)", math.pi),
+        ("4*atan(1)", math.pi),
+        ("arctan(1)", math.pi / 4),
     ],
 )
 def test_angle_expressions(expr, value):

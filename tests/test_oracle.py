@@ -238,10 +238,12 @@ def test_state_expectation_matches_kron_reference_on_complex_states():
         ]
     ]
     # a state whose length is no power of two >= 2 holds no register of qubits
-    + [pytest.param(0, "Z", ValueError, size, id=f"{size}-amplitudes") for size in (6, 12, 3, 1)],
+    + [pytest.param(0, "Z", ValueError, size, id=f"{size}-amplitudes") for size in (6, 12, 3, 1)]
+    # nor does a matrix, though its length is a power of two
+    + [pytest.param(0, "Z", ValueError, shape, id=f"shape-{shape[0]}x{shape[1]}") for shape in ((2, 2), (4, 1))],
 )
 def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error, size):
-    psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1] if size == 2 else np.full(size, size ** -0.5)
+    psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1] if size == 2 else np.full(size, np.prod(size) ** -0.5)
     with pytest.raises(error):
         state_expectation(psi, qubit, letter)
 
