@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .pauli import PauliSum
+from .pauli import PauliSum, _integer
 
 __all__ = [
     "GATE_KINDS",
@@ -64,13 +63,6 @@ COMPONENTS = ("x", "y", "z")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _DEFAULT_LABEL = re.compile(r"q(0|[1-9][0-9]*)")
-
-
-def _integer(value) -> int:
-    """``value`` as an int: numpy integers pass, bools do not."""
-    if isinstance(value, bool):
-        raise TypeError(value)
-    return operator.index(value)
 
 
 def _is_ascii_number(token: str) -> bool:
@@ -284,7 +276,7 @@ Trace = list[NetworkState]
 
 def init_network(n_qubits: int) -> NetworkState:
     """Fresh network: qubit k carries (X_k, Y_k, Z_k) at time 0."""
-    if n_qubits < 1:
+    if (n_qubits := _integer(n_qubits)) < 1:
         raise ValueError("network needs at least one qubit")
     # each component is one canonical term, so it skips the validating constructor
     descriptors = tuple(

@@ -143,7 +143,7 @@ def sharp_foliation(
     ``<P_+1[q_Cz]>`` and ``<P_-1[q_Cz]>``.  The witness is the first of the
     nine component pairs, in (x, y, z) x (x, y, z) order, that violates
     factorisation; when all nine factorise it records the (z, z) values
-    with ``entangled=False``.  An expectation whose imaginary part reaches
+    with ``entangled=False``.  An expectation whose imaginary part exceeds
     ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`.
     """
     if control == target:

@@ -137,8 +137,6 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             if n_qubits is not None:
                 raise CircuitSyntaxError("duplicate qubits directive", lineno)
-            if steps or labels:
-                raise CircuitSyntaxError("qubits must come first", lineno)
             if len(tokens) != 2 or not _is_ascii_number(tokens[1]) or int(tokens[1]) < 1:
                 raise CircuitSyntaxError("expected: qubits <positive integer>", lineno)
             n_qubits = int(tokens[1])

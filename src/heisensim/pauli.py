@@ -33,6 +33,7 @@ functions, so they are safe to evaluate concurrently.
 """
 from __future__ import annotations
 
+import operator
 from cmath import isfinite
 from itertools import chain
 from math import fsum
@@ -83,6 +84,13 @@ class HermiticityError(ValueError):
     """An expectation value came out with a non-negligible imaginary part."""
 
 
+def _integer(value) -> int:
+    """``value`` as an int: numpy integers pass, bools and other types do not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -> None:
     """Add ``c1 * (x1, z1)`` times each ``((x2, z2), c2)`` of ``right`` into ``terms``.
 
@@ -95,14 +103,6 @@ def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -
         k = y1 + (x2 & z2).bit_count() - (x & z).bit_count() + 2 * (z1 & x2).bit_count()
         key = (x, z)
         terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
-
-
-def _popcount(v):
-    """Set bits of each entry of an int64 array of values below 2**32."""
-    v = v - (v >> 1 & 0x55555555)
-    v = (v & 0x33333333) + (v >> 2 & 0x33333333)
-    v = v + (v >> 4) & 0x0F0F0F0F
-    return v * 0x01010101 >> 24 & 0xFF
 
 
 def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int) -> dict[Key, complex]:
@@ -127,7 +127,8 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
         masks = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=2 * len(terms))
         keys = masks[::2] << n | masks[1::2]
         coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-        return keys, coeffs.real, coeffs.imag, _popcount(keys >> n & keys)
+        # bitwise_count gives uint8; as int64 the #Y counts make the phase sum k an int64 that never wraps
+        return keys, coeffs.real, coeffs.imag, np.bitwise_count(keys >> n & keys).astype(np.int64)
 
     mask = (1 << n) - 1
     k1, re1, im1, y1 = arrays(left)
@@ -141,8 +142,8 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
         for i in range(0, len(left), rows):
             part = slice(i, i + rows)
             keys = (k1[part, None] ^ k2).ravel()
-            k = (y1[part, None] + y2 + 2 * _popcount(k1[part, None] & mask & x2)).ravel()
-            k = (k - _popcount(keys >> n & keys)) & 3
+            k = (y1[part, None] + y2 + 2 * np.bitwise_count(k1[part, None] & mask & x2)).ravel()
+            k = (k - np.bitwise_count(keys >> n & keys)) & 3
             re_a, im_a = re1[part, None], im1[part, None]
             re = (re_a * re2 - im_a * im2).ravel()
             im = (re_a * im2 + im_a * re2).ravel()
@@ -196,7 +197,7 @@ class PauliSum:
     __slots__ = ("n_qubits", "_terms", "_order")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[Key, complex]] = ()):
-        if n_qubits < 1:
+        if (n_qubits := _integer(n_qubits)) < 1:
             raise ValueError("n_qubits must be positive")
         buckets: dict[Key, list[complex]] = {}
         for (x, z), coeff in terms:
@@ -238,7 +239,7 @@ class PauliSum:
         """A single-letter operator, e.g. ``single(4, 2, "Z")`` for Z on qubit 2."""
         if letter not in _BITS:
             raise ValueError(f"not a Pauli letter: {letter!r}")
-        if qubit < 0:
+        if (qubit := _integer(qubit)) < 0:
             raise DimensionMismatch(f"string on qubit {qubit} does not fit in {n_qubits} qubits")
         xb, zb = _BITS[letter]
         return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])
@@ -288,6 +289,8 @@ class PauliSum:
             )
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
+        if not isinstance(other, PauliSum):
+            return NotImplemented
         self._check_dim(other)
         terms = dict(self._terms)  # canonical already: only the keys of other need the drop test
         for key, c in other._terms.items():
@@ -321,6 +324,8 @@ class PauliSum:
         return self * (1 / scalar if isfinite(scalar) else scalar)  # 1 / inf would pass as 0
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
+        if not isinstance(other, PauliSum):
+            return NotImplemented
         self._check_dim(other)
         if len(self) * len(other) >= _CROSSOVER and self.n_qubits <= 31:  # x << n | z fits in an int64
             return PauliSum._from_dict(self.n_qubits, _vector_product(self._terms, other._terms, self.n_qubits))
@@ -344,7 +349,7 @@ def _real_expectation(vals: list[complex], tol: float) -> float:
     """Sum of ``vals``, which must be real up to ``tol``."""
     re = fsum(v.real for v in vals)
     im = fsum(v.imag for v in vals)
-    if abs(im) >= tol:
+    if abs(im) > tol:
         raise HermiticityError(f"imaginary residue {im:g} in expectation value")
     return re
 

@@ -340,6 +340,19 @@ def test_chain_of_three_labs_matches_state_vector():
     assert report.max_matrix_dev <= 1e-12
 
 
+def test_chain_of_three_labs_final_system_weights():
+    # the +1 weights of systems 0, 2 and 4 at the last boundary, by the engine and by the
+    # state vector; the middle one is no multiple of a sixth, and format_weight prints 0.735702
+    expected = {0: 5 / 6, 2: 1 / 2 + math.sqrt(2) / 6, 4: 2 / 3}
+    circuit = chain(3)
+    final = hs.run_circuit(circuit)[-1]
+    psi = hs.evolve_state(circuit)[-1]
+    basis = np.arange(len(psi))
+    for q, weight in expected.items():
+        assert abs(vacuum_expectation(hs.projector(final, q, +1)) - weight) <= 1e-12
+        assert abs(np.sum(np.abs(psi[basis >> q & 1 == 0]) ** 2) - weight) <= 1e-12
+
+
 # -- 9: public names ------------------------------------------------------------------
 
 

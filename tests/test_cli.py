@@ -111,6 +111,22 @@ def test_watch_rejects_unknown_names(capsys):
         main(["run", "--preset", "fr", "--report", "table", "--watch", "²,1"])
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("R", "bad watch pair 'R' (expected 'C,T')"),
+        ("R,A,S", "bad watch pair 'R,A,S' (expected 'C,T')"),
+        ("R,A;A", "bad watch pair 'A' (expected 'C,T')"),
+        ("R,R", "watch pair 'R,R' names one qubit twice"),
+        ("0,R", "watch pair '0,R' names one qubit twice"),
+    ],
+)
+def test_watch_rejects_malformed_pair(spec, message, capsys):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["run", "--preset", "fr", "--report", "table", "--watch", spec])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("spec", ["", ";", " ", " ; "])
 def test_watch_rejects_spec_naming_no_pair(spec, capsys, monkeypatch):
     # an empty spec is no request for the default pairs, and no pair is no
@@ -150,6 +166,13 @@ def test_deeply_nested_angle_exits_naming_the_file(tmp_path, capsys):
 def test_missing_circuit_file(tmp_path):
     with pytest.raises(SystemExit, match="cannot read"):
         main(["run", "--circuit", str(tmp_path / "nope.qc")])
+
+
+def test_tree_into_missing_directory(tmp_path):
+    tree = tmp_path / "no-such-dir" / "tree.dot"
+    with pytest.raises(SystemExit, match=rf"^cannot write {re.escape(str(tree))}: .*No such file or directory"):
+        main(["run", "--preset", "fr", "--tree", str(tree)])
+    assert not tree.parent.exists()
 
 
 def test_circuit_file_not_utf8(tmp_path, capsys):

@@ -345,6 +345,8 @@ def test_circuit_rejects_unaddressable_label(name):
         (lambda: hs.cx(True, False), "qubits and slot must be integers, got (True, False) and 0"),
         (lambda: hs.h(0, slot=True), "qubits and slot must be integers, got (0,) and True"),
         (lambda: hs.Circuit(True), "n_qubits must be an integer, got True"),
+        (lambda: hs.init_network(True), "expected an integer, got True"),
+        (lambda: hs.init_network(2.5), "expected an integer, got 2.5"),
         (lambda: hs.ry(0, True), "ry angle must be a real number, got True"),
         (lambda: hs.ry(0, np.True_), f"ry angle must be a real number, got {np.True_!r}"),
         (lambda: hs.ry(0, "0.5"), "ry angle must be a real number, got '0.5'"),
@@ -352,11 +354,30 @@ def test_circuit_rejects_unaddressable_label(name):
     ],
     ids=[
         "float-qubit", "str-qubit", "float-slot", "float-n-qubits", "bool-qubit", "bool-slot", "bool-n-qubits",
+        "bool-network", "float-network",
         "bool-angle", "numpy-bool-angle", "str-angle", "complex-angle",
     ],
 )
 def test_non_integer_fields_rejected_at_construction(build, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: hs.GateStep("cz", (0, 1), 0), ValueError, "unknown gate kind 'cz'"),
+        (lambda: hs.h(0, slot=-1), ValueError, "slot must be non-negative"),
+        (lambda: hs.Circuit(0), ValueError, "circuit needs at least one qubit"),
+        (lambda: hs.init_network(0), ValueError, "network needs at least one qubit"),
+        (lambda: hs.init_network(1).descriptor(0).component("w"), ValueError, "no component 'w'"),
+        (lambda: hs.init_network(2).descriptor(-1), IndexError, "qubit -1 out of range"),
+        (lambda: hs.init_network(2).descriptor(2), IndexError, "qubit 2 out of range"),
+    ],
+    ids=["unknown-kind", "negative-slot", "empty-circuit", "empty-network", "bad-component", "negative-qubit", "qubit-past-end"],
+)
+def test_bad_values_rejected(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -49,8 +49,10 @@ def test_entangled_through_controlled_hadamard(fr_trace):
 
 
 def test_entangled_rejects_same_qubit(fr_trace):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entanglement test needs two distinct qubits"):
         hs.entangled(fr_trace[0], 1, 1)
+    with pytest.raises(ValueError, match="foliation test needs two distinct qubits"):
+        hs.sharp_foliation(fr_trace[0], 0, 0)
 
 
 # -- instantaneous verdicts ------------------------------------------------------
@@ -62,6 +64,8 @@ def test_first_measurement_is_sharp(fr_trace):
     assert report.proj_plus == pytest.approx(1 / 3, abs=1e-9)
     assert report.proj_minus == pytest.approx(2 / 3, abs=1e-9)
     assert report.zz_product == pytest.approx(1.0, abs=1e-9)
+    # a tolerance of 0 admits the exactly real expectations of this pair
+    assert hs.sharp_foliation(fr_trace[2], R, A, tol=0).verdict == SHARP
 
 
 def test_interference_bubble_is_non_sharp(fr_trace):

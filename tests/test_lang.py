@@ -158,6 +158,30 @@ def test_numbers_are_ascii_digits_only(line, token):
 def test_qubits_must_come_first():
     with pytest.raises(CircuitSyntaxError, match="line 3.*duplicate"):
         parse_circuit("qubits 2\nh 0\nqubits 2\n")
+    for text in ("label 0 R\nqubits 2\n", "@0 h 0\nqubits 2\n"):
+        with pytest.raises(CircuitSyntaxError, match="^line 1: qubits directive must come before anything else$"):
+            parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("label 0", "expected: label <index> <name>"),
+        ("label 0 R A", "expected: label <index> <name>"),
+        ("@3", "slot prefix without a gate"),
+        ("ry 0", "expected: ry <q> <angle-expr>"),
+        ("cx 0", "cx takes 2 qubit(s), got (0,)"),
+    ],
+    ids=["label-without-name", "label-with-two-names", "bare-slot", "ry-without-angle", "cx-one-qubit"],
+)
+def test_incomplete_line_diagnostic(line, message):
+    with pytest.raises(CircuitSyntaxError, match=f"^line 2: {re.escape(message)}$"):
+        parse_circuit(f"qubits 2\n{line}\n")
+
+
+def test_unknown_preset_rejected():
+    with pytest.raises(ValueError, match=r"^unknown preset 'nope' \(available: fr\)$"):
+        hs.get_preset("nope")
 
 
 # -- angle expressions ---------------------------------------------------------
@@ -196,6 +220,8 @@ def test_expression_rejects_unknown_names_and_calls():
         parse_circuit("qubits 1\nry 0 __import__(1)\n")
     with pytest.raises(CircuitSyntaxError, match="unsupported syntax"):
         parse_circuit("qubits 1\nry 0 [1]\n")
+    with pytest.raises(CircuitSyntaxError, match="line 2, column 1: sqrt takes one positional argument"):
+        parse_circuit("qubits 1\nry 0 sqrt(1, 2)\n")
 
 
 @pytest.mark.parametrize(

@@ -343,6 +343,14 @@ def test_cross_check_rejects_trace_of_other_width(n_trace):
         cross_check(hs.run_circuit(circuit(n_trace)), circuit(3))
 
 
+def test_cross_check_rejects_trace_of_other_length():
+    circuit = hs.Circuit(2, (hs.h(0), hs.cx(0, 1, slot=1)))
+    trace = hs.run_circuit(circuit)
+    for other in (trace[:-1], trace + trace[-1:]):
+        with pytest.raises(ValueError, match="^trace and circuit disagree on slot count$"):
+            cross_check(other, circuit)
+
+
 def _with_fault(trace, t, q):
     """``trace`` with qubit q's descriptor at boundary t replaced by a copy
     whose x carries an extra Hermitian term 1e-6 * X on another qubit."""

@@ -1,6 +1,7 @@
 """Operator algebra unit tests, with dense 2x2/2^n matrices as the oracle."""
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,37 @@ def test_letter_mul_rejects_garbage():
 def test_single_rejects_qubit_outside_register(qubit):
     with pytest.raises(DimensionMismatch, match=f"qubit {qubit} does not fit in 2 qubits"):
         PauliSum.single(2, qubit, "X")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PauliSum(True, [((1, 0), 1.0)]), "expected an integer, got True"),
+        (lambda: PauliSum(2.5), "expected an integer, got 2.5"),
+        (lambda: PauliSum("2"), "expected an integer, got '2'"),
+        (lambda: PauliSum.single(2, True, "X"), "expected an integer, got True"),
+        (lambda: PauliSum.single(2, 1.0, "X"), "expected an integer, got 1.0"),
+        (lambda: PauliSum.single(True, 0, "X"), "expected an integer, got True"),
+        (lambda: PauliSum.identity(np.True_), f"expected an integer, got {np.True_!r}"),
+    ],
+    ids=["bool-n", "float-n", "str-n", "bool-qubit", "float-qubit", "bool-n-single", "numpy-bool-n"],
+)
+def test_rejects_non_integer_register_or_qubit(build, message):
+    # a bool would pass as 0 or 1 qubits, or as qubit 1
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_register_and_qubit_stored_as_int():
+    op = PauliSum.single(np.int64(3), np.int32(2), "Y")
+    assert op == PauliSum.single(3, 2, "Y") and type(op.n_qubits) is int
+    assert list(op._terms) == [(4, 4)] and {type(m) for key in op._terms for m in key} == {int}
+
+
+def test_rejects_register_of_no_qubits():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            PauliSum(n)
 
 
 # -- strings: products of one-term operators ---------------------------------
@@ -240,6 +272,22 @@ def test_sum_mul_dimension_mismatch():
         PauliSum.identity(2) @ PauliSum.identity(3)
 
 
+@pytest.mark.parametrize("other", [3, 2.5, "Z", None, np.float64(3)], ids=["int", "float", "str", "none", "numpy"])
+def test_algebra_refuses_foreign_operands(other):
+    # Python's own TypeError, from either side, instead of an AttributeError from the dimension check
+    z = PauliSum.single(1, 0, "Z")
+    for build in (lambda: z + other, lambda: other + z, lambda: z - other, lambda: z @ other, lambda: other @ z):
+        with pytest.raises(TypeError):
+            build()
+    assert (z == other) is False and (z != other) is True
+
+
+def test_operator_product_needs_at():
+    z = PauliSum.single(1, 0, "Z")
+    with pytest.raises(TypeError, match="use @ for operator products, \\* for scalars"):
+        z * z
+
+
 @st.composite
 def sum_triples(draw, n_qubits=4, real=False):
     # nonzero coefficients stay well above the drop tolerance: a coefficient
@@ -346,6 +394,22 @@ def test_term_order_is_deterministic():
     ]
 
 
+def test_equal_operators_hash_alike():
+    a = PauliSum(2, [term(0.5, {0: "X"}), term(1.0, {1: "Z"})])
+    b = PauliSum(2, [term(1.0, {1: "Z"}), term(0.25, {0: "X"}), term(0.25, {0: "X"})])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, PauliSum(3, [term(1.0, {1: "Z"}), term(0.5, {0: "X"})])}) == 2
+
+
+def test_repr_shows_at_most_six_terms_in_canonical_order():
+    assert repr(PauliSum(2)) == "<PauliSum n=2: 0>"
+    assert repr(PauliSum(2, [term(-0.25, {1: "Z"}), term(1j, {0: "Y"})])) == "<PauliSum n=2: (0+1j)*Y0 + (-0.25+0j)*Z1>"
+    seven = PauliSum(3, [term(k + 1, {k // 3: "XYZ"[k % 3]}) for k in range(6)] + [term(0.5, {})])
+    assert repr(seven) == (
+        "<PauliSum n=3: (0.5+0j)*I + (1+0j)*X0 + (2+0j)*Y0 + (3+0j)*Z0 + (4+0j)*X1 + (5+0j)*Y1 + ...>"
+    )
+
+
 def test_to_json_canonical_order():
     a = PauliSum(
         101,
@@ -413,6 +477,21 @@ def test_vacuum_expectation_hermiticity_guard():
     skew = string(1j, {0: "Z"})
     with pytest.raises(HermiticityError):
         vacuum_expectation(skew)
+
+
+def test_hermiticity_guard_admits_a_residue_up_to_tol():
+    # "within tol" is <= tol, as in every verdict and check comparison: a tolerance of
+    # 0 admits exactly real operators, and a residue equal to the tolerance passes
+    z = PauliSum.single(2, 1, "Z")
+    assert vacuum_expectation(z, 0) == 1.0
+    assert pair_expectation(z, z, 0) == 1.0
+    tilted = string(complex(1, 1e-10), {0: "Z"})
+    assert vacuum_expectation(tilted, 1e-10) == 1.0
+    assert pair_expectation(tilted, PauliSum.identity(1), 1e-10) == 1.0
+    with pytest.raises(HermiticityError, match="imaginary residue 1e-10"):
+        vacuum_expectation(tilted, 0.5e-10)
+    with pytest.raises(HermiticityError, match="imaginary residue 1e-10"):
+        vacuum_expectation(tilted, 0)
 
 
 @given(
