@@ -278,14 +278,9 @@ def init_network(n_qubits: int) -> NetworkState:
     """Fresh network: qubit k carries (X_k, Y_k, Z_k) at time 0."""
     if (n_qubits := _integer(n_qubits)) < 1:
         raise ValueError("network needs at least one qubit")
-    # each component is one canonical term, so it skips the validating constructor
+    single = PauliSum.single
     descriptors = tuple(
-        Descriptor(
-            qubit=q,
-            x=PauliSum._from_dict(n_qubits, {(1 << q, 0): 1 + 0j}),
-            y=PauliSum._from_dict(n_qubits, {(1 << q, 1 << q): 1 + 0j}),
-            z=PauliSum._from_dict(n_qubits, {(0, 1 << q): 1 + 0j}),
-        )
+        Descriptor(q, single(n_qubits, q, "X"), single(n_qubits, q, "Y"), single(n_qubits, q, "Z"))
         for q in range(n_qubits)
     )
     return NetworkState(0, descriptors)

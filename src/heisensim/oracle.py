@@ -45,7 +45,7 @@ from itertools import islice
 import numpy as np
 
 from .engine import COMPONENTS, Circuit, Descriptor, GateStep, Trace
-from .pauli import _I_POWERS, PauliSum, _support_mask, vacuum_expectation
+from .pauli import _I_POWERS, PauliSum, _masks_and_coeffs, _support_mask, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -87,12 +87,13 @@ def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
         raise ValueError(
             f"register {register} repeats a qubit, names one outside the operator or misses one where it acts"
         )
-    keys = np.array(list(a._terms), dtype=object).reshape(len(a), 2, 1)  # masks are ints of any width
+    masks, coeffs = _masks_and_coeffs(a)
+    keys = np.array(masks, dtype=object).reshape(len(a), 2, 1)  # masks are ints of any width
     x, z = ((keys >> np.array(register, dtype=object) & 1).astype(int) @ (1 << np.arange(width))).T
     cols = np.arange(2**width)
     signs = 1 - 2 * (_POPCOUNT[cols & z[:, None]] & 1)
     phases = np.array(_I_POWERS)[_POPCOUNT[x & z] % 4]
-    coeffs = np.fromiter(a._terms.values(), dtype=complex, count=len(a)) * phases
+    coeffs = np.fromiter(coeffs, dtype=complex, count=len(a)) * phases
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     np.add.at(out, (cols ^ x[:, None], cols), coeffs[:, None] * signs)
     return out

@@ -2,14 +2,15 @@
 
 Operators are linear combinations of Pauli strings, a complex coefficient
 times one letter of {I, X, Y, Z} per qubit, stored as a dict from each
-string's bit masks (x, z) to its coefficient: bit q of x is set for X or Y
-on qubit q, bit q of z for Z or Y, so the string is i^{#Y} X^x Z^z with
-#Y = popcount(x & z) (Aaronson & Gottesman, quant-ph/0406196).  Python
-integers have no width, so any register size works the same way.
+string's key, the integer ``x << n | z`` on n qubits, to its coefficient:
+bit q of mask x is set for X or Y on qubit q, bit q of z for Z or Y, so the
+string is i^{#Y} X^x Z^z with #Y = popcount(x & z) (Aaronson & Gottesman,
+quant-ph/0406196).  Python integers have no width, so any n works alike.
 
-:func:`_mul_into` is the product rule.  A product of at least
-:data:`_CROSSOVER` term pairs on at most 31 qubits runs instead in the
-numpy kernel :func:`_vector_product`, which is imported only then.  The
+:func:`_loop_product` is the product rule: a product's key is the XOR of
+its factors' keys.  A product of at least :data:`_CROSSOVER` term pairs on
+at most 31 qubits, where a key fits in an int64, runs instead on the same
+keys in the numpy kernel :func:`_vector_product`, imported only then.  The
 kernel's contract is bit identity with the loop: the same terms in the same
 dict order, with the same bits in every coefficient, signed zeros included.
 It takes the pairs in the loop's order, forms each complex product as
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from cmath import isfinite
-from itertools import chain
+from functools import reduce
 from math import fsum
 from typing import Iterable
 
@@ -67,7 +68,7 @@ _LETTER_OF = ("I", "X", "Z", "Y")
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 #: Products with at least this many term pairs, on at most 31 qubits, go to
-#: :func:`_vector_product`; smaller ones cost less in the :func:`_mul_into` loop.
+#: :func:`_vector_product`; smaller ones cost less in :func:`_loop_product`.
 _CROSSOVER = 500
 
 # Term pairs per chunk of the vector product, to bound its memory.
@@ -91,32 +92,37 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
-def _mul_into(terms: dict[Key, complex], x1: int, z1: int, c1: complex, right) -> None:
-    """Add ``c1 * (x1, z1)`` times each ``((x2, z2), c2)`` of ``right`` into ``terms``.
+def _loop_product(left: dict[int, complex], right: dict[int, complex], n: int) -> dict[int, complex]:
+    """The canonical terms of ``left @ right`` on ``n`` qubits, one term pair at a time.
 
-    The product is i^{#Y1 + #Y2 - #Y3 + 2 popcount(z1 & x2)} (x1 ^ x2, z1 ^ z2):
-    moving Z^z1 past X^x2 costs a sign per shared qubit.
+    Strings k1 and k2 multiply to i^{#Y1 + #Y2 - #Y3 + 2 popcount(z1 & x2)} (k1 ^ k2):
+    moving Z^z1 past X^x2 costs a sign per shared qubit.  As x2 < 2^n, z1 & x2
+    is k1 & x2.  The x mask and #Y of each right term are read once.
     """
-    y1 = (x1 & z1).bit_count()
-    for (x2, z2), c2 in right:
-        x, z = x1 ^ x2, z1 ^ z2
-        k = y1 + (x2 & z2).bit_count() - (x & z).bit_count() + 2 * (z1 & x2).bit_count()
-        key = (x, z)
-        terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
+    terms, pairs = {}, []
+    for k2, c2 in right.items():  # not a comprehension: on CPython 3.11 its call costs more for a few terms
+        pairs.append((k2, k2 >> n, (k2 >> n & k2).bit_count(), c2))
+    for k1, c1 in left.items():
+        y1 = (k1 >> n & k1).bit_count()
+        for k2, x2, y2, c2 in pairs:
+            key = k1 ^ k2
+            k = y1 + y2 - (key >> n & key).bit_count() + 2 * (k1 & x2).bit_count()
+            terms[key] = terms.get(key, 0j) + c1 * c2 * _I_POWERS[k & 3]
+    return {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE}
 
 
-def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int) -> dict[Key, complex]:
+def _vector_product(left: dict[int, complex], right: dict[int, complex], n: int) -> dict[int, complex]:
     """The canonical terms of ``left @ right`` on ``n <= 31`` qubits, as numpy array operations.
 
-    The result equals the :func:`_mul_into` loop bit for bit, dict order
-    included.  Each key ``x << n | z`` is one int64, so the product key of a
-    pair is the XOR of its factors' keys.  Pairs are taken in the loop's
+    The result equals :func:`_loop_product`'s bit for bit, dict order
+    included.  Each key is one int64.  Pairs are taken in the loop's
     order, left terms outer, a chunk of left rows at a time.  Every complex
     product is written component-wise as CPython computes it, one ufunc per
     step, so nothing can fuse into an FMA.  Each key is summed in pair order
     from 0.0, by a ``bincount`` whose weights start with the running totals
     (never ``-0.0``, so adding them to 0.0 is exact).  Keys are numbered in
-    order of first occurrence, and the drop test is Python's ``abs``.
+    order of first occurrence.  The drop test is ``hypot``, as in ``abs``,
+    and as ``abs`` it raises :class:`OverflowError` if a finite sum overflows.
     """
     import numpy as np
 
@@ -124,13 +130,11 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
         return {}
 
     def arrays(terms):
-        masks = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=2 * len(terms))
-        keys = masks[::2] << n | masks[1::2]
+        keys = np.fromiter(terms, dtype=np.int64, count=len(terms))
         coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
         # bitwise_count gives uint8; as int64 the #Y counts make the phase sum k an int64 that never wraps
         return keys, coeffs.real, coeffs.imag, np.bitwise_count(keys >> n & keys).astype(np.int64)
 
-    mask = (1 << n) - 1
     k1, re1, im1, y1 = arrays(left)
     k2, re2, im2, y2 = arrays(right)
     x2 = k2 >> n
@@ -142,7 +146,7 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
         for i in range(0, len(left), rows):
             part = slice(i, i + rows)
             keys = (k1[part, None] ^ k2).ravel()
-            k = (y1[part, None] + y2 + 2 * np.bitwise_count(k1[part, None] & mask & x2)).ravel()
+            k = (y1[part, None] + y2 + 2 * np.bitwise_count(k1[part, None] & x2)).ravel()
             k = (k - np.bitwise_count(keys >> n & keys)) & 3
             re_a, im_a = re1[part, None], im1[part, None]
             re = (re_a * re2 - im_a * im2).ravel()
@@ -160,19 +164,27 @@ def _vector_product(left: dict[Key, complex], right: dict[Key, complex], n: int)
             # the running totals lead the weights, so each key adds this chunk's terms to its total
             total_re = np.bincount(at, weights=np.concatenate((total_re, re)))
             total_im = np.bincount(at, weights=np.concatenate((total_im, im)))
-    coeffs = np.empty(len(known), dtype=complex)
-    coeffs.real, coeffs.imag = total_re, total_im
-    keys = zip((known >> n).tolist(), (known & mask).tolist())
-    return {key: c for key, c in zip(keys, coeffs.tolist()) if abs(c) >= DROP_TOLERANCE}
+        keep = (size := np.hypot(total_re, total_im)) >= DROP_TOLERANCE
+    if np.any(np.isinf(size) & np.isfinite(total_re) & np.isfinite(total_im)):
+        raise OverflowError("absolute value too large")
+    coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
+    coeffs.real, coeffs.imag = total_re[keep], total_im[keep]
+    return dict(zip(known[keep].tolist(), coeffs.tolist()))
 
 
 def _support_mask(*ops: "PauliSum") -> int:
     """Bit q is set when a term of any of ``ops`` acts on qubit q."""
     mask = 0
     for op in ops:
-        for x, z in op._terms:
-            mask |= x | z
+        keys = reduce(operator.or_, op._terms, 0)
+        mask |= (keys >> op.n_qubits | keys) & ((1 << op.n_qubits) - 1)
     return mask
+
+
+def _masks_and_coeffs(op: "PauliSum") -> tuple[list[Key], list[complex]]:
+    """The masks ``(x, z)`` and the coefficient of each term of ``op``, as two lists in dict order."""
+    n, low = op.n_qubits, (1 << op.n_qubits) - 1
+    return [(k >> n, k & low) for k in op._terms], list(op._terms.values())
 
 
 LetterMap = tuple[tuple[int, str], ...]
@@ -188,10 +200,10 @@ def _letters(key: Key) -> LetterMap:
 class PauliSum:
     """Linear combination of Pauli strings on ``n_qubits``.
 
-    ``terms`` are ``((x, z), coeff)`` pairs, kept as a dict from masks to
-    coefficient.  Like keys merge with ``fsum``, so any permutation of the
-    input yields the same operator; the canonical order is computed on first
-    output and cached.
+    ``terms`` are ``((x, z), coeff)`` pairs, kept as a dict from the key
+    ``x << n_qubits | z`` to coefficient.  Like keys merge with ``fsum``, so
+    any permutation of the input yields the same operator; the canonical
+    order is computed on first output and cached.
     """
 
     __slots__ = ("n_qubits", "_terms", "_order")
@@ -199,7 +211,7 @@ class PauliSum:
     def __init__(self, n_qubits: int, terms: Iterable[tuple[Key, complex]] = ()):
         if (n_qubits := _integer(n_qubits)) < 1:
             raise ValueError("n_qubits must be positive")
-        buckets: dict[Key, list[complex]] = {}
+        buckets: dict[int, list[complex]] = {}
         for (x, z), coeff in terms:
             if x < 0 or z < 0:
                 raise ValueError(f"negative mask in key {(x, z)}")
@@ -209,8 +221,9 @@ class PauliSum:
                 )
             if not isfinite(coeff := complex(coeff)):
                 raise ValueError(f"coefficient {coeff!r} of key {(x, z)} is not finite")
-            buckets.setdefault((x, z), []).append(coeff)
-        merged: dict[Key, complex] = {}
+            # as a Python int: a numpy mask would wrap when shifted past its width
+            buckets.setdefault(operator.index(x) << n_qubits | operator.index(z), []).append(coeff)
+        merged: dict[int, complex] = {}
         for key, coeffs in buckets.items():
             c = complex(fsum(v.real for v in coeffs), fsum(v.imag for v in coeffs))
             if abs(c) >= DROP_TOLERANCE:
@@ -220,7 +233,7 @@ class PauliSum:
         self._order = None
 
     @classmethod
-    def _from_dict(cls, n_qubits: int, terms: dict[Key, complex]) -> "PauliSum":
+    def _from_dict(cls, n_qubits: int, terms: dict[int, complex]) -> "PauliSum":
         """Internal fast path: ``terms`` already canonical, valid keys and no coefficient to drop."""
         self = object.__new__(cls)
         self.n_qubits = n_qubits
@@ -242,7 +255,10 @@ class PauliSum:
         if (qubit := _integer(qubit)) < 0:
             raise DimensionMismatch(f"string on qubit {qubit} does not fit in {n_qubits} qubits")
         xb, zb = _BITS[letter]
-        return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])
+        # one canonical term, as the constructor stores it (fsum turns -0.0 into 0.0, and so does + 0j)
+        if type(n_qubits) is int and qubit < n_qubits and isfinite(c := complex(coeff) + 0j):
+            return cls._from_dict(n_qubits, {(xb << n_qubits | zb) << qubit: c} if abs(c) >= DROP_TOLERANCE else {})
+        return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])  # raises for the input at fault
 
     # -- views -------------------------------------------------------------
 
@@ -250,7 +266,7 @@ class PauliSum:
         """(letters, coefficient) per term in canonical order, sorted on first use and cached."""
         if self._order is None:
             # letter ranks X < Y < Z sort like the letters themselves
-            self._order = tuple(sorted((_letters(k), c) for k, c in self._terms.items()))
+            self._order = tuple(sorted((_letters(masks), c) for masks, c in zip(*_masks_and_coeffs(self))))
         return self._order
 
     @property
@@ -302,7 +318,7 @@ class PauliSum:
         return PauliSum._from_dict(self.n_qubits, terms)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-other)
+        return self + (-other) if isinstance(other, PauliSum) else NotImplemented
 
     def __neg__(self) -> "PauliSum":
         # abs(-c) == abs(c), so nothing new falls below the drop tolerance
@@ -327,13 +343,9 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         self._check_dim(other)
-        if len(self) * len(other) >= _CROSSOVER and self.n_qubits <= 31:  # x << n | z fits in an int64
-            return PauliSum._from_dict(self.n_qubits, _vector_product(self._terms, other._terms, self.n_qubits))
-        terms: dict[Key, complex] = {}
-        right = other._terms.items()
-        for (x1, z1), c1 in self._terms.items():
-            _mul_into(terms, x1, z1, c1, right)
-        return PauliSum._from_dict(self.n_qubits, {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE})
+        vector = len(self) * len(other) >= _CROSSOVER and self.n_qubits <= 31  # x << n | z fits in an int64
+        product = _vector_product if vector else _loop_product
+        return PauliSum._from_dict(self.n_qubits, product(self._terms, other._terms, self.n_qubits))
 
     # -- serialisation -----------------------------------------------------
 
@@ -347,8 +359,7 @@ class PauliSum:
 
 def _real_expectation(vals: list[complex], tol: float) -> float:
     """Sum of ``vals``, which must be real up to ``tol``."""
-    re = fsum(v.real for v in vals)
-    im = fsum(v.imag for v in vals)
+    re, im = (fsum(v.real for v in vals), fsum(v.imag for v in vals)) if vals else (0.0, 0.0)  # most are empty
     if abs(im) > tol:
         raise HermiticityError(f"imaginary residue {im:g} in expectation value")
     return re
@@ -361,25 +372,27 @@ def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     weight equal to its coefficient.  The operator must be Hermitian up to
     ``tol``: a larger imaginary residue raises :class:`HermiticityError`.
     """
-    return _real_expectation([c for (x, _), c in a._terms.items() if not x], tol)
+    return _real_expectation([c for k, c in a._terms.items() if not k >> a.n_qubits], tol)
 
 
 def pair_expectation(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     """<0|ab|0>: the vacuum expectation of ``a @ b``, bit for bit, without the product.
 
     A product term has x mask 0 only when its two factors share their x
-    mask, so only those pairs are multiplied, with :func:`_mul_into`'s phase
+    mask, so only those pairs are multiplied, with :func:`_loop_product`'s phase
     at x = 0: i^{3 #Y1 + popcount(x & z2)}.  Each z key receives the same
     additions in the same order as in ``@``, so every sum rounds alike.
     """
     a._check_dim(b)
+    n = a.n_qubits
     right: dict[int, list[tuple[int, complex]]] = {}
-    for (x2, z2), c2 in b._terms.items():
-        right.setdefault(x2, []).append((z2, c2))
+    for k2, c2 in b._terms.items():
+        right.setdefault(k2 >> n, []).append((k2, c2))
     terms: dict[int, complex] = {}
-    for (x1, z1), c1 in a._terms.items():
-        k1 = 3 * (x1 & z1).bit_count()  # #Y1 + 2 popcount(z1 & x2), as x2 = x1
-        for z2, c2 in right.get(x1, ()):
-            z = z1 ^ z2
-            terms[z] = terms.get(z, 0j) + c1 * c2 * _I_POWERS[(k1 + (x1 & z2).bit_count()) & 3]
+    for k1, c1 in a._terms.items():
+        x1 = k1 >> n
+        y = 3 * (x1 & k1).bit_count()  # #Y1 + 2 popcount(z1 & x2), as x2 = x1
+        for k2, c2 in right.get(x1, ()):
+            z = k1 ^ k2  # the x masks cancel
+            terms[z] = terms.get(z, 0j) + c1 * c2 * _I_POWERS[(y + (x1 & k2).bit_count()) & 3]
     return _real_expectation([c for c in terms.values() if abs(c) >= DROP_TOLERANCE], tol)

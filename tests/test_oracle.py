@@ -15,7 +15,7 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import PauliSum
+from heisensim.pauli import PauliSum, _masks_and_coeffs
 
 from conftest import LETTER_MATRICES, A, R, S, U_R, W_B, gate_unitary, random_circuit, random_parallel_circuit, term
 
@@ -98,7 +98,7 @@ def test_expand_sums_terms_in_dict_order_bit_for_bit(register):
     ]
     a = PauliSum(max(on) + 1, strings)
     reference = np.zeros((2 ** len(on),) * 2, dtype=complex)
-    for (x, z), coeff in a._terms.items():
+    for (x, z), coeff in zip(*_masks_and_coeffs(a)):
         letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in on]
         reference += coeff * kron_chain(*(LETTER_MATRICES[letter] for letter in letters))
     assert np.array_equal(expand(a, register), reference)
@@ -576,7 +576,7 @@ def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_
         for q, d in enumerate(state.descriptors):
             if t == 0 or q in touched or d is not fr_trace[t - 1].descriptor(q):
                 support = 0
-                for x, z in (key for op in d.triple for key in op._terms):
+                for x, z in (masks for op in d.triple for masks in _masks_and_coeffs(op)[0]):
                     support |= x | z
                 expected += [(_backward_cone(groups, t, q) | support).bit_count()] * 3
     assert widths == expected

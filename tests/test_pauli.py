@@ -18,7 +18,7 @@ from heisensim.pauli import (
     DimensionMismatch,
     HermiticityError,
     PauliSum,
-    _mul_into,
+    _masks_and_coeffs,
     pair_expectation,
     vacuum_expectation,
 )
@@ -85,7 +85,19 @@ def test_rejects_non_integer_register_or_qubit(build, message):
 def test_numpy_integer_register_and_qubit_stored_as_int():
     op = PauliSum.single(np.int64(3), np.int32(2), "Y")
     assert op == PauliSum.single(3, 2, "Y") and type(op.n_qubits) is int
-    assert list(op._terms) == [(4, 4)] and {type(m) for key in op._terms for m in key} == {int}
+    assert _masks_and_coeffs(op) == ([(4, 4)], [1]) and {type(key) for key in op._terms} == {int}
+    # one key holds both masks: numpy masks shifted 40 bits would wrap in an int64
+    wide = PauliSum(40, [((np.int64(1 << 39), np.int64(1)), 1)])
+    assert {type(key) for key in wide._terms} == {int} and _masks_and_coeffs(wide) == ([(1 << 39, 1)], [1])
+    assert wide.to_json() == [{"coeff": [1.0, 0.0], "letters": {"0": "Z", "39": "X"}}]
+
+
+@pytest.mark.parametrize("coeff", [1.0, 3, -1j, -0.0, complex(-0.0, -0.0), complex(2, -0.0), 5e-13])
+def test_single_equals_its_one_constructor_term_bit_for_bit(coeff):
+    # signed zeros come out as fsum leaves them, and a coefficient in the drop band leaves no term
+    for n, q in ((1, 0), (40, 39)):
+        for letter, masks in (("X", (1 << q, 0)), ("Y", (1 << q, 1 << q)), ("Z", (0, 1 << q))):
+            assert _bits(PauliSum.single(n, q, letter, coeff)) == _bits(PauliSum(n, [(masks, coeff)]))
 
 
 def test_rejects_register_of_no_qubits():
@@ -180,11 +192,16 @@ def test_sum_product_matches_dense_product(pair):
 
 
 def _loop_terms(a, b):
-    """``(key, re.hex(), im.hex())`` per term of ``a @ b`` computed by the loop alone."""
-    terms = {}
-    for (x1, z1), c1 in a._terms.items():
-        _mul_into(terms, x1, z1, c1, b._terms.items())
-    return [(key, c.real.hex(), c.imag.hex()) for key, c in terms.items() if abs(c) >= DROP_TOLERANCE]
+    """``((x, z), re.hex(), im.hex())`` per term of ``a @ b`` computed by the loop alone."""
+    with mock.patch.object(pauli, "_CROSSOVER", math.inf):
+        return _bits(a @ b)
+
+
+def _from_masks(n, terms):
+    """The operator of distinct ``((x, z), coeff)`` terms, each coefficient's bits kept (the
+    constructor's ``fsum`` turns -0.0 into 0.0), those below the drop tolerance left out."""
+    keyed = PauliSum(n, [(masks, 1) for masks, _ in terms])._terms
+    return PauliSum._from_dict(n, {key: c for key, (_, c) in zip(keyed, terms) if abs(c) >= DROP_TOLERANCE})
 
 
 @st.composite
@@ -205,8 +222,7 @@ def product_operands(draw):
 
     def one():
         keys = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), max_size=len(pool), unique=True))
-        terms = {key: complex(draw(real), draw(imag)) for key in keys}
-        return PauliSum._from_dict(n, {key: c for key, c in terms.items() if abs(c) >= DROP_TOLERANCE})
+        return _from_masks(n, [(key, complex(draw(real), draw(imag))) for key in keys])
 
     return one(), one()
 
@@ -219,7 +235,7 @@ def _kernel_product(a, b, rows=None):
 
 
 def _bits(op):
-    return [(key, c.real.hex(), c.imag.hex()) for key, c in op._terms.items()]
+    return [(masks, c.real.hex(), c.imag.hex()) for masks, c in zip(*_masks_and_coeffs(op))]
 
 
 @given(product_operands(), st.integers(1, 3) | st.none())
@@ -231,6 +247,18 @@ def test_vector_product_equals_loop_bit_for_bit(pair, rows):
         product = _kernel_product(a, b, rows)
     assert kernel.called == (a.n_qubits <= 31)
     assert _bits(product) == _loop_terms(a, b)
+
+
+@pytest.mark.parametrize("crossover", [math.inf, 0], ids=["loop", "kernel"])
+def test_product_overflow_raises_like_abs(crossover):
+    # both parts of the coefficient are finite but its modulus is not: Python's abs raises,
+    # and the kernel's drop test must too, not keep an infinite coefficient
+    a, b = PauliSum(1, [((0, 0), 1.5e308)]), PauliSum(1, [((0, 0), 1 + 1j)])
+    with mock.patch.object(pauli, "_vector_product", wraps=pauli._vector_product) as kernel:
+        with mock.patch.object(pauli, "_CROSSOVER", crossover):
+            with pytest.raises(OverflowError, match="^absolute value too large$"):
+                a @ b
+    assert kernel.called == (crossover == 0)
 
 
 @pytest.mark.parametrize("rows", [1, 5, None])
@@ -276,8 +304,11 @@ def test_sum_mul_dimension_mismatch():
 def test_algebra_refuses_foreign_operands(other):
     # Python's own TypeError, from either side, instead of an AttributeError from the dimension check
     z = PauliSum.single(1, 0, "Z")
-    for build in (lambda: z + other, lambda: other + z, lambda: z - other, lambda: z @ other, lambda: other @ z):
+    for build in (lambda: z + other, lambda: other + z, lambda: z @ other, lambda: other @ z):
         with pytest.raises(TypeError):
+            build()
+    for build in (lambda: z - other, lambda: other - z):  # the message names the operator written
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: "):
             build()
     assert (z == other) is False and (z != other) is True
 
@@ -492,6 +523,12 @@ def test_hermiticity_guard_admits_a_residue_up_to_tol():
         vacuum_expectation(tilted, 0.5e-10)
     with pytest.raises(HermiticityError, match="imaginary residue 1e-10"):
         vacuum_expectation(tilted, 0)
+    # no term contributes: the sum is 0.0, and only a negative tolerance refuses its residue of 0
+    x = PauliSum.single(2, 0, "X")
+    assert vacuum_expectation(x, 0) == 0.0 and pair_expectation(x, z, 0) == 0.0
+    for empty in (lambda: vacuum_expectation(x, -1), lambda: pair_expectation(x, z, -1)):
+        with pytest.raises(HermiticityError, match="^imaginary residue 0 in expectation value$"):
+            empty()
 
 
 @given(
