@@ -79,7 +79,7 @@ def _load_circuit(args) -> Circuit:
     if args.preset:
         return get_preset(args.preset)
     try:
-        with open(args.circuit, encoding="utf-8") as fh:
+        with open(args.circuit, encoding="utf-8-sig") as fh:
             return parse_circuit(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read {args.circuit}: {exc}")
@@ -160,7 +160,7 @@ def _run(args) -> int:
     trace = run_circuit(circuit)
 
     # one fold feeds both the table and the tree
-    timeline = foliation_timeline(trace, watch, tol) if args.report == "table" or args.tree else None
+    timeline = foliation_timeline(trace, watch, tol) if args.report == "table" or args.tree is not None else None
 
     if args.report == "table":
         rows = report_rows(circuit, timeline)
@@ -168,7 +168,7 @@ def _run(args) -> int:
     elif args.report == "json":
         sys.stdout.write(json.dumps(trace_json_doc(circuit, trace), indent=2) + "\n")
 
-    if args.tree:
+    if args.tree is not None:
         tree = build_branch_tree(circuit, timeline, tol)
         if args.tree.endswith(".json"):
             _write_text(args.tree, json.dumps(tree_json_doc(tree), indent=2) + "\n")

@@ -8,12 +8,13 @@ circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
 P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
-:func:`expand` writes for all terms at once on any register of qubits and
-:func:`_pauli_rows` applies to a state or a unitary.  A gate is applied by
-one ``np.tensordot`` on the [2]*n view.  Every gate kind (``ry``, ``h``,
-``cx``, ``ch``) has a real matrix, so the accumulated unitary U stays real
-orthogonal and each conjugation U^T (sigma U) is one real product; a Y
-component is i times a real matrix.
+:func:`_pauli_rows` applies to a state or a unitary and :func:`expand` to
+all terms at once on any register, mapping each term's letters (as
+``pauli`` hands them out, in dict order) onto the register's bits as int64
+masks x and z.  A gate is applied by one ``np.tensordot`` on the [2]*n
+view.  Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix,
+so the accumulated unitary U stays real orthogonal and each conjugation
+U^T (sigma U) is one real product; a Y component is i times a real matrix.
 
 One walk, :func:`_walk`, applies every gate.  It carries blocks of qubits
 across the slot boundaries, each block's product on its own register, each
@@ -45,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from .engine import COMPONENTS, Circuit, Descriptor, GateStep, Trace
-from .pauli import _I_POWERS, PauliSum, _masks_and_coeffs, _support_mask, vacuum_expectation
+from .pauli import _I_POWERS, PauliSum, _integer, _lettered, _support_mask, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -76,24 +77,24 @@ def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
     """Dense matrix of ``a`` with bit i of the basis index on qubit ``register[i]``.
 
     The default register is every qubit in order; any other lists distinct
-    qubits of ``a``, each qubit where ``a`` acts among them.  All terms are
-    read at once, and one ``np.add.at`` scatters their signed rows in dict
-    order.
+    qubits of ``a``, each qubit where ``a`` acts among them.  Each term's
+    letters give its x and z masks on the register, and one ``np.add.at``
+    scatters the signed rows of all terms in dict order.
     """
-    register = tuple(range(a.n_qubits) if register is None else register)
+    register = tuple(range(a.n_qubits) if register is None else map(_integer, register))
     width, mask = len(register), sum(1 << q for q in register if 0 <= q < a.n_qubits)
     _check_cap(width, SIZE_CAP)
     if mask.bit_count() != width or _support_mask(a) & ~mask:
         raise ValueError(
             f"register {register} repeats a qubit, names one outside the operator or misses one where it acts"
         )
-    masks, coeffs = _masks_and_coeffs(a)
-    keys = np.array(masks, dtype=object).reshape(len(a), 2, 1)  # masks are ints of any width
-    x, z = ((keys >> np.array(register, dtype=object) & 1).astype(int) @ (1 << np.arange(width))).T
+    bit, terms = {q: 1 << i for i, q in enumerate(register)}, _lettered(a)
+    x = np.array([sum(bit[q] for q, letter in letters if letter != "Z") for letters, _ in terms], dtype=np.int64)
+    z = np.array([sum(bit[q] for q, letter in letters if letter != "X") for letters, _ in terms], dtype=np.int64)
     cols = np.arange(2**width)
     signs = 1 - 2 * (_POPCOUNT[cols & z[:, None]] & 1)
     phases = np.array(_I_POWERS)[_POPCOUNT[x & z] % 4]
-    coeffs = np.fromiter(coeffs, dtype=complex, count=len(a)) * phases
+    coeffs = np.array([c for _, c in terms], dtype=complex) * phases
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     np.add.at(out, (cols ^ x[:, None], cols), coeffs[:, None] * signs)
     return out
@@ -146,7 +147,7 @@ def _walk(circuit: Circuit, blocks: dict[int, tuple[tuple[int, ...], np.ndarray]
 
 def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     """State vector at every slot boundary, starting from the all-zeros state."""
-    _check_cap(circuit.n_qubits, cap)
+    _check_cap(circuit.n_qubits, _integer(cap))
     psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
     psi[0] = 1.0
     states, register = [], tuple(range(circuit.n_qubits))
@@ -185,7 +186,7 @@ def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.
     0..upto_slot-1.
     """
     _check_cap(circuit.n_qubits, SIZE_CAP)
-    if not 0 <= upto_slot <= circuit.max_slot + 1:
+    if not 0 <= (upto_slot := _integer(upto_slot)) <= circuit.max_slot + 1:
         raise IndexError(f"boundary {upto_slot} out of range (0..{circuit.max_slot + 1})")
     n, register = circuit.n_qubits, tuple(range(circuit.n_qubits))
     _, blocks, _ = next(islice(_walk(circuit, dict.fromkeys(register, (register, np.eye(2 ** n)))), upto_slot, None))
@@ -201,7 +202,7 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
         raise ValueError(f"a state is one vector of amplitudes, got an array of shape {np.shape(psi)}")
     if len(psi) < 2 or len(psi) & (len(psi) - 1):
         raise ValueError(f"a state of {len(psi)} amplitudes is no register of qubits: the length must be 2**n, n >= 1")
-    if not 0 <= qubit < len(psi).bit_length() - 1:
+    if not 0 <= (qubit := _integer(qubit)) < len(psi).bit_length() - 1:
         raise IndexError(f"qubit {qubit} is outside a state of {len(psi)} amplitudes")
     phase, rows = _pauli_rows(psi, qubit, letter)
     return float(np.vdot(psi, phase * rows).real)

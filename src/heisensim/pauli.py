@@ -24,10 +24,11 @@ An operator is built from ``((x, z), coeff)`` terms, or from
 ``+``, ``-``, unary ``-``, scalar ``*`` and ``/``, and ``@`` for the
 operator product.  Construction merges like keys with order-insensitive
 ``fsum`` and every result drops coefficients below
-:data:`DROP_TOLERANCE`, so sums are always in canonical form.  Letters
-appear only on output: the canonical term order, by (qubit index, letter
-rank), is computed when ``repr`` or ``to_json`` first reads it and then
-cached, so equal operators always serialise identically.
+:data:`DROP_TOLERANCE`, so sums are always in canonical form.  Masks
+``(x, z)`` are constructor input only; terms are read back as letters in
+dict order (:func:`_lettered`, which the oracle's ``expand`` maps onto
+its register).  Sorted by (qubit index, letter rank) on the first ``repr``
+or ``to_json`` and cached, so equal operators serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
@@ -53,9 +54,9 @@ __all__ = [
 #: Coefficients with magnitude below this are treated as exact zeros.
 DROP_TOLERANCE = 1e-12
 
-#: Tolerance for every user-visible comparison (verdicts, cross-checks).
-#: Kept two orders above the drop tolerance so dropped terms can never
-#: flip a comparison.
+#: Tolerance for every user-visible comparison (verdicts, cross-checks),
+#: set two orders above the drop tolerance so that dropped terms should
+#: not flip a comparison; no error bound checks this.
 DEFAULT_TOLERANCE = 1e-9
 
 # (x bit, z bit) of each non-identity letter, and the letter of each x + 2z.
@@ -181,20 +182,17 @@ def _support_mask(*ops: "PauliSum") -> int:
     return mask
 
 
-def _masks_and_coeffs(op: "PauliSum") -> tuple[list[Key], list[complex]]:
-    """The masks ``(x, z)`` and the coefficient of each term of ``op``, as two lists in dict order."""
-    n, low = op.n_qubits, (1 << op.n_qubits) - 1
-    return [(k >> n, k & low) for k in op._terms], list(op._terms.values())
-
-
 LetterMap = tuple[tuple[int, str], ...]
 
 
-def _letters(key: Key) -> LetterMap:
-    """Letter map of (x, z) masks, in qubit order."""
-    x, z = key
-    bits = enumerate(bin(x | z)[:1:-1])  # (qubit, "0" or "1"), lowest qubit first
-    return tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1")
+def _lettered(op: "PauliSum") -> list[tuple[LetterMap, complex]]:
+    """(letters, coefficient) per term of ``op`` in dict order, each string's letters in qubit order."""
+    n, low, terms = op.n_qubits, (1 << op.n_qubits) - 1, []
+    for key, c in op._terms.items():
+        x, z = key >> n, key & low
+        bits = enumerate(bin(x | z)[:1:-1])  # (qubit, "0" or "1"), lowest qubit first
+        terms.append((tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1"), c))
+    return terms
 
 
 class PauliSum:
@@ -266,7 +264,7 @@ class PauliSum:
         """(letters, coefficient) per term in canonical order, sorted on first use and cached."""
         if self._order is None:
             # letter ranks X < Y < Z sort like the letters themselves
-            self._order = tuple(sorted((_letters(masks), c) for masks, c in zip(*_masks_and_coeffs(self))))
+            self._order = tuple(sorted(_lettered(self)))
         return self._order
 
     @property

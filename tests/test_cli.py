@@ -175,6 +175,22 @@ def test_tree_into_missing_directory(tmp_path):
     assert not tree.parent.exists()
 
 
+def test_tree_to_empty_path_fails_like_unwritable_path(capsys):
+    # an empty path asks for a tree like any other; it cannot be written, so the run fails
+    with pytest.raises(SystemExit, match=r"^cannot write : .*No such file or directory"):
+        main(["run", "--preset", "fr", "--tree", ""])
+    assert capsys.readouterr().out == ""
+
+
+def test_circuit_file_with_byte_order_mark(tmp_path, capsys):
+    # editors may save UTF-8 with a leading U+FEFF, which is no part of the qubits directive
+    path = tmp_path / "bom.qc"
+    path.write_bytes(b"\xef\xbb\xbf" + heisensim.serialize_circuit(heisensim.get_preset("fr")).encode("utf-8"))
+    code, out = run_cli(capsys, "run", "--circuit", str(path), "--report", "table")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "fr_report.txt").read_text(encoding="utf-8")
+
+
 def test_circuit_file_not_utf8(tmp_path, capsys):
     bad = tmp_path / "latin.qc"
     bad.write_bytes(b"qubits 2\n\xff h 0\n")

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import PauliSum, _masks_and_coeffs
+from heisensim.pauli import PauliSum
 
-from conftest import LETTER_MATRICES, A, R, S, U_R, W_B, gate_unitary, random_circuit, random_parallel_circuit, term
+from conftest import (
+    LETTER_MATRICES, A, R, S, U_R, W_B, canonical_terms, gate_unitary, random_circuit, random_parallel_circuit, term,
+)
 
 
 def kron_chain(*mats):
@@ -97,10 +100,31 @@ def test_expand_sums_terms_in_dict_order_bit_for_bit(register):
         ((x, z), complex(math.sqrt(2 + 3 * z + x), math.pi / (1 + z + 5 * x))) for x in (5, 11) for z in range(16)
     ]
     a = PauliSum(max(on) + 1, strings)
+    n = a.n_qubits
     reference = np.zeros((2 ** len(on),) * 2, dtype=complex)
-    for (x, z), coeff in zip(*_masks_and_coeffs(a)):
-        letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in on]
+    for key, coeff in a._terms.items():  # the letter of qubit q is bit n + q (x) plus twice bit q (z) of the key
+        letters = ["IXZY"[(key >> n + q & 1) + 2 * (key >> q & 1)] for q in on]
         reference += coeff * kron_chain(*(LETTER_MATRICES[letter] for letter in letters))
+    assert np.array_equal(expand(a, register), reference)
+
+
+@pytest.mark.parametrize("register", [(39, 3, 35), (np.int64(3), 35, 39)])
+def test_expand_wide_operator_on_register_bit_for_bit(register):
+    # a key x << 40 | z does not fit an int64; expand reads each term's letters on the register.
+    # Three terms share the x mask of qubit 3 and two that of qubits 3 and 39, so their sums show the order
+    strings = [
+        (complex(math.sqrt(2), 1 / 3), {3: "X", 35: "Z"}),
+        (complex(-math.pi, 0.5), {3: "X"}),
+        (complex(1 / 7, -math.e), {3: "X", 39: "Y"}),
+        (complex(0.25, math.sqrt(7)), {35: "Y", 39: "Z"}),
+        (complex(math.sqrt(3), -1 / 9), {3: "Y", 35: "Z", 39: "X"}),
+        (complex(-2 / 3, math.sqrt(5)), {3: "Y"}),
+        (complex(math.sqrt(11), 1 / 13), {35: "Z", 39: "Z"}),
+    ]
+    a = PauliSum(40, [term(coeff, letters) for coeff, letters in strings])
+    reference = np.zeros((8, 8), dtype=complex)
+    for coeff, letters in strings:  # distinct keys keep their input order in the dict
+        reference += coeff * kron_chain(*(LETTER_MATRICES[letters.get(q, "I")] for q in register))
     assert np.array_equal(expand(a, register), reference)
 
 
@@ -246,6 +270,30 @@ def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error, siz
     psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1] if size == 2 else np.full(size, np.prod(size) ** -0.5)
     with pytest.raises(error):
         state_expectation(psi, qubit, letter)
+
+
+_PSI = np.array([1, 0, 0, 0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: expand(PauliSum.single(2, 0, "X"), (False, True)), False),
+        (lambda: expand(PauliSum.single(2, 0, "X"), (0.0, 1.0)), 0.0),
+        (lambda: conjugate_descriptor(hs.get_preset("fr"), True), True),
+        (lambda: conjugate_descriptor(hs.get_preset("fr"), 2.0), 2.0),
+        (lambda: state_expectation(_PSI, True, "Z"), True),
+        (lambda: state_expectation(_PSI, 1.0, "Z"), 1.0),
+        (lambda: evolve_state(hs.Circuit(2, (hs.h(0),)), cap=True), True),
+        (lambda: evolve_state(hs.Circuit(2, (hs.h(0),)), cap=12.5), 12.5),
+    ],
+    ids=["expand-bool", "expand-float", "conjugate-bool", "conjugate-float", "state-bool", "state-float",
+         "cap-bool", "cap-float"],
+)
+def test_entry_points_refuse_bools_and_floats_as_integers(call, bad):
+    # a bool would pass as qubit, boundary or cap 0 or 1, and a float would pass or fail deep inside numpy
+    with pytest.raises(TypeError, match=f"^{re.escape(f'expected an integer, got {bad!r}')}$"):
+        call()
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -575,9 +623,7 @@ def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_
         touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
         for q, d in enumerate(state.descriptors):
             if t == 0 or q in touched or d is not fr_trace[t - 1].descriptor(q):
-                support = 0
-                for x, z in (masks for op in d.triple for masks in _masks_and_coeffs(op)[0]):
-                    support |= x | z
+                support = sum({1 << k for op in d.triple for _, letters in canonical_terms(op) for k in letters})
                 expected += [(_backward_cone(groups, t, q) | support).bit_count()] * 3
     assert widths == expected
     assert min(widths) == 1 and max(widths) < fr_circuit.n_qubits

@@ -18,7 +18,6 @@ from heisensim.pauli import (
     DimensionMismatch,
     HermiticityError,
     PauliSum,
-    _masks_and_coeffs,
     pair_expectation,
     vacuum_expectation,
 )
@@ -85,10 +84,10 @@ def test_rejects_non_integer_register_or_qubit(build, message):
 def test_numpy_integer_register_and_qubit_stored_as_int():
     op = PauliSum.single(np.int64(3), np.int32(2), "Y")
     assert op == PauliSum.single(3, 2, "Y") and type(op.n_qubits) is int
-    assert _masks_and_coeffs(op) == ([(4, 4)], [1]) and {type(key) for key in op._terms} == {int}
+    assert op._terms == {4 << 3 | 4: 1} and {type(key) for key in op._terms} == {int}
     # one key holds both masks: numpy masks shifted 40 bits would wrap in an int64
     wide = PauliSum(40, [((np.int64(1 << 39), np.int64(1)), 1)])
-    assert {type(key) for key in wide._terms} == {int} and _masks_and_coeffs(wide) == ([(1 << 39, 1)], [1])
+    assert {type(key) for key in wide._terms} == {int} and wide._terms == {1 << 39 << 40 | 1: 1}
     assert wide.to_json() == [{"coeff": [1.0, 0.0], "letters": {"0": "Z", "39": "X"}}]
 
 
@@ -192,7 +191,7 @@ def test_sum_product_matches_dense_product(pair):
 
 
 def _loop_terms(a, b):
-    """``((x, z), re.hex(), im.hex())`` per term of ``a @ b`` computed by the loop alone."""
+    """``(key, re.hex(), im.hex())`` per term of ``a @ b``, in dict order, computed by the loop alone."""
     with mock.patch.object(pauli, "_CROSSOVER", math.inf):
         return _bits(a @ b)
 
@@ -235,7 +234,7 @@ def _kernel_product(a, b, rows=None):
 
 
 def _bits(op):
-    return [(masks, c.real.hex(), c.imag.hex()) for masks, c in zip(*_masks_and_coeffs(op))]
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in op._terms.items()]
 
 
 @given(product_operands(), st.integers(1, 3) | st.none())
