@@ -266,7 +266,7 @@ class NetworkState:
         return len(self.descriptors)
 
     def descriptor(self, qubit: int) -> Descriptor:
-        if not 0 <= qubit < len(self.descriptors):
+        if not 0 <= (qubit := _integer(qubit)) < len(self.descriptors):
             raise IndexError(f"qubit {qubit} out of range")
         return self.descriptors[qubit]
 
@@ -352,8 +352,8 @@ def run_circuit(circuit: Circuit) -> Trace:
 
 def projector(state: NetworkState, qubit: int, sign: int) -> PauliSum:
     """Branch projector (I + sign * q_z)/2 for one qubit's current z component."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return _branch_projector(state.descriptor(qubit).z, sign)
 
 
@@ -363,7 +363,13 @@ def _branch_projector(z: PauliSum, sign: int) -> PauliSum:
 
 
 def trace_json_doc(circuit: Circuit, trace: Trace) -> dict:
-    """JSON document for a trace; term order is canonical, output byte-stable."""
+    """JSON document for a trace; term order is canonical, output byte-stable.
+
+    Each distinct operator object is serialised once, and every component that
+    is that object, at any boundary and under any name, shares its list of terms.
+    """
+    ops = {id(op): op for state in trace for d in state.descriptors for op in d.triple}
+    terms = {key: op.to_json() for key, op in ops.items()}  # ops keeps each id's object alive
     return {
         "format_version": 1,
         "n_qubits": circuit.n_qubits,
@@ -372,12 +378,7 @@ def trace_json_doc(circuit: Circuit, trace: Trace) -> dict:
             {
                 "t": state.time,
                 "descriptors": [
-                    {
-                        "qubit": d.qubit,
-                        "x": d.x.to_json(),
-                        "y": d.y.to_json(),
-                        "z": d.z.to_json(),
-                    }
+                    {"qubit": d.qubit, "x": terms[id(d.x)], "y": terms[id(d.y)], "z": terms[id(d.z)]}
                     for d in state.descriptors
                 ],
             }

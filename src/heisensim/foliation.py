@@ -48,6 +48,7 @@ The tree's events are the fold's status changes, read off the timeline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -94,6 +95,13 @@ class ZeroWeightBranch(ValueError):
 
 class FoliationPrecondition(ValueError):
     """Relative descriptors requested for a pair without a sharp foliation."""
+
+
+def _checked(tol: float) -> float:
+    """``tol`` if it is finite and >= 0; NaN, negative and infinite tolerances raise ValueError."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,15 @@ def sharp_foliation(
     nine component pairs, in (x, y, z) x (x, y, z) order, that violates
     factorisation; when all nine factorise it records the (z, z) values
     with ``entangled=False``.  An expectation whose imaginary part exceeds
-    ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`.
+    ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`;
+    a NaN, negative or infinite ``tol`` raises ValueError.
     """
+    dc, dt = state.descriptor(control), state.descriptor(target)
     if control == target:
         raise ValueError("foliation test needs two distinct qubits")
-    dc, dt = state.descriptor(control), state.descriptor(target)
     ops_c, ops_t = dc.triple, dt.triple
     # each mean and pair is read once, under one Hermiticity guard whichever pair ends the scan
-    guard = min(tol, DEFAULT_TOLERANCE)
+    guard = min(_checked(tol), DEFAULT_TOLERANCE)
     means_c = [vacuum_expectation(op, guard) for op in ops_c]
     means_t = [vacuum_expectation(op, guard) for op in ops_t]
     # the scan: the first component pair violating factorisation is the witness
@@ -223,9 +232,9 @@ def conditional_expectation(
     """Branch expectation <q_T P_sign>/<P_sign> of one target component.
 
     Raises :class:`ZeroWeightBranch` when the branch weight <P_sign> is at
-    most ``tol``, and :class:`HermiticityError` as :func:`sharp_foliation` does.
+    most ``tol``, and :class:`HermiticityError` and ValueError as :func:`sharp_foliation` does.
     """
-    p, guard = projector(state, control, sign), min(tol, DEFAULT_TOLERANCE)
+    p, guard = projector(state, control, sign), min(_checked(tol), DEFAULT_TOLERANCE)
     weight = vacuum_expectation(p, guard)
     if weight <= tol:
         raise ZeroWeightBranch(f"branch {sign:+d} of qubit {control} has weight {weight:g}")
@@ -286,11 +295,12 @@ def foliation_timeline(
             control, target = pair
             # A verdict reads only the pair's two descriptors and tol, and
             # run_circuit hands a descriptor no gate touched on as the same
-            # object, so an unchanged pair's earlier report still holds.
+            # object, so an unchanged pair's earlier report still holds.  The
+            # first boundary evaluates every pair, which checks its qubits once.
             if (
                 previous is not None
-                and state.descriptor(control) is previous.descriptor(control)
-                and state.descriptor(target) is previous.descriptor(target)
+                and state.descriptors[control] is previous.descriptors[control]
+                and state.descriptors[target] is previous.descriptors[target]
             ):
                 report = replace(reports[-1][pair], slot=state.time)
             else:
@@ -369,8 +379,10 @@ def build_branch_tree(
     pair's previous event when it has one (a creation feeding its own
     diffusion contributes one signed edge per branch, weighted by the
     creation's projector values), and otherwise off the most recent event
-    touching either qubit, or the trunk.  Node order is (slot, pair).
+    touching either qubit, or the trunk.  Node order is (slot, pair).  A
+    NaN, negative or infinite ``tol`` raises ValueError.
     """
+    _checked(tol)
     trunk = TreeNode("trunk", "trunk", 0, None, ())
     nodes = [trunk]
     edges: list[TreeEdge] = []

@@ -27,8 +27,8 @@ operator product.  Construction merges like keys with order-insensitive
 :data:`DROP_TOLERANCE`, so sums are always in canonical form.  Masks
 ``(x, z)`` are constructor input only; terms are read back as letters in
 dict order (:func:`_lettered`, which the oracle's ``expand`` maps onto
-its register).  Sorted by (qubit index, letter rank) on the first ``repr``
-or ``to_json`` and cached, so equal operators serialise identically.
+its register).  ``repr`` and ``to_json`` sort them by (qubit index, letter),
+which ranks X < Y < Z, each time, so equal operators serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
@@ -200,11 +200,11 @@ class PauliSum:
 
     ``terms`` are ``((x, z), coeff)`` pairs, kept as a dict from the key
     ``x << n_qubits | z`` to coefficient.  Like keys merge with ``fsum``, so
-    any permutation of the input yields the same operator; the canonical
-    order is computed on first output and cached.
+    any permutation of the input yields the same operator; ``repr`` and
+    ``to_json`` put the terms in canonical order each time they are called.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_order")
+    __slots__ = ("n_qubits", "_terms")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[Key, complex]] = ()):
         if (n_qubits := _integer(n_qubits)) < 1:
@@ -228,7 +228,6 @@ class PauliSum:
                 merged[key] = c
         self.n_qubits = n_qubits
         self._terms = merged
-        self._order = None
 
     @classmethod
     def _from_dict(cls, n_qubits: int, terms: dict[int, complex]) -> "PauliSum":
@@ -236,7 +235,6 @@ class PauliSum:
         self = object.__new__(cls)
         self.n_qubits = n_qubits
         self._terms = terms
-        self._order = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -260,13 +258,6 @@ class PauliSum:
 
     # -- views -------------------------------------------------------------
 
-    def _ordered(self) -> tuple[tuple[LetterMap, complex], ...]:
-        """(letters, coefficient) per term in canonical order, sorted on first use and cached."""
-        if self._order is None:
-            # letter ranks X < Y < Z sort like the letters themselves
-            self._order = tuple(sorted(_lettered(self)))
-        return self._order
-
     @property
     def support(self) -> frozenset[int]:
         """Qubits on which any stored term acts non-trivially."""
@@ -288,7 +279,7 @@ class PauliSum:
         if not self._terms:
             return f"<PauliSum n={self.n_qubits}: 0>"
         parts = []
-        for letters, c in self._ordered()[:6]:
+        for letters, c in sorted(_lettered(self))[:6]:
             body = " ".join(f"{letter}{q}" for q, letter in letters) or "I"
             parts.append(f"({c:.4g})*{body}")
         tail = " + ..." if len(self._terms) > 6 else ""
@@ -351,14 +342,16 @@ class PauliSum:
         """Terms in canonical order as JSON-ready dicts."""
         return [
             {"coeff": [c.real, c.imag], "letters": {str(q): letter for q, letter in letters}}
-            for letters, c in self._ordered()
+            for letters, c in sorted(_lettered(self))
         ]
 
 
 def _real_expectation(vals: list[complex], tol: float) -> float:
     """Sum of ``vals``, which must be real up to ``tol``."""
     re, im = (fsum(v.real for v in vals), fsum(v.imag for v in vals)) if vals else (0.0, 0.0)  # most are empty
-    if abs(im) > tol:
+    if not abs(im) <= tol:  # one comparison on the hot path, which also catches a NaN tolerance
+        if not tol >= 0:
+            raise ValueError(f"tolerance must be a number >= 0, got {tol!r}")
         raise HermiticityError(f"imaginary residue {im:g} in expectation value")
     return re
 
@@ -368,7 +361,8 @@ def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
 
     Only terms with no X or Y letter (x mask 0) contribute, each with
     weight equal to its coefficient.  The operator must be Hermitian up to
-    ``tol``: a larger imaginary residue raises :class:`HermiticityError`.
+    ``tol``: a larger imaginary residue raises :class:`HermiticityError`, and
+    a NaN or negative ``tol`` raises ValueError.
     """
     return _real_expectation([c for k, c in a._terms.items() if not k >> a.n_qubits], tol)
 

@@ -34,6 +34,16 @@ def test_report_table_has_twelve_data_rows(capsys):
     assert ["(6,7)", "A,U_A", "Controlled-not", "Sharp", "1,", "0"] in cells
 
 
+def test_report_json_bytes_pinned_on_large_operators(tmp_path, capsys):
+    # the indented layout the CLI prints, on operators of up to 1620 terms that
+    # many boundaries share; the digest is json.dumps(trace_json_doc(...), indent=2) + "\n"
+    path = tmp_path / "random4.qc"
+    path.write_text(heisensim.serialize_circuit(random_circuit(random.Random(4), 8, 40)))
+    code, out = run_cli(capsys, "run", "--circuit", str(path), "--report", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "110c0e0b191fdb13ca389c0226e6b2a95ec5c479cb29909c3f8382f60a13c39a"
+
+
 def test_report_json_is_trace_document(capsys):
     code, out = run_cli(capsys, "run", "--preset", "fr", "--report", "json")
     assert code == 0

@@ -461,6 +461,21 @@ def test_trace_json_shape(fr_circuit, fr_trace):
     assert first["z"] == [{"coeff": [1.0, 0.0], "letters": {"0": "Z"}}]
 
 
+def test_trace_json_doc_serialises_each_operator_object_once(fr_circuit, fr_trace, monkeypatch):
+    # run_circuit hands untouched components on as the same objects, and h
+    # moves x and z to each other's place: each object is serialised once,
+    # and every component that is it shares that one list of terms
+    calls = []
+    to_json = PauliSum.to_json
+    monkeypatch.setattr(PauliSum, "to_json", lambda op: calls.append(op) or to_json(op))
+    doc = trace_json_doc(fr_circuit, fr_trace)
+    ops = [op for state in fr_trace for d in state.descriptors for op in d.triple]
+    lists = [d[name] for slot in doc["slots"] for d in slot["descriptors"] for name in "xyz"]
+    assert len(ops) == len(lists) == 192
+    assert len(calls) == len({id(op) for op in calls}) == len({id(op) for op in ops}) == 65
+    assert len({(id(op), id(terms)) for op, terms in zip(ops, lists)}) == len({id(terms) for terms in lists}) == 65
+
+
 # SHA-256 of json.dumps(trace_json_doc(...)) for random_circuit(Random(seed),
 # n, 40), computed with the pure-Python product loop; the operators reach
 # 1620, 800 and 3601 terms per component, beyond the few-term operators the

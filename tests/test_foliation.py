@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from heisensim.foliation import (
     tree_to_dot,
 )
 from heisensim.oracle import evolve_state, state_expectation
-from heisensim.pauli import HermiticityError, PauliSum, vacuum_expectation
+from heisensim.pauli import HermiticityError, PauliSum, pair_expectation, vacuum_expectation
 
 from conftest import A, B, R, S, U_A, U_R, W_B, W_S, allclose, random_circuit, random_parallel_circuit
 
@@ -53,6 +54,54 @@ def test_entangled_rejects_same_qubit(fr_trace):
         hs.entangled(fr_trace[0], 1, 1)
     with pytest.raises(ValueError, match="foliation test needs two distinct qubits"):
         hs.sharp_foliation(fr_trace[0], 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda t: hs.sharp_foliation(t[2], True, 0), TypeError, "expected an integer, got True"),
+        (lambda t: hs.sharp_foliation(t[2], True, 1), TypeError, "expected an integer, got True"),
+        (lambda t: hs.sharp_foliation(t[2], 1.0, 0), TypeError, "expected an integer, got 1.0"),
+        (lambda t: hs.entangled(t[2], 0, True), TypeError, "expected an integer, got True"),
+        (lambda t: hs.relative_descriptor(t[2], True, 0, 1), TypeError, "expected an integer, got True"),
+        (lambda t: hs.conditional_expectation(t[2], True, "z", 0, 1), TypeError, "expected an integer, got True"),
+        (lambda t: hs.foliation_timeline(t, ((True, 0),)), TypeError, "expected an integer, got True"),
+        (lambda t: hs.projector(t[2], 0, True), ValueError, "sign must be +1 or -1, got True"),
+        (lambda t: hs.conditional_expectation(t[2], 1, "z", 0, True), ValueError, "sign must be +1 or -1, got True"),
+    ],
+    ids=["sharp-bool", "sharp-bool-equal", "sharp-float", "entangled-bool", "relative-bool", "conditional-bool", "timeline-bool",
+         "projector-bool-sign", "conditional-bool-sign"],
+)
+def test_analysis_refuses_bools_and_floats_as_qubits_and_signs(call, error, message, fr_trace):
+    # a bool would read as qubit or sign 0 or 1, and a float would fail inside tuple indexing
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(fr_trace)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c, t, tl: hs.sharp_foliation(t[2], 0, 1, tol=math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.sharp_foliation(t[2], 0, 1, tol=-1e-9), "a finite number >= 0, got -1e-09"),
+        (lambda c, t, tl: hs.sharp_foliation(t[2], 0, 1, tol=math.inf), "a finite number >= 0, got inf"),
+        (lambda c, t, tl: hs.foliation_timeline(t, ((0, 1),), math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.build_branch_tree(c, tl, math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.build_branch_tree(c, tl, math.inf), "a finite number >= 0, got inf"),
+        (lambda c, t, tl: hs.conditional_expectation(t[0], 0, "z", 1, -1, tol=math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.conditional_expectation(t[2], 1, "z", 0, 1, tol=math.inf), "a finite number >= 0, got inf"),
+        (lambda c, t, tl: vacuum_expectation(PauliSum.single(2, 0, "Z", 1j), math.nan), "a number >= 0, got nan"),
+        (lambda c, t, tl: vacuum_expectation(PauliSum.single(2, 0, "X"), -1), "a number >= 0, got -1"),
+        (lambda c, t, tl: pair_expectation(t[2].descriptor(0).z, t[2].descriptor(1).z, -1e-9), "a number >= 0, got -1e-09"),
+    ],
+    ids=["sharp-nan", "sharp-negative", "sharp-inf", "timeline-nan", "tree-nan", "tree-inf", "conditional-nan",
+         "conditional-inf", "vacuum-nan", "vacuum-negative", "pair-negative"],
+)
+def test_analysis_refuses_nan_negative_and_infinite_tolerances(call, message, fr_circuit, fr_trace, fr_timeline):
+    # a NaN tolerance fails every comparison, which reads as non-sharp, drops tree
+    # edges and silences the Hermiticity guard; a negative one refuses every residue
+    with pytest.raises(ValueError, match=f"^tolerance must be {re.escape(message)}$") as info:
+        call(fr_circuit, fr_trace, fr_timeline)
+    assert not isinstance(info.value, HermiticityError)
 
 
 # -- instantaneous verdicts ------------------------------------------------------
