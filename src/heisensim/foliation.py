@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
-from .pauli import DEFAULT_TOLERANCE, _support_mask, pair_expectation, vacuum_expectation
+from .pauli import DEFAULT_TOLERANCE, _integer, _support_mask, pair_expectation, vacuum_expectation
 
 __all__ = [
     "SHARP",
@@ -119,6 +119,7 @@ def entangled(
     state: NetworkState, q1: int, q2: int, tol: float = DEFAULT_TOLERANCE
 ) -> EntanglementWitness:
     """The entanglement witness of :func:`sharp_foliation` for (q1, q2)."""
+    state.descriptor(q1), state.descriptor(q2)  # a bool, a float or a qubit out of range raises first
     if q1 == q2:
         raise ValueError("entanglement test needs two distinct qubits")
     return sharp_foliation(state, q1, q2, tol).witness
@@ -283,8 +284,11 @@ def foliation_timeline(
     verdict while the pair is ``sharp``, makes it ``bubble``; otherwise its
     status stays.  A pair whose two descriptors are the same objects as at
     the previous boundary keeps that boundary's report, restamped with the
-    new slot.
+    new slot.  The pairs and ``tol`` are checked up front, even on an empty trace.
     """
+    _checked(tol)
+    for control, target in watch:
+        _integer(control), _integer(target)
     status = {pair: _TRUNK for pair in watch}
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
@@ -295,8 +299,7 @@ def foliation_timeline(
             control, target = pair
             # A verdict reads only the pair's two descriptors and tol, and
             # run_circuit hands a descriptor no gate touched on as the same
-            # object, so an unchanged pair's earlier report still holds.  The
-            # first boundary evaluates every pair, which checks its qubits once.
+            # object, so an unchanged pair's earlier report still holds.
             if (
                 previous is not None
                 and state.descriptors[control] is previous.descriptors[control]

@@ -8,13 +8,15 @@ circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
 P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
-:func:`_pauli_rows` applies to a state or a unitary and :func:`expand` to
-all terms at once on any register, mapping each term's letters (as
-``pauli`` hands them out, in dict order) onto the register's bits as int64
-masks x and z.  A gate is applied by one ``np.tensordot`` on the [2]*n
-view.  Every gate kind (``ry``, ``h``, ``cx``, ``ch``) has a real matrix,
-so the accumulated unitary U stays real orthogonal and each conjugation
-U^T (sigma U) is one real product; a Y component is i times a real matrix.
+:func:`_pauli_rows` applies to a state or a unitary for a stack of
+single-qubit Paulis, and :func:`_scatter` to all terms of a few operators
+at once on any register, mapping each term's letters (as ``pauli`` hands
+them out, in dict order) onto the register's bits as int64 masks x and z;
+:func:`expand` checks its register and scatters one operator.  A gate is
+applied by one ``np.tensordot`` on the [2]*n view.  Every gate kind
+(``ry``, ``h``, ``cx``, ``ch``) has a real matrix, so the accumulated
+unitary U stays real orthogonal and each conjugation U^T (sigma U) is one
+real product; a Y component is i times a real matrix.
 
 One walk, :func:`_walk`, applies every gate.  It carries blocks of qubits
 across the slot boundaries, each block's product on its own register, each
@@ -26,7 +28,9 @@ identity block per qubit, so its blocks are the clusters the gates have
 joined.  A descriptor changes only through the gates of its past light
 cone (Deutsch & Hayden, quant-ph/9906007), so each site is conjugated on
 its cone plus the engine operator's support, read off its cluster's
-product by the slab rule of :func:`_site_matrix_devs`.  A site whose qubit
+product by the slab rule of :func:`_site_matrix_devs`.  Each boundary's
+state gives all 3n one-point values in one gather, and each fresh site
+scatters its three engine components at once.  A site whose qubit
 no gate of the previous slot touched, and whose engine descriptor is the
 very object of the previous boundary, keeps its previous matrix deviation:
 for a gate G acting off q, G^dagger sigma_q G = sigma_q exactly.
@@ -77,9 +81,7 @@ def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
     """Dense matrix of ``a`` with bit i of the basis index on qubit ``register[i]``.
 
     The default register is every qubit in order; any other lists distinct
-    qubits of ``a``, each qubit where ``a`` acts among them.  Each term's
-    letters give its x and z masks on the register, and one ``np.add.at``
-    scatters the signed rows of all terms in dict order.
+    qubits of ``a``, each qubit where ``a`` acts among them.
     """
     register = tuple(range(a.n_qubits) if register is None else map(_integer, register))
     width, mask = len(register), sum(1 << q for q in register if 0 <= q < a.n_qubits)
@@ -88,15 +90,25 @@ def expand(a: PauliSum, register: tuple[int, ...] | None = None) -> np.ndarray:
         raise ValueError(
             f"register {register} repeats a qubit, names one outside the operator or misses one where it acts"
         )
-    bit, terms = {q: 1 << i for i, q in enumerate(register)}, _lettered(a)
-    x = np.array([sum(bit[q] for q, letter in letters if letter != "Z") for letters, _ in terms], dtype=np.int64)
-    z = np.array([sum(bit[q] for q, letter in letters if letter != "X") for letters, _ in terms], dtype=np.int64)
-    cols = np.arange(2**width)
+    return _scatter((a,), register)[0]
+
+
+def _scatter(ops: tuple[PauliSum, ...], register: tuple[int, ...]) -> np.ndarray:
+    """Dense matrices of ``ops``, stacked, on a register that holds every qubit where they act.
+
+    One ``np.add.at`` scatters the signed rows of all terms, each operator's in dict order.
+    """
+    bit = {q: 1 << i for i, q in enumerate(register)}
+    terms = [(k, letters, c) for k, op in enumerate(ops) for letters, c in _lettered(op)]
+    which = np.array([k for k, _, _ in terms], dtype=np.intp)
+    x = np.array([sum(bit[q] for q, letter in letters if letter != "Z") for _, letters, _ in terms], dtype=np.int64)
+    z = np.array([sum(bit[q] for q, letter in letters if letter != "X") for _, letters, _ in terms], dtype=np.int64)
+    cols = np.arange(2 ** len(register))
     signs = 1 - 2 * (_POPCOUNT[cols & z[:, None]] & 1)
     phases = np.array(_I_POWERS)[_POPCOUNT[x & z] % 4]
-    coeffs = np.array([c for _, c in terms], dtype=complex) * phases
-    out = np.zeros((len(cols), len(cols)), dtype=complex)
-    np.add.at(out, (cols ^ x[:, None], cols), coeffs[:, None] * signs)
+    coeffs = np.array([c for _, _, c in terms], dtype=complex) * phases
+    out = np.zeros((len(ops), len(cols), len(cols)), dtype=complex)
+    np.add.at(out, (which[:, None], cols ^ x[:, None], cols), coeffs[:, None] * signs)
     return out
 
 
@@ -160,22 +172,27 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     return states
 
 
-def _pauli_rows(array: np.ndarray, qubit: int, letter: str) -> tuple[complex, np.ndarray]:
-    """sigma A as (phase, rows) with sigma A = phase * rows, for a single-qubit Pauli.
+def _pauli_rows(array: np.ndarray, qubits, letters) -> np.ndarray:
+    """A stack of rows[k] with sigma_k A = i^{#Y} rows[k], for the Pauli letters[k] on qubits[k].
 
-    rows[r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x] and phase = i^{#Y}; A is a
-    state vector or a matrix whose rows are indexed by the basis.
+    rows[k][r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x] for sigma_k's masks x
+    and z; A is a state vector or a matrix whose rows are indexed by the basis.
     """
-    x, z = int(letter in "XY") << qubit, int(letter in "YZ") << qubit
+    x = np.array([int(letter != "Z") << q for q, letter in zip(qubits, letters)])[:, None]
+    z = np.array([int(letter != "X") << q for q, letter in zip(qubits, letters)])[:, None]
     rows = np.arange(array.shape[0]) ^ x
-    signs = (1 - 2 * (rows & z != 0)).reshape((-1,) + (1,) * (array.ndim - 1))
-    return (1j if x & z else 1), signs * array[rows]  # an int phase keeps a real A real
+    return (1 - 2 * (rows & z != 0)).reshape(rows.shape + (1,) * (array.ndim - 1)) * array[rows]
 
 
 def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
-    """U^dagger sigma U for a real U: one product, real unless the letter is Y."""
-    phase, rows = _pauli_rows(total, qubit, letter)
-    return phase * (total.T @ rows)
+    """U^dagger sigma U for a real U: one product, real unless the letter is Y (an int phase keeps it real)."""
+    return (1j if letter == "Y" else 1) * (total.T @ _pauli_rows(total, [qubit], [letter])[0])
+
+
+def _expectations(psi: np.ndarray, qubits, letters) -> list[float]:
+    """<psi| sigma |psi> for the Pauli letters[k] on qubits[k], each k: one gather for all."""
+    rows = _pauli_rows(psi, qubits, letters)
+    return [float(np.vdot(psi, (1j if letter == "Y" else 1) * row).real) for letter, row in zip(letters, rows)]
 
 
 def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.ndarray]]:
@@ -204,8 +221,7 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
         raise ValueError(f"a state of {len(psi)} amplitudes is no register of qubits: the length must be 2**n, n >= 1")
     if not 0 <= (qubit := _integer(qubit)) < len(psi).bit_length() - 1:
         raise IndexError(f"qubit {qubit} is outside a state of {len(psi)} amplitudes")
-    phase, rows = _pauli_rows(psi, qubit, letter)
-    return float(np.vdot(psi, phase * rows).real)
+    return _expectations(psi, [qubit], [letter])[0]
 
 
 @dataclass(frozen=True)
@@ -232,23 +248,22 @@ def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descrip
     R within K and I on the rest of K.  X is therefore S^T sigma_q S, where
     the slab S holds the columns of V whose basis states are 0 on K off R.
     Qubits of R outside K get I x X, so a wrong term off the cone is still
-    compared against the identity there; :func:`expand` reads the engine
-    operator on the same register.  (A x I) - (B x I) has the entries of
-    A - B, so the deviation on R is the full register's.
+    compared against the identity there; :func:`_scatter` reads the engine
+    components on the same register, all three in one stack.  (A x I) - (B x I)
+    has the entries of A - B, so the deviation on R is the full register's.
     """
     register, unitary = cluster
     support = _support_mask(*descriptor.triple)
     inside = [i for i, q in enumerate(register) if (cone | support) >> q & 1]
     slab = unitary[:, np.flatnonzero((np.arange(len(unitary)) & ~sum(1 << i for i in inside)) == 0)]
     outside = [q for q in range(descriptor.x.n_qubits) if support >> q & 1 and q not in register]
-    on = tuple(register[i] for i in inside) + tuple(outside)
-    devs = []
-    for comp, op in zip(COMPONENTS, descriptor.triple):
+    stack = _scatter(descriptor.triple, tuple(register[i] for i in inside) + tuple(outside))
+    for comp, dense in zip(COMPONENTS, stack):
         conjugated = _conjugated(slab, register.index(qubit), comp.upper())
         if outside:
             conjugated = np.kron(np.eye(2 ** len(outside)), conjugated)
-        devs.append(float(np.max(np.abs(expand(op, on) - conjugated))))
-    return devs
+        dense -= conjugated
+    return [float(np.max(np.abs(dense))) for dense in stack]
 
 
 def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
@@ -273,15 +288,17 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
+    qubits, letters = zip(*((q, comp.upper()) for q in range(n) for comp in COMPONENTS))
     walk = _walk(circuit, {q: ((q,), np.eye(2)) for q in range(n)})  # one block per qubit, joined by gates
     for t, (state, psi, (group, blocks, cones)) in enumerate(zip(trace, states, walk)):
         touched = {q for step in group for q in step.qubits}
+        means = _expectations(psi, qubits, letters)
         for q in range(n):
             d = state.descriptor(q)
             if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
                 mat_devs[q] = _site_matrix_devs(blocks[q], cones[q], q, d)
-            for comp, op, mat_dev in zip(COMPONENTS, d.triple, mat_devs[q]):
-                dev = abs(vacuum_expectation(op) - state_expectation(psi, q, comp.upper()))
+            for comp, op, mat_dev, mean in zip(COMPONENTS, d.triple, mat_devs[q], means[3 * q : 3 * q + 3]):
+                dev = abs(vacuum_expectation(op) - mean)
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

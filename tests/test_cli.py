@@ -60,6 +60,13 @@ def test_check_passes_on_preset(capsys):
     assert "max expectation deviation" in out
 
 
+def test_check_stdout_matches_golden(capsys):
+    # the deviations, the worst site and the verdict, byte for byte
+    code, out = run_cli(capsys, "run", "--preset", "fr", "--check")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / "fr_check.txt").read_bytes()
+
+
 def test_check_output_same_with_every_product_vectorised(capsys, monkeypatch):
     from heisensim import pauli
 

@@ -63,13 +63,18 @@ def test_entangled_rejects_same_qubit(fr_trace):
         (lambda t: hs.sharp_foliation(t[2], True, 1), TypeError, "expected an integer, got True"),
         (lambda t: hs.sharp_foliation(t[2], 1.0, 0), TypeError, "expected an integer, got 1.0"),
         (lambda t: hs.entangled(t[2], 0, True), TypeError, "expected an integer, got True"),
+        (lambda t: hs.entangled(t[2], True, 1), TypeError, "expected an integer, got True"),
         (lambda t: hs.relative_descriptor(t[2], True, 0, 1), TypeError, "expected an integer, got True"),
         (lambda t: hs.conditional_expectation(t[2], True, "z", 0, 1), TypeError, "expected an integer, got True"),
         (lambda t: hs.foliation_timeline(t, ((True, 0),)), TypeError, "expected an integer, got True"),
+        # pairs are checked before the fold, so an empty trace checks them too
+        (lambda t: hs.foliation_timeline([], ((True, 0),)), TypeError, "expected an integer, got True"),
+        (lambda t: hs.foliation_timeline([], ((0, 1.0),)), TypeError, "expected an integer, got 1.0"),
         (lambda t: hs.projector(t[2], 0, True), ValueError, "sign must be +1 or -1, got True"),
         (lambda t: hs.conditional_expectation(t[2], 1, "z", 0, True), ValueError, "sign must be +1 or -1, got True"),
     ],
-    ids=["sharp-bool", "sharp-bool-equal", "sharp-float", "entangled-bool", "relative-bool", "conditional-bool", "timeline-bool",
+    ids=["sharp-bool", "sharp-bool-equal", "sharp-float", "entangled-bool", "entangled-bool-equal", "relative-bool",
+         "conditional-bool", "timeline-bool", "timeline-empty-trace-bool", "timeline-empty-trace-float",
          "projector-bool-sign", "conditional-bool-sign"],
 )
 def test_analysis_refuses_bools_and_floats_as_qubits_and_signs(call, error, message, fr_trace):
@@ -85,6 +90,10 @@ def test_analysis_refuses_bools_and_floats_as_qubits_and_signs(call, error, mess
         (lambda c, t, tl: hs.sharp_foliation(t[2], 0, 1, tol=-1e-9), "a finite number >= 0, got -1e-09"),
         (lambda c, t, tl: hs.sharp_foliation(t[2], 0, 1, tol=math.inf), "a finite number >= 0, got inf"),
         (lambda c, t, tl: hs.foliation_timeline(t, ((0, 1),), math.nan), "a finite number >= 0, got nan"),
+        # the tolerance is checked before the fold, so an empty trace or watch checks it too
+        (lambda c, t, tl: hs.foliation_timeline([], ((True, 0),), math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.foliation_timeline(t, (), math.nan), "a finite number >= 0, got nan"),
+        (lambda c, t, tl: hs.foliation_timeline(t, (), -1e-9), "a finite number >= 0, got -1e-09"),
         (lambda c, t, tl: hs.build_branch_tree(c, tl, math.nan), "a finite number >= 0, got nan"),
         (lambda c, t, tl: hs.build_branch_tree(c, tl, math.inf), "a finite number >= 0, got inf"),
         (lambda c, t, tl: hs.conditional_expectation(t[0], 0, "z", 1, -1, tol=math.nan), "a finite number >= 0, got nan"),
@@ -93,7 +102,8 @@ def test_analysis_refuses_bools_and_floats_as_qubits_and_signs(call, error, mess
         (lambda c, t, tl: vacuum_expectation(PauliSum.single(2, 0, "X"), -1), "a number >= 0, got -1"),
         (lambda c, t, tl: pair_expectation(t[2].descriptor(0).z, t[2].descriptor(1).z, -1e-9), "a number >= 0, got -1e-09"),
     ],
-    ids=["sharp-nan", "sharp-negative", "sharp-inf", "timeline-nan", "tree-nan", "tree-inf", "conditional-nan",
+    ids=["sharp-nan", "sharp-negative", "sharp-inf", "timeline-nan", "timeline-empty-trace-nan",
+         "timeline-empty-watch-nan", "timeline-empty-watch-negative", "tree-nan", "tree-inf", "conditional-nan",
          "conditional-inf", "vacuum-nan", "vacuum-negative", "pair-negative"],
 )
 def test_analysis_refuses_nan_negative_and_infinite_tolerances(call, message, fr_circuit, fr_trace, fr_timeline):

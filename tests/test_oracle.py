@@ -16,7 +16,7 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import PauliSum
+from heisensim.pauli import PauliSum, _support_mask
 
 from conftest import (
     LETTER_MATRICES, A, R, S, U_R, W_B, canonical_terms, gate_unitary, random_circuit, random_parallel_circuit, term,
@@ -250,6 +250,36 @@ def test_state_expectation_matches_kron_reference_on_complex_states():
                     sigma = kron_chain(*(LETTER_MATRICES[letter if k == q else "I"] for k in range(n)))
                     reference = np.vdot(psi, sigma @ psi).real
                     assert state_expectation(psi, q, letter) == pytest.approx(reference, abs=1e-12)
+
+
+def _single_expectation(psi, qubit, letter):
+    # the one-Pauli route: gather the signed rows of sigma psi alone, then one vdot
+    x, z = int(letter in "XY") << qubit, int(letter in "YZ") << qubit
+    rows = np.arange(len(psi)) ^ x
+    return float(np.vdot(psi, (1j if x & z else 1) * ((1 - 2 * (rows & z != 0)) * psi[rows])).real)
+
+
+def _assert_batched_expectations_bit_for_bit(psi):
+    from heisensim import oracle
+
+    n = len(psi).bit_length() - 1
+    sites = [(q, letter) for q in range(n) for letter in "XYZ"]
+    batched = oracle._expectations(psi, *zip(*sites))
+    assert batched == [state_expectation(psi, q, letter) for q, letter in sites]
+    assert batched == [_single_expectation(psi, q, letter) for q, letter in sites]
+
+
+def test_batched_expectations_equal_single_pauli_route_on_complex_states():
+    rng = np.random.default_rng(37)
+    for n in range(1, 11):
+        for _ in range(3):
+            psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            _assert_batched_expectations_bit_for_bit(psi / np.linalg.norm(psi))
+
+
+def test_batched_expectations_equal_single_pauli_route_on_fr_boundaries(fr_states):
+    for psi in fr_states:
+        _assert_batched_expectations_bit_for_bit(psi)
 
 
 @pytest.mark.parametrize(
@@ -603,19 +633,56 @@ def test_dense_route_bytes_pinned(name, circuit):
     assert digest.hexdigest() == DENSE_ROUTE_DIGESTS[name]
 
 
+def _per_component_devs(cluster, cone, qubit, descriptor):
+    # the site route one component at a time: expand it, conjugate sigma, subtract
+    from heisensim import oracle
+
+    register, unitary = cluster
+    support = _support_mask(*descriptor.triple)
+    inside = [i for i, q in enumerate(register) if (cone | support) >> q & 1]
+    slab = unitary[:, np.flatnonzero((np.arange(len(unitary)) & ~sum(1 << i for i in inside)) == 0)]
+    outside = [q for q in range(descriptor.x.n_qubits) if support >> q & 1 and q not in register]
+    on = tuple(register[i] for i in inside) + tuple(outside)
+    devs = []
+    for comp, op in zip("xyz", descriptor.triple):
+        conjugated = oracle._conjugated(slab, register.index(qubit), comp.upper())
+        if outside:
+            conjugated = np.kron(np.eye(2 ** len(outside)), conjugated)
+        devs.append(float(np.max(np.abs(expand(op, on) - conjugated))))
+    return devs
+
+
+@pytest.mark.parametrize("name, circuit", [pytest.param(*case, id=case[0]) for case in _dense_route_circuits()])
+def test_site_scatter_equals_per_component_route_bit_for_bit(name, circuit, monkeypatch):
+    from heisensim import oracle
+
+    site_devs, sites = oracle._site_matrix_devs, []
+
+    def site_devs_against_reference(*args):
+        devs = site_devs(*args)
+        assert devs == _per_component_devs(*args)
+        sites.append(devs)
+        return devs
+
+    monkeypatch.setattr(oracle, "_site_matrix_devs", site_devs_against_reference)
+    cross_check(hs.run_circuit(circuit), circuit)
+    assert len(sites) >= circuit.n_qubits
+
+
 def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_trace, monkeypatch):
     # a check that fell back to whole clusters would pass every value test;
-    # the width of each expanded operator shows the register it was read on
+    # the width of each site's scatter shows the register it was read on
     from heisensim import oracle
 
     widths = []
-    expand_op = oracle.expand
+    scatter = oracle._scatter
 
-    def expand_recording_width(op, register=None):
+    def scatter_recording_width(ops, register):
+        assert len(ops) == 3
         widths.append(len(register))
-        return expand_op(op, register)
+        return scatter(ops, register)
 
-    monkeypatch.setattr(oracle, "expand", expand_recording_width)
+    monkeypatch.setattr(oracle, "_scatter", scatter_recording_width)
     cross_check(fr_trace, fr_circuit)
     groups = fr_circuit.slot_groups()
     expected = []
@@ -624,6 +691,6 @@ def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_
         for q, d in enumerate(state.descriptors):
             if t == 0 or q in touched or d is not fr_trace[t - 1].descriptor(q):
                 support = sum({1 << k for op in d.triple for _, letters in canonical_terms(op) for k in letters})
-                expected += [(_backward_cone(groups, t, q) | support).bit_count()] * 3
+                expected.append((_backward_cone(groups, t, q) | support).bit_count())
     assert widths == expected
     assert min(widths) == 1 and max(widths) < fr_circuit.n_qubits
