@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product as _cartesian
 
 from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
@@ -443,8 +442,8 @@ def format_weight(value: float) -> str:
     """Sixths and thirds print as exact fractions, everything else as 6 digits."""
     scaled = round(value * 6)
     if abs(value - scaled / 6) <= DEFAULT_TOLERANCE:
-        frac = Fraction(int(scaled), 6)
-        return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+        g = math.gcd(sixths := int(scaled), 6)
+        return f"{sixths // g}" if g == 6 else f"{sixths // g}/{6 // g}"
     return f"{value:.6g}"
 
 

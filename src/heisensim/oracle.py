@@ -69,7 +69,6 @@ _H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 _CNOT4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
 _CH4 = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _H2]])
 _FIXED_MATRICES = {"h": _H2, "cx": _CNOT4, "ch": _CH4}
-_POPCOUNT = np.array([i.bit_count() for i in range(2**SIZE_CAP)])
 
 
 def _check_cap(n_qubits: int, cap: int):
@@ -104,8 +103,8 @@ def _scatter(ops: tuple[PauliSum, ...], register: tuple[int, ...]) -> np.ndarray
     x = np.array([sum(bit[q] for q, letter in letters if letter != "Z") for _, letters, _ in terms], dtype=np.int64)
     z = np.array([sum(bit[q] for q, letter in letters if letter != "X") for _, letters, _ in terms], dtype=np.int64)
     cols = np.arange(2 ** len(register))
-    signs = 1 - 2 * (_POPCOUNT[cols & z[:, None]] & 1)
-    phases = np.array(_I_POWERS)[_POPCOUNT[x & z] % 4]
+    signs = 1 - 2 * (np.bitwise_count(cols & z[:, None]).astype(np.int64) & 1)  # as uint8 it would wrap
+    phases = np.array(_I_POWERS)[np.bitwise_count(x & z) % 4]
     coeffs = np.array([c for _, _, c in terms], dtype=complex) * phases
     out = np.zeros((len(ops), len(cols), len(cols)), dtype=complex)
     np.add.at(out, (which[:, None], cols ^ x[:, None], cols), coeffs[:, None] * signs)
@@ -271,12 +270,12 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
 
     For every slot, qubit, and component this measures the gap between the
     engine's vacuum expectation and the evolved state's expectation, and
-    between the dense engine operator and the conjugated bare Pauli.  Both
-    maxima should sit at numerical noise.  The matrix gap of a site is read
-    off its cluster's product by the slab rule of :func:`_site_matrix_devs`,
-    and carried over from the previous boundary when no gate of the
-    previous slot touched its qubit and its engine descriptor is the same
-    object; every expectation gap is computed afresh.
+    between the dense engine operator and the conjugated bare Pauli; both
+    should sit at numerical noise.  A site's matrix gap comes from the slab
+    rule of :func:`_site_matrix_devs`, or from the previous boundary if that
+    slot left its qubit and descriptor object alone.  Only a trace that does
+    not fit the circuit raises: an imaginary residue is a matrix gap here,
+    though a NaN one still raises ``HermiticityError``.
     """
     states = evolve_state(circuit)
     if len(states) != len(trace):
@@ -298,7 +297,7 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
             if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
                 mat_devs[q] = _site_matrix_devs(blocks[q], cones[q], q, d)
             for comp, op, mat_dev, mean in zip(COMPONENTS, d.triple, mat_devs[q], means[3 * q : 3 * q + 3]):
-                dev = abs(vacuum_expectation(op) - mean)
+                dev = abs(vacuum_expectation(op, math.inf) - mean)
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

@@ -313,10 +313,12 @@ def _src_env():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only --check needs the dense oracle; the package resolves its names on first use
+    # only --check needs the dense oracle; the package resolves its names on first use.
+    # format_weight needs no Fraction, so decimal's cold start stays off the CLI path too
     code = (
         "import sys, heisensim, heisensim.cli\n"
         "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
+        "assert not {'fractions', 'decimal'} & set(sys.modules), 'importing the CLI loaded fractions'\n"
         "assert set(heisensim.__all__) <= set(dir(heisensim)), 'dir() misses exported names'\n"
         "from heisensim import oracle\n"
         "for name in ('cross_check', 'evolve_state', 'expand'):\n"
@@ -343,12 +345,17 @@ def test_fr_run_leaves_numpy_unloaded():
 @pytest.mark.parametrize("mode", [["--report", "table"], ["--check"]], ids=["table", "check"])
 def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
     # 200 random gates on 3 qubits drift the engine's coefficients past the
-    # Hermiticity guard: the CLI must say so in one line, not a traceback
+    # Hermiticity guard: the table must say so in one line, not a traceback,
+    # and --check reports the drift as deviations and fails
     path = tmp_path / "drift.qc"
     path.write_text(heisensim.serialize_circuit(random_circuit(random.Random(0), 3, 200)), encoding="utf-8")
     argv = [sys.executable, "-m", "heisensim.cli", "run", "--circuit", str(path), *mode]
     proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
+    if mode == ["--check"]:
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 4 and proc.stdout.endswith("FAIL: tolerance 1e-09\n")
+        return
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.strip().splitlines()
     assert line.startswith("the engine's coefficients drifted: imaginary residue ")

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -20,7 +21,7 @@ from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
 from heisensim.pauli import PauliSum, vacuum_expectation
 
-from conftest import A, B, R, S, allclose, commutes, random_circuit, random_parallel_circuit, term
+from conftest import A, B, R, S, allclose, chain, commutes, random_circuit, random_parallel_circuit, term
 
 PHI = hs.FR_ANGLE
 C = math.cos(PHI)  # -1/3
@@ -526,3 +527,49 @@ def test_loop_and_kernel_traces_agree_byte_for_byte_and_with_the_oracle(circuit)
         report = hs.cross_check(trace, circuit)
         assert report.max_expectation_dev <= 1e-9 and report.max_matrix_dev <= 1e-9
     assert texts[0] == texts[1]
+
+
+def _moved_key(key: int, n: int, perm) -> int:
+    """``key`` (x << n | z) with the letter on each qubit q moved to qubit perm[q]."""
+    return sum(1 << (i - i % n + perm[i % n]) for i in range(2 * n) if key >> i & 1)
+
+
+def _term_bits(op: PauliSum, perm=None) -> list:
+    """Each term's key, moved by ``perm`` if given, and its coefficient's bits, in dict order."""
+    n = op.n_qubits
+    return [(key if perm is None else _moved_key(key, n, perm), c.real.hex(), c.imag.hex()) for key, c in op._terms.items()]
+
+
+_INVARIANT_CIRCUITS = [chain(3)] + [random_parallel_circuit(random.Random(s), 6, 10) for s in range(3)]
+_INVARIANT_IDS = ["chain3"] + [f"parallel{s}" for s in range(3)]
+
+
+@pytest.mark.parametrize("vectorised", [False, True], ids=["loop", "kernel"])
+@pytest.mark.parametrize("circuit", _INVARIANT_CIRCUITS, ids=_INVARIANT_IDS)
+def test_relabelling_qubits_moves_every_key_and_keeps_every_bit(circuit, vectorised, request):
+    # a relabelling maps keys one to one and keeps every popcount, pair order
+    # and summation order, so qubit perm[q] gets q's terms moved, bit for bit
+    if vectorised:
+        request.getfixturevalue("every_product_vectorised")
+    n = circuit.n_qubits
+    perm = random.Random(n).sample(range(n), n)
+    assert perm != list(range(n))
+    moved = hs.Circuit(n, tuple(replace(s, qubits=tuple(perm[q] for q in s.qubits)) for s in circuit.steps))
+    for state, image in zip(hs.run_circuit(circuit), hs.run_circuit(moved), strict=True):
+        for q in range(n):
+            for op, op_image in zip(state.descriptor(q).triple, image.descriptor(perm[q]).triple):
+                assert _term_bits(op_image) == _term_bits(op, perm)
+
+
+@pytest.mark.parametrize("vectorised", [False, True], ids=["loop", "kernel"])
+@pytest.mark.parametrize("circuit", _INVARIANT_CIRCUITS, ids=_INVARIANT_IDS)
+def test_one_gate_per_slot_keeps_the_final_descriptors(circuit, vectorised, request):
+    # each qubit meets its gates in the same order, so every operator comes
+    # from the same operands by the same operations
+    if vectorised:
+        request.getfixturevalue("every_product_vectorised")
+    serial = hs.Circuit(circuit.n_qubits, tuple(replace(s, slot=t) for t, s in enumerate(circuit.steps)))
+    final, serial_final = hs.run_circuit(circuit)[-1], hs.run_circuit(serial)[-1]
+    for q in range(circuit.n_qubits):
+        for op, op_serial in zip(final.descriptor(q).triple, serial_final.descriptor(q).triple):
+            assert _term_bits(op_serial) == _term_bits(op)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -694,6 +695,19 @@ def test_format_weight_fractions():
     assert format_weight(0.0) == "0"
     assert format_weight(0.5) == "1/2"
     assert format_weight(0.123456789) == "0.123457"
+
+
+@pytest.mark.parametrize("sixths", range(-6, 13))
+def test_format_weight_prints_every_sixth_as_its_lowest_terms(sixths):
+    frac = Fraction(sixths, 6)
+    expected = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    assert format_weight(sixths / 6) == expected
+    assert format_weight(sixths / 6 + 1e-10) == expected  # within the tolerance of the grid
+
+
+@pytest.mark.parametrize("value", [0.1, -0.1, 1 / 7, -2 / 3 + 1e-6, 0.735702, 2.5e-9, 13 / 6 + 1e-3])
+def test_format_weight_prints_off_grid_values_in_six_digits(value):
+    assert format_weight(value) == f"{value:.6g}"
 
 
 # -- report rows ----------------------------------------------------------------------

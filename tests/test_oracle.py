@@ -429,12 +429,12 @@ def test_cross_check_rejects_trace_of_other_length():
             cross_check(other, circuit)
 
 
-def _with_fault(trace, t, q):
+def _with_fault(trace, t, q, letter="X", coeff=1e-6):
     """``trace`` with qubit q's descriptor at boundary t replaced by a copy
-    whose x carries an extra Hermitian term 1e-6 * X on another qubit."""
+    whose x carries an extra term, by default the Hermitian 1e-6 * X, on another qubit."""
     d = trace[t].descriptor(q)
     other = (q + 4) % d.x.n_qubits
-    faulty = dataclasses.replace(d, x=d.x + PauliSum.single(d.x.n_qubits, other, "X", 1e-6))
+    faulty = dataclasses.replace(d, x=d.x + PauliSum.single(d.x.n_qubits, other, letter, coeff))
     descriptors = list(trace[t].descriptors)
     descriptors[q] = faulty
     out = list(trace)
@@ -485,6 +485,23 @@ def test_cross_check_ten_qubit_random_circuit():
     report = cross_check(hs.run_circuit(circuit), circuit)
     assert report.max_expectation_dev <= 1e-9
     assert report.max_matrix_dev <= 1e-9
+
+
+def test_cross_check_reports_coefficient_drift_instead_of_raising():
+    # 200 random gates drift the engine's coefficients past the Hermiticity
+    # guard; the dense check measures the drift rather than stopping at it
+    circuit = random_circuit(random.Random(0), 3, 200)
+    report = cross_check(hs.run_circuit(circuit), circuit)
+    for dev in (report.max_expectation_dev, report.max_matrix_dev):
+        assert math.isfinite(dev) and dev > 1e-9
+
+
+def test_cross_check_reports_an_imaginary_residue_as_a_matrix_deviation(fr_circuit, fr_trace):
+    # 1e-6j * Z makes A's x non-Hermitian, with an imaginary vacuum value
+    report = cross_check(_with_fault(fr_trace, 6, A, "Z", 1e-6j), fr_circuit)
+    assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-12)
+    assert report.max_expectation_dev <= 1e-9
+    assert report.worst_site == {"slot": 6, "qubit": A, "component": "x"}
 
 
 def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_trace):
