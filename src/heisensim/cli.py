@@ -13,7 +13,6 @@ either must be a finite number above zero.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -131,6 +130,12 @@ def render_table(rows: list[ReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(doc: dict) -> str:
+    import json  # only the two JSON outputs load it
+
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write_text(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -166,12 +171,12 @@ def _run(args) -> int:
         rows = report_rows(circuit, timeline)
         sys.stdout.write(render_table(rows))
     elif args.report == "json":
-        sys.stdout.write(json.dumps(trace_json_doc(circuit, trace), indent=2) + "\n")
+        sys.stdout.write(_json_text(trace_json_doc(circuit, trace)))
 
     if args.tree is not None:
         tree = build_branch_tree(circuit, timeline, tol)
         if args.tree.endswith(".json"):
-            _write_text(args.tree, json.dumps(tree_json_doc(tree), indent=2) + "\n")
+            _write_text(args.tree, _json_text(tree_json_doc(tree)))
         else:
             _write_text(args.tree, tree_to_dot(tree))
 

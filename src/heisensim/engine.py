@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .pauli import PauliSum, _integer
 
@@ -84,44 +83,48 @@ class SlotError(ValueError):
         return f"slot {self.slot}: {self.args[1]}"
 
 
-@dataclass(frozen=True)
-class GateStep:
-    """One gate occupying the time interval (slot, slot + 1)."""
-
+class _GateFields(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
     slot: int
     angle: float | None = None
 
-    def __post_init__(self):
+
+class GateStep(_GateFields):
+    """One gate occupying the time interval (slot, slot + 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: tuple[int, ...], slot: int, angle: float | None = None):
         try:  # numpy integers pass and are stored as int
-            object.__setattr__(self, "qubits", tuple(map(_integer, self.qubits)))
-            object.__setattr__(self, "slot", _integer(self.slot))
+            qubits, slot = tuple(map(_integer, qubits)), _integer(slot)
         except TypeError:
-            raise TypeError(f"qubits and slot must be integers, got {self.qubits!r} and {self.slot!r}") from None
-        if self.kind not in _GATES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity, takes_angle, _, _ = _GATES[self.kind]
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        if arity == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError(f"{self.kind} control and target must differ")
+            raise TypeError(f"qubits and slot must be integers, got {qubits!r} and {slot!r}") from None
+        if kind not in _GATES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity, takes_angle, _, _ = _GATES[kind]
+        if len(qubits) != arity:
+            raise ValueError(f"{kind} takes {arity} qubit(s), got {qubits}")
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{kind} control and target must differ")
         if takes_angle:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} needs an angle")
-            if not isinstance(self.angle, numbers.Real) or isinstance(self.angle, bool):
-                raise TypeError(f"{self.kind} angle must be a real number, got {self.angle!r}")
+            if angle is None:
+                raise ValueError(f"{kind} needs an angle")
+            if not isinstance(angle, numbers.Real) or isinstance(angle, bool):
+                raise TypeError(f"{kind} angle must be a real number, got {angle!r}")
             try:
-                angle = float(self.angle)
+                angle = float(angle)  # so the angle's repr parses back
             except OverflowError:  # an int or Fraction beyond the float range
-                raise ValueError(f"{self.kind} angle must be finite, got a number beyond the float range") from None
-            object.__setattr__(self, "angle", angle)  # so the angle's repr parses back
-            if not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} angle must be finite, got {self.angle!r}")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.slot < 0:
+                raise ValueError(f"{kind} angle must be finite, got a number beyond the float range") from None
+            if not math.isfinite(angle):
+                raise ValueError(f"{kind} angle must be finite, got {angle!r}")
+        elif angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        if slot < 0:
             raise ValueError("slot must be non-negative")
+        return tuple.__new__(cls, (kind, qubits, slot, angle))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make, so it checks too
 
 
 def ry(qubit: int, angle: float, slot: int = 0) -> GateStep:
@@ -146,6 +149,8 @@ def check_step(step: GateStep, n_qubits: int, prev_slot: int, held: set[int]) ->
     ``prev_slot`` is the previous gate's slot (-1 before the first) and
     ``held`` the qubits its slot already uses; ``held`` is updated in place.
     """
+    if not isinstance(step, GateStep):
+        raise TypeError(f"a circuit's steps must be GateSteps, got {step!r}")
     for q in step.qubits:
         if not 0 <= q < n_qubits:
             raise IndexError(f"qubit {q} out of range (0..{n_qubits - 1})")
@@ -188,31 +193,36 @@ def check_label(labels: dict[int, str], qubit: int, name: str, n_qubits: int) ->
     labels[qubit] = name
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered gate list on ``n_qubits``, with optional qubit labels."""
-
+class _CircuitFields(NamedTuple):
     n_qubits: int
     steps: tuple[GateStep, ...] = ()
     labels: Mapping[int, str] | None = None
 
-    def __post_init__(self):
+
+class Circuit(_CircuitFields):
+    """An ordered gate list on ``n_qubits``, with optional qubit labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_qubits: int, steps: tuple[GateStep, ...] = (), labels: Mapping[int, str] | None = None):
         try:
-            object.__setattr__(self, "n_qubits", _integer(self.n_qubits))
+            n_qubits = _integer(n_qubits)
         except TypeError:
-            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}") from None
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.n_qubits < 1:
+            raise TypeError(f"n_qubits must be an integer, got {n_qubits!r}") from None
+        steps = tuple(steps)
+        if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         held: set[int] = set()
         prev_slot = -1
-        for step in self.steps:
-            check_step(step, self.n_qubits, prev_slot, held)
+        for step in steps:
+            check_step(step, n_qubits, prev_slot, held)
             prev_slot = step.slot
-        labels: dict[int, str] = {}
-        for q, name in (self.labels or {}).items():
-            check_label(labels, q, name, self.n_qubits)
-        object.__setattr__(self, "labels", labels or None)  # one form, so {} round-trips equal
+        checked: dict[int, str] = {}
+        for q, name in (labels or {}).items():
+            check_label(checked, q, name, n_qubits)
+        return tuple.__new__(cls, (n_qubits, steps, checked or None))  # one form, so {} round-trips equal
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make, so it checks too
 
     @property
     def max_slot(self) -> int:
@@ -235,8 +245,7 @@ class Circuit:
         return _GATES[step.kind][2].format(*map(self.label, step.qubits))
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """The (x, y, z) observable triple attached to one qubit."""
 
     qubit: int
@@ -254,8 +263,7 @@ class Descriptor:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class NetworkState:
+class NetworkState(NamedTuple):
     """All descriptors at one slot boundary."""
 
     time: int

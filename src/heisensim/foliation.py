@@ -49,8 +49,8 @@ The tree's events are the fold's status changes, read off the timeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
 from .pauli import DEFAULT_TOLERANCE, _integer, _support_mask, pair_expectation, vacuum_expectation
@@ -103,8 +103,7 @@ def _checked(tol: float) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class EntanglementWitness:
+class EntanglementWitness(NamedTuple):
     """First component pair violating expectation factorisation, if any."""
 
     pair: tuple[int, int]
@@ -124,8 +123,7 @@ def entangled(
     return sharp_foliation(state, q1, q2, tol).witness
 
 
-@dataclass(frozen=True)
-class FoliationReport:
+class FoliationReport(NamedTuple):
     """Verdict of an ordered (control, target) pair at one slot boundary.
 
     ``proj_plus``/``proj_minus`` are the control's branch weights and
@@ -304,7 +302,7 @@ def foliation_timeline(
                 and state.descriptors[control] is previous.descriptors[control]
                 and state.descriptors[target] is previous.descriptors[target]
             ):
-                report = replace(reports[-1][pair], slot=state.time)
+                report = reports[-1][pair]._replace(slot=state.time)
             else:
                 report = sharp_foliation(state, control, target, tol)
             slot_reports[pair] = report
@@ -319,8 +317,7 @@ def foliation_timeline(
     return statuses, reports
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     id: str
     kind: str  # "trunk" | "created-sharp" | "diffused" | "non-sharp-bubble"
     slot: int
@@ -329,16 +326,14 @@ class TreeNode:
     weights: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class TreeEdge:
+class TreeEdge(NamedTuple):
     src: str
     dst: str
     sign: int | None
     weight: float
 
 
-@dataclass(frozen=True)
-class BranchTree:
+class BranchTree(NamedTuple):
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
@@ -476,8 +471,7 @@ def tree_to_dot(tree: BranchTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One gate's row in the foliation summary table."""
 
     interval: tuple[int, int]

@@ -43,9 +43,9 @@ it exists for desk-scale validation, not performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,19 +223,13 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
     return _expectations(psi, [qubit], [letter])[0]
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     max_expectation_dev: float
     max_matrix_dev: float
     worst_site: dict
 
     def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "max_expectation_dev": self.max_expectation_dev,
-            "max_matrix_dev": self.max_matrix_dev,
-            "worst_site": dict(self.worst_site),
-        }
+        return {"format_version": 1, **self._asdict(), "worst_site": dict(self.worst_site)}
 
 
 def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descriptor) -> list[float]:

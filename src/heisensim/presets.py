@@ -36,8 +36,7 @@ def _parsed(name: str) -> Circuit:
 
 def get_preset(name: str) -> Circuit:
     """A bundled circuit; each call returns a new one with its own ``labels`` dict."""
-    circuit = _parsed(name)
-    return Circuit(circuit.n_qubits, circuit.steps, circuit.labels)
+    return Circuit(*_parsed(name))
 
 
 def preset_fr() -> Circuit:

@@ -314,11 +314,17 @@ def _src_env():
 
 def test_cli_import_leaves_numpy_unloaded():
     # only --check needs the dense oracle; the package resolves its names on first use.
-    # format_weight needs no Fraction, so decimal's cold start stays off the CLI path too
+    # format_weight needs no Fraction, so decimal's cold start stays off the CLI path too.
+    # The records are named tuples and only the JSON outputs import json; a module that
+    # the bare interpreter already holds (a site hook's) is not the package's to load
     code = (
-        "import sys, heisensim, heisensim.cli\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import heisensim, heisensim.cli\n"
         "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
         "assert not {'fractions', 'decimal'} & set(sys.modules), 'importing the CLI loaded fractions'\n"
+        "loaded = {'dataclasses', 'json'} & (set(sys.modules) - bare)\n"
+        "assert not loaded, f'importing the CLI loaded {sorted(loaded)}'\n"
         "assert set(heisensim.__all__) <= set(dir(heisensim)), 'dir() misses exported names'\n"
         "from heisensim import oracle\n"
         "for name in ('cross_check', 'evolve_state', 'expand'):\n"
@@ -330,12 +336,14 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_fr_run_leaves_numpy_unloaded():
-    # every fr product is far below the vector product's crossover
+    # every fr product is far below the vector product's crossover, and a table needs no json
     code = (
         "import sys\n"
+        "bare = set(sys.modules)\n"
         "from heisensim.cli import main\n"
         "assert main(['run', '--preset', 'fr', '--report', 'table']) == 0\n"
         "assert 'numpy' not in sys.modules, 'run --preset fr loaded numpy'\n"
+        "assert 'json' not in set(sys.modules) - bare, 'a table run loaded json'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,9 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -452,6 +452,92 @@ def test_circuit_rejects_decreasing_slots():
         hs.Circuit(2, (hs.h(0, slot=2), hs.h(1, slot=1)))
 
 
+@pytest.mark.parametrize("steps", [hs.h(0), ("h", (0,), 0, None)], ids=["one-step", "plain-tuple"])
+def test_circuit_rejects_steps_that_are_not_gate_steps(steps):
+    # a GateStep is a tuple, so a lone step iterates as its fields; neither is a gate
+    with pytest.raises(TypeError, match="^a circuit's steps must be GateSteps, got "):
+        hs.Circuit(2, steps)
+
+
+def _error(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def test_gate_step_replace_and_make_check_as_the_constructor_does():
+    step = hs.cx(0, 1)
+    expected = (ValueError, "cx control and target must differ")
+    assert _error(lambda: step._replace(qubits=(0, 0))) == _error(lambda: hs.cx(0, 0)) == expected
+    assert _error(lambda: hs.GateStep._make(("cx", (0, 0), 0, None))) == expected
+    assert _error(lambda: step._replace(angle=0.5)) == (ValueError, "cx takes no angle")
+    assert _error(lambda: step._replace(slot=1.5)) == (TypeError, "qubits and slot must be integers, got (0, 1) and 1.5")
+    moved = step._replace(qubits=[np.int64(1), 0])  # coerced as the constructor coerces
+    assert type(moved) is hs.GateStep and moved == hs.cx(1, 0) and {type(q) for q in moved.qubits} == {int}
+    assert hs.ry(0, 1)._replace(slot=2).angle.hex() == (1.0).hex()
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"n_qubits": 0}, ValueError, "circuit needs at least one qubit"),
+        ({"n_qubits": 1}, IndexError, "qubit 1 out of range (0..0)"),
+        ({"steps": (hs.h(0), hs.cx(0, 1))}, ValueError, "slot 0 already uses qubit(s) [0]"),
+        ({"labels": {0: "R", 1: "R"}}, ValueError, "label 'R' already names qubit 0"),
+        ({"labels": {0: "a b"}}, ValueError, "label 'a b' must be a non-empty name without whitespace, '#', ',' or ';'"),
+    ],
+    ids=["no-qubits", "qubit-out-of-range", "slot-clash", "repeated-label", "bad-label"],
+)
+def test_circuit_replace_and_make_check_as_the_constructor_does(change, error, message):
+    circuit = hs.Circuit(2, (hs.h(0), hs.h(1, slot=0)), {1: "R"})
+    fields = {**circuit._asdict(), **change}
+    assert _error(lambda: circuit._replace(**change)) == _error(lambda: hs.Circuit(**fields)) == (error, message)
+    assert _error(lambda: hs.Circuit._make(fields.values())) == (error, message)
+
+
+def test_circuit_replace_keeps_one_label_form():
+    circuit = hs.Circuit(2, (hs.cx(0, 1),), {np.int64(0): "R"})
+    assert circuit._replace(labels={}) == hs.Circuit(2, (hs.cx(0, 1),)) and circuit._replace(labels={}).labels is None
+    assert type(circuit._replace()) is hs.Circuit and circuit._replace() == circuit
+    assert circuit._replace().labels is not circuit.labels  # each circuit holds its own dict
+
+
+def _records(circuit, trace, timeline, crosscheck) -> list:
+    """One value of every record type, from the engine, the fold, the tree, the table and the oracle."""
+    report = timeline[1][-1][(R, A)]
+    tree = hs.build_branch_tree(circuit, timeline)
+    row = hs.report_rows(circuit, timeline)[0]
+    return [circuit.steps[0], circuit, trace[1].descriptor(R), trace[1], report.witness, report,
+            tree.nodes[1], tree.edges[0], tree, row, crosscheck]
+
+
+def test_records_are_immutable(fr_circuit, fr_trace, fr_timeline, fr_crosscheck):
+    records = _records(fr_circuit, fr_trace, fr_timeline, fr_crosscheck)
+    assert len({type(record) for record in records}) == 11
+    for record in records:
+        name = type(record).__name__
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert repr(record).startswith(f"{name}({record._fields[0]}=")
+
+
+def test_records_compare_equal_to_the_tuple_of_their_fields(fr_circuit):
+    # the records are named tuples: equal to a plain tuple of their fields, iterable and hashable
+    step = hs.h(0, slot=3)
+    assert step == ("h", (0,), 3, None) and tuple(step) == ("h", (0,), 3, None)
+    assert hash(step) == hash(("h", (0,), 3, None))
+    assert hs.Circuit(*fr_circuit) == fr_circuit
+
+
+def test_records_round_trip_through_pickle(fr_circuit, fr_trace, fr_timeline):
+    report = fr_timeline[1][-1][(R, A)]
+    for record in (fr_circuit.steps[0], hs.ry(0, 0.25, slot=1), fr_circuit, fr_trace[2].descriptor(A), report):
+        restored = pickle.loads(pickle.dumps(record))
+        assert type(restored) is type(record) and restored == record and repr(restored) == repr(record)
+
+
 def test_trace_json_shape(fr_circuit, fr_trace):
     doc = trace_json_doc(fr_circuit, fr_trace)
     assert doc["format_version"] == 1
@@ -554,7 +640,7 @@ def test_relabelling_qubits_moves_every_key_and_keeps_every_bit(circuit, vectori
     n = circuit.n_qubits
     perm = random.Random(n).sample(range(n), n)
     assert perm != list(range(n))
-    moved = hs.Circuit(n, tuple(replace(s, qubits=tuple(perm[q] for q in s.qubits)) for s in circuit.steps))
+    moved = hs.Circuit(n, tuple(s._replace(qubits=tuple(perm[q] for q in s.qubits)) for s in circuit.steps))
     for state, image in zip(hs.run_circuit(circuit), hs.run_circuit(moved), strict=True):
         for q in range(n):
             for op, op_image in zip(state.descriptor(q).triple, image.descriptor(perm[q]).triple):
@@ -568,7 +654,7 @@ def test_one_gate_per_slot_keeps_the_final_descriptors(circuit, vectorised, requ
     # from the same operands by the same operations
     if vectorised:
         request.getfixturevalue("every_product_vectorised")
-    serial = hs.Circuit(circuit.n_qubits, tuple(replace(s, slot=t) for t, s in enumerate(circuit.steps)))
+    serial = hs.Circuit(circuit.n_qubits, tuple(s._replace(slot=t) for t, s in enumerate(circuit.steps)))
     final, serial_final = hs.run_circuit(circuit)[-1], hs.run_circuit(serial)[-1]
     for q in range(circuit.n_qubits):
         for op, op_serial in zip(final.descriptor(q).triple, serial_final.descriptor(q).triple):

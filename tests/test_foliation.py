@@ -1,5 +1,4 @@
 """Foliation verdicts, relative descriptors, conditionals, and tree building."""
-import dataclasses
 import hashlib
 import math
 import random
@@ -23,7 +22,7 @@ from heisensim.foliation import (
 from heisensim.oracle import evolve_state, state_expectation
 from heisensim.pauli import HermiticityError, PauliSum, pair_expectation, vacuum_expectation
 
-from conftest import A, B, R, S, U_A, U_R, W_B, W_S, allclose, random_circuit, random_parallel_circuit
+from conftest import A, B, R, S, U_A, U_R, W_B, W_S, allclose, chain, random_circuit, random_parallel_circuit
 
 SIN = math.sin(hs.FR_ANGLE)
 
@@ -243,8 +242,8 @@ def test_sharp_foliation_guards_z_means_at_both_tolerances(residue, tol, raises)
     state = hs.run_circuit(hs.Circuit(2, (hs.ry(0, math.pi / 2, slot=0), hs.cx(0, 1, slot=1))))[2]
     for q in (0, 1):
         d = state.descriptor(q)
-        skewed = dataclasses.replace(d, z=d.z + PauliSum.identity(2, residue * 1j))
-        bad = dataclasses.replace(state, descriptors=tuple(skewed if k == q else state.descriptor(k) for k in (0, 1)))
+        skewed = d._replace(z=d.z + PauliSum.identity(2, residue * 1j))
+        bad = state._replace(descriptors=tuple(skewed if k == q else state.descriptor(k) for k in (0, 1)))
         if raises:
             with pytest.raises(HermiticityError):
                 hs.sharp_foliation(bad, 0, 1, tol)
@@ -539,6 +538,33 @@ def test_fold_forms_no_operator_product(circuit, monkeypatch):
 
     monkeypatch.setattr(PauliSum, "__matmul__", refuse)
     foliation_timeline(trace, hs.default_watch_pairs(circuit))
+
+
+_RELABELLED_FOLDS = [hs.preset_fr(), chain(3)] + [random_parallel_circuit(random.Random(s), 6, 10) for s in range(3)]
+
+
+@pytest.mark.parametrize("circuit", _RELABELLED_FOLDS, ids=["fr", "chain3", "parallel0", "parallel1", "parallel2"])
+def test_relabelling_qubits_and_watch_pairs_relabels_every_report(circuit):
+    # relabelling moves each descriptor's keys one to one and keeps every bit,
+    # and a verdict reads only its pair's two descriptors: the fold of the
+    # relabelled circuit on the relabelled pairs is the relabelled fold
+    n = circuit.n_qubits
+    perm = random.Random(n).sample(range(n), n)
+    assert perm != list(range(n))
+    moved = hs.Circuit(n, tuple(s._replace(qubits=tuple(perm[q] for q in s.qubits)) for s in circuit.steps))
+    watch = hs.default_watch_pairs(circuit)
+    moved_watch = tuple((perm[c], perm[t]) for c, t in watch)
+    statuses, reports = foliation_timeline(hs.run_circuit(circuit), watch)
+    moved_statuses, moved_reports = foliation_timeline(hs.run_circuit(moved), moved_watch)
+    assert len(moved_reports) == len(reports) == circuit.max_slot + 2
+    for status, report_at, moved_status, moved_report_at in zip(statuses, reports, moved_statuses, moved_reports):
+        assert list(moved_status) == list(moved_report_at) == list(moved_watch)
+        for pair, image in zip(watch, moved_watch):
+            assert moved_status[image] == status[pair]
+            report = report_at[pair]
+            expected = report._replace(pair=image, witness=report.witness._replace(pair=image))
+            # reprs are equal only when every float has the same bits, signed zeros included
+            assert repr(moved_report_at[image]) == repr(expected)
 
 
 def test_branch_tree_structure(fr_circuit, fr_timeline):

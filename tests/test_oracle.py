@@ -1,5 +1,4 @@
 """Dense-route tests: expansions, unitaries, state evolution, cross-checks."""
-import dataclasses
 import hashlib
 import math
 import random
@@ -399,6 +398,9 @@ def test_cross_check_report_json(fr_crosscheck):
     doc = fr_crosscheck.to_json()
     assert doc["format_version"] == 1
     assert doc["max_expectation_dev"] <= 1e-9
+    assert list(doc) == ["format_version", "max_expectation_dev", "max_matrix_dev", "worst_site"]
+    assert doc["max_matrix_dev"] == fr_crosscheck.max_matrix_dev
+    assert doc["worst_site"] == fr_crosscheck.worst_site and doc["worst_site"] is not fr_crosscheck.worst_site
 
 
 def test_cross_check_parallel_slot_circuits():
@@ -434,7 +436,7 @@ def _with_fault(trace, t, q, letter="X", coeff=1e-6):
     whose x carries an extra term, by default the Hermitian 1e-6 * X, on another qubit."""
     d = trace[t].descriptor(q)
     other = (q + 4) % d.x.n_qubits
-    faulty = dataclasses.replace(d, x=d.x + PauliSum.single(d.x.n_qubits, other, letter, coeff))
+    faulty = d._replace(x=d.x + PauliSum.single(d.x.n_qubits, other, letter, coeff))
     descriptors = list(trace[t].descriptors)
     descriptors[q] = faulty
     out = list(trace)
@@ -510,7 +512,7 @@ def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_t
     d = fr_trace[4].descriptor(A)
     wrong = PauliSum.single(8, W_B, "X", 1e-6) + PauliSum.single(8, W_B, "Y", 1e-6)
     descriptors = list(fr_trace[4].descriptors)
-    descriptors[A] = dataclasses.replace(d, x=d.x + wrong)
+    descriptors[A] = d._replace(x=d.x + wrong)
     trace = list(fr_trace)
     trace[4] = hs.NetworkState(fr_trace[4].time, tuple(descriptors))
     report = cross_check(trace, fr_circuit)
