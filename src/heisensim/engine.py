@@ -36,7 +36,7 @@ import numbers
 import re
 from typing import Mapping, NamedTuple
 
-from .pauli import PauliSum, _integer
+from .pauli import PauliSum, _integer, _rotated_pair
 
 __all__ = [
     "GATE_KINDS",
@@ -224,6 +224,11 @@ class Circuit(_CircuitFields):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make, so it checks too
 
+    @classmethod
+    def _from_checked(cls, n_qubits: int, steps: tuple[GateStep, ...], labels: dict[int, str]) -> "Circuit":
+        """Internal fast path: each step passed :func:`check_step` in order and each label :func:`check_label`."""
+        return tuple.__new__(cls, (n_qubits, steps, labels or None))
+
     @property
     def max_slot(self) -> int:
         return max((s.slot for s in self.steps), default=-1)
@@ -295,8 +300,8 @@ def init_network(n_qubits: int) -> NetworkState:
 
 
 def _rotated(d: Descriptor, angle: float) -> tuple[Descriptor]:
-    c, s = math.cos(angle), math.sin(angle)
-    return (Descriptor(d.qubit, d.x * c + d.z * s, d.y, d.z * c - d.x * s),)
+    x, z = _rotated_pair(d.x, d.z, math.cos(angle), math.sin(angle))
+    return (Descriptor(d.qubit, x, d.y, z),)
 
 
 def _hadamarded(d: Descriptor) -> tuple[Descriptor]:

@@ -27,8 +27,9 @@ The parser checks only the syntax.  Each gate line becomes a
 :class:`~heisensim.engine.GateStep` and each gate and label line goes
 through :func:`~heisensim.engine.check_step` or
 :func:`~heisensim.engine.check_label`, the checks :class:`Circuit` itself
-makes, so a file and a hand-built circuit are held to the same rules.
-Every diagnostic carries the offending line number.
+makes, so a file and a hand-built circuit are held to the same rules.  Each
+line is checked once, as it is read, so every diagnostic carries the
+offending line number.
 """
 from __future__ import annotations
 
@@ -187,7 +188,7 @@ def parse_circuit(text: str) -> Circuit:
 
     if n_qubits is None:
         raise CircuitSyntaxError("missing qubits directive", 1)
-    return Circuit(n_qubits, tuple(steps), labels)
+    return Circuit._from_checked(n_qubits, tuple(steps), labels)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

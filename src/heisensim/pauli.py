@@ -17,7 +17,9 @@ It takes the pairs in the loop's order, forms each complex product as
 CPython does, one ufunc per step, and sums each key in pair order.
 :func:`pair_expectation` specialises the loop to the term pairs with equal
 x masks, the only pairs whose product has an expectation in the all-zeros
-state.
+state.  :func:`_rotated_pair` gives the ``ry`` rule both rotated components,
+``x * c + z * s`` and ``z * c - x * s``, in one pass over x and one over z,
+bit for bit as those expressions give them.
 
 An operator is built from ``((x, z), coeff)`` terms, or from
 :meth:`PauliSum.single` and :meth:`PauliSum.identity` and the algebra:
@@ -344,6 +346,37 @@ class PauliSum:
             {"coeff": [c.real, c.imag], "letters": {str(q): letter for q, letter in letters}}
             for letters, c in sorted(_lettered(self))
         ]
+
+
+def _rotated_pair(x: PauliSum, z: PauliSum, c: float, s: float) -> tuple[PauliSum, PauliSum]:
+    """``(x * c + z * s, z * c - x * s)`` for finite c and s, in one pass over z and one over x.
+
+    Each coefficient meets those expressions' steps in their order: product, drop test, negation
+    of ``x * s``, sum onto the first operand's term, drop of a sum below the tolerance.  So every
+    bit, signed zero and dict position is theirs, with no intermediate operator.
+    """
+    x._check_dim(z)
+    new_x, new_z, z_sin = {}, {}, []
+    for k, v in z._terms.items():
+        if abs(p := v * c) >= DROP_TOLERANCE:
+            new_z[k] = p
+        if abs(p := v * s) >= DROP_TOLERANCE:
+            z_sin.append((k, p))  # added once new_x holds every term of x * c
+    for k, v in x._terms.items():
+        if abs(p := v * c) >= DROP_TOLERANCE:
+            new_x[k] = p
+        if abs(p := v * s) >= DROP_TOLERANCE:
+            if abs(q := new_z.get(k, 0j) + -p) >= DROP_TOLERANCE:
+                new_z[k] = q
+            else:
+                new_z.pop(k, None)
+    for k, p in z_sin:
+        if abs(q := new_x.get(k, 0j) + p) >= DROP_TOLERANCE:
+            new_x[k] = q
+        else:
+            new_x.pop(k, None)
+    n = x.n_qubits
+    return PauliSum._from_dict(n, new_x), PauliSum._from_dict(n, new_z)
 
 
 def _real_expectation(vals: list[complex], tol: float) -> float:

@@ -7,8 +7,8 @@ every :func:`get_preset` call returns a fresh :class:`Circuit`.
 from __future__ import annotations
 
 import math
+import os
 from functools import cache
-from importlib import resources
 
 from .engine import Circuit
 from .lang import parse_circuit
@@ -26,7 +26,10 @@ def preset_source(name: str) -> str:
     """The shipped text of a preset."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (available: {', '.join(PRESETS)})")
-    return resources.files("heisensim").joinpath(f"data/{name}.qc").read_text()
+    # the package's loader reads the file, from a directory or a zip alike, as pkgutil.get_data
+    # does; importlib.resources would load inspect, dis and tokenize on Python 3.12 and later
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.qc")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 @cache

@@ -335,6 +335,21 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_reading_a_preset_leaves_inspect_unloaded():
+    # the package's loader reads the preset file; importlib.resources would load inspect,
+    # dis and tokenize on Python 3.12 and later, for one small text file
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import heisensim, heisensim.cli\n"
+        "assert heisensim.get_preset('fr').n_qubits == 8\n"
+        "loaded = {'inspect', 'dis', 'tokenize'} & (set(sys.modules) - bare)\n"
+        "assert not loaded, f'reading a preset loaded {sorted(loaded)}'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_fr_run_leaves_numpy_unloaded():
     # every fr product is far below the vector product's crossover, and a table needs no json
     code = (

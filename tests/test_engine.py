@@ -97,6 +97,20 @@ def test_rotation_pi_flips_x_and_z():
     assert allclose(after.descriptor(0).y, before.descriptor(0).y, 1e-15)
 
 
+def test_rotation_forms_no_intermediate_operator(monkeypatch):
+    # ry's two rotated components come out of one pass over x and z; a return to the
+    # operator expressions, with their throw-away sums and scalings, would show up here
+    circuit = hs.Circuit(3, tuple(hs.ry(q, 0.3 + q + slot, slot=slot) for slot in range(4) for q in range(3)))
+    expected = hs.run_circuit(circuit)
+
+    def refuse(*args):
+        raise AssertionError("the ry rule formed an intermediate operator")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(PauliSum, name, refuse)
+    assert hs.run_circuit(circuit) == expected
+
+
 # -- hadamard ----------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
+from heisensim import engine, lang
 from heisensim.lang import CircuitSyntaxError, parse_circuit, serialize_circuit
 
 from conftest import random_circuit
@@ -32,6 +33,21 @@ def test_preset_calls_return_fresh_circuits():
     assert first.labels is not second.labels
     first.labels[0] = "changed"
     assert hs.preset_fr().labels[0] == "R"
+
+
+def test_parse_checks_each_gate_once(monkeypatch):
+    # the parser admits each gate line as it reads it; the circuit it builds is not checked again
+    circuit = random_circuit(random.Random(3), 6, 50)
+    text, check, calls = serialize_circuit(circuit), engine.check_step, []
+
+    def counted(step, *args):
+        calls.append(step)
+        return check(step, *args)
+
+    monkeypatch.setattr(lang, "check_step", counted)
+    monkeypatch.setattr(engine, "check_step", counted)
+    assert parse_circuit(text) == circuit
+    assert calls == list(circuit.steps)
 
 
 def test_self_controlled_gate_diagnostic_line():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
@@ -269,6 +269,52 @@ def test_vector_product_equals_loop_on_descriptors(rows):
     for a in big:
         for b in big:
             assert _bits(_kernel_product(a, b, rows)) == _loop_terms(a, b)
+
+
+# -- rotation ----------------------------------------------------------------
+
+
+@st.composite
+def rotation_operands(draw):
+    """x and z components over one pool of keys, and the (c, s) of a rotation.
+
+    Keys overlap, a drawn subset of z's coefficients is minus x's (an exact
+    cancellation when c == s), magnitudes sit about the drop tolerance and
+    parts take signed zeros.
+    """
+    n = 2
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    part = (
+        st.floats(0.25, 4)
+        | st.floats(-4, -0.25)
+        | st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 1.2e-12, -1.5e-12, 8e-13))
+    )
+    x_terms = draw(st.dictionaries(keys, st.builds(complex, part, part), max_size=8))
+    z_terms = draw(st.dictionaries(keys, st.builds(complex, part, part), max_size=8))
+    for key in draw(st.lists(st.sampled_from(sorted(x_terms)), unique=True)) if x_terms else ():
+        z_terms[key] = -x_terms[key]
+    scalar = st.sampled_from((0.0, -0.0, 1.0, -1.0)) | st.floats(-1, 1)
+    c = draw(scalar)
+    s = c if draw(st.booleans()) else draw(scalar)
+    return _from_masks(n, list(x_terms.items())), _from_masks(n, list(z_terms.items())), c, s
+
+
+_CANCELLING = (
+    PauliSum(1, [term(0.5 - 0.25j, {0: "X"}), term(2.0, {0: "Z"})]),
+    PauliSum(1, [term(-0.5 + 0.25j, {0: "X"}), term(-2.0, {0: "Z"})]),
+    math.sqrt(0.5),
+    math.sqrt(0.5),
+)
+
+
+@given(rotation_operands())
+@example(_CANCELLING)  # x * c + z * s cancels every term: the pop path
+@settings(max_examples=300)
+def test_rotated_pair_equals_operator_route_bit_for_bit(operands):
+    x, z, c, s = operands
+    rotated_x, rotated_z = pauli._rotated_pair(x, z, c, s)
+    assert _bits(rotated_x) == _bits(x * c + z * s)
+    assert _bits(rotated_z) == _bits(z * c - x * s)
 
 
 # -- sums --------------------------------------------------------------------
