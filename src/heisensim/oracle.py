@@ -8,12 +8,12 @@ circuit unitary.
 
 A Pauli string P = i^{#Y} X^x Z^z is a signed permutation,
 P|c> = i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one signed-row rule, which
-:func:`_pauli_rows` applies to a state or a unitary for a stack of
-single-qubit Paulis, and :func:`_scatter` to all terms of a few operators
-at once on any register, mapping each term's letters (as ``pauli`` hands
-them out, in dict order) onto the register's bits as int64 masks x and z;
-:func:`expand` checks its register and scatters one operator.  A gate is
-applied by one ``np.tensordot`` on the [2]*n view.  Every gate kind
+:func:`_pauli_rows` applies to a state or a unitary for one single-qubit
+Pauli or a stack of them, and :func:`_scatter` to all terms of a few
+operators at once on any register, with each term's masks x and z as
+``pauli`` hands them out already moved onto the register's bits, in dict
+order; :func:`expand` checks its register and scatters one operator.  A
+gate is applied by one ``np.tensordot`` on the [2]*n view.  Every gate kind
 (``ry``, ``h``, ``cx``, ``ch``) has a real matrix, so the accumulated
 unitary U stays real orthogonal and each conjugation U^T (sigma U) is one
 real product; a Y component is i times a real matrix.
@@ -32,8 +32,9 @@ product by the slab rule of :func:`_site_matrix_devs`.  Each boundary's
 state gives all 3n one-point values in one gather, and each fresh site
 scatters its three engine components at once.  A site whose qubit
 no gate of the previous slot touched, and whose engine descriptor is the
-very object of the previous boundary, keeps its previous matrix deviation:
-for a gate G acting off q, G^dagger sigma_q G = sigma_q exactly.
+very object of the previous boundary, keeps its previous matrix deviations
+and engine means: for a gate G acting off q, G^dagger sigma_q G = sigma_q
+exactly.
 
 Bit convention, fixed project-wide: basis index bit k holds qubit k's value
 (qubit 0 is the least significant bit), and bit value 0 is the +1
@@ -50,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import COMPONENTS, Circuit, Descriptor, GateStep, Trace
-from .pauli import _I_POWERS, PauliSum, _integer, _lettered, _support_mask, vacuum_expectation
+from .pauli import _I_POWERS, PauliSum, _integer, _register_masks, _support_mask, vacuum_expectation
 
 __all__ = [
     "SIZE_CAP",
@@ -97,13 +98,12 @@ def _scatter(ops: tuple[PauliSum, ...], register: tuple[int, ...]) -> np.ndarray
 
     One ``np.add.at`` scatters the signed rows of all terms, each operator's in dict order.
     """
-    bit = {q: 1 << i for i, q in enumerate(register)}
-    terms = [(k, letters, c) for k, op in enumerate(ops) for letters, c in _lettered(op)]
-    which = np.array([k for k, _, _ in terms], dtype=np.intp)
-    x = np.array([sum(bit[q] for q, letter in letters if letter != "Z") for _, letters, _ in terms], dtype=np.int64)
-    z = np.array([sum(bit[q] for q, letter in letters if letter != "X") for _, letters, _ in terms], dtype=np.int64)
+    terms = [term for op in ops for term in _register_masks(op, register)]
+    which = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
+    x = np.array([x for x, _, _ in terms], dtype=np.int64)
+    z = np.array([z for _, z, _ in terms], dtype=np.int64)
     cols = np.arange(2 ** len(register))
-    signs = 1 - 2 * (np.bitwise_count(cols & z[:, None]).astype(np.int64) & 1)  # as uint8 it would wrap
+    signs = np.where(np.bitwise_count(cols & z[:, None]) & 1, -1, 1)
     phases = np.array(_I_POWERS)[np.bitwise_count(x & z) % 4]
     coeffs = np.array([c for _, _, c in terms], dtype=complex) * phases
     out = np.zeros((len(ops), len(cols), len(cols)), dtype=complex)
@@ -171,27 +171,35 @@ def evolve_state(circuit: Circuit, cap: int = SIZE_CAP) -> list[np.ndarray]:
     return states
 
 
-def _pauli_rows(array: np.ndarray, qubits, letters) -> np.ndarray:
-    """A stack of rows[k] with sigma_k A = i^{#Y} rows[k], for the Pauli letters[k] on qubits[k].
+def _masks(qubit: int, letter: str) -> tuple[int, int]:
+    """The masks x and z of the Pauli ``letter`` on ``qubit``."""
+    return int(letter != "Z") << qubit, int(letter != "X") << qubit
 
-    rows[k][r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x] for sigma_k's masks x
-    and z; A is a state vector or a matrix whose rows are indexed by the basis.
+
+def _pauli_rows(array: np.ndarray, x, z) -> np.ndarray:
+    """rows with sigma A = i^{#Y} rows, for the single-qubit Pauli sigma of masks x and z.
+
+    rows[r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x]; A is a state vector or a
+    matrix whose rows are indexed by the basis.  Columns of masks give a stack,
+    rows[k] for the k-th Pauli.  The signs multiply the gathered copy A[r ^ x],
+    which is C-ordered whatever the layout of A, so the rows have the same bits
+    for a C-order and an F-order A.
     """
-    x = np.array([int(letter != "Z") << q for q, letter in zip(qubits, letters)])[:, None]
-    z = np.array([int(letter != "X") << q for q, letter in zip(qubits, letters)])[:, None]
     rows = np.arange(array.shape[0]) ^ x
-    return (1 - 2 * (rows & z != 0)).reshape(rows.shape + (1,) * (array.ndim - 1)) * array[rows]
+    return np.where(rows & z, -1, 1).reshape(rows.shape + (1,) * (array.ndim - 1)) * array[rows]
 
 
 def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
-    """U^dagger sigma U for a real U: one product, real unless the letter is Y (an int phase keeps it real)."""
-    return (1j if letter == "Y" else 1) * (total.T @ _pauli_rows(total, [qubit], [letter])[0])
+    """U^dagger sigma U for a real U: one product, real unless the letter is Y."""
+    product = total.T @ _pauli_rows(total, *_masks(qubit, letter))
+    return 1j * product if letter == "Y" else product
 
 
 def _expectations(psi: np.ndarray, qubits, letters) -> list[float]:
     """<psi| sigma |psi> for the Pauli letters[k] on qubits[k], each k: one gather for all."""
-    rows = _pauli_rows(psi, qubits, letters)
-    return [float(np.vdot(psi, (1j if letter == "Y" else 1) * row).real) for letter, row in zip(letters, rows)]
+    x, z = np.array([_masks(q, letter) for q, letter in zip(qubits, letters)]).T[..., None]
+    rows = _pauli_rows(psi, x, z)
+    return [float(np.vdot(psi, 1j * row if letter == "Y" else row).real) for letter, row in zip(letters, rows)]
 
 
 def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.ndarray]]:
@@ -214,8 +222,8 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
     """<psi| sigma_letter(qubit) |psi> for a single-qubit Pauli letter X, Y or Z."""
     if letter not in ("X", "Y", "Z"):
         raise ValueError(f"Pauli letter must be X, Y or Z, got {letter!r}")
-    if np.ndim(psi) != 1:
-        raise ValueError(f"a state is one vector of amplitudes, got an array of shape {np.shape(psi)}")
+    if (psi := np.asarray(psi)).ndim != 1:  # a list of amplitudes passes, as its array
+        raise ValueError(f"a state is one vector of amplitudes, got an array of shape {psi.shape}")
     if len(psi) < 2 or len(psi) & (len(psi) - 1):
         raise ValueError(f"a state of {len(psi)} amplitudes is no register of qubits: the length must be 2**n, n >= 1")
     if not 0 <= (qubit := _integer(qubit)) < len(psi).bit_length() - 1:
@@ -251,12 +259,13 @@ def _site_matrix_devs(cluster: tuple, cone: int, qubit: int, descriptor: Descrip
     slab = unitary[:, np.flatnonzero((np.arange(len(unitary)) & ~sum(1 << i for i in inside)) == 0)]
     outside = [q for q in range(descriptor.x.n_qubits) if support >> q & 1 and q not in register]
     stack = _scatter(descriptor.triple, tuple(register[i] for i in inside) + tuple(outside))
+    at = register.index(qubit)
     for comp, dense in zip(COMPONENTS, stack):
-        conjugated = _conjugated(slab, register.index(qubit), comp.upper())
+        conjugated = _conjugated(slab, at, comp.upper())
         if outside:
             conjugated = np.kron(np.eye(2 ** len(outside)), conjugated)
         dense -= conjugated
-    return [float(np.max(np.abs(dense))) for dense in stack]
+    return np.abs(stack).max(axis=(1, 2)).tolist()
 
 
 def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
@@ -265,9 +274,10 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     For every slot, qubit, and component this measures the gap between the
     engine's vacuum expectation and the evolved state's expectation, and
     between the dense engine operator and the conjugated bare Pauli; both
-    should sit at numerical noise.  A site's matrix gap comes from the slab
-    rule of :func:`_site_matrix_devs`, or from the previous boundary if that
-    slot left its qubit and descriptor object alone.  Only a trace that does
+    should sit at numerical noise.  A site's matrix gaps come from the slab
+    rule of :func:`_site_matrix_devs` and its engine means from
+    ``vacuum_expectation``, or both from the previous boundary if that slot
+    left its qubit and descriptor object alone.  Only a trace that does
     not fit the circuit raises: an imaginary residue is a matrix gap here,
     though a NaN one still raises ``HermiticityError``.
     """
@@ -277,7 +287,7 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     n = circuit.n_qubits
     if trace[0].n_qubits != n:
         raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
-    mat_devs: dict[int, list[float]] = {}
+    sites: dict[int, tuple[list[float], list[float]]] = {}  # each qubit's matrix deviations and engine means
     max_exp = 0.0
     max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
@@ -289,9 +299,10 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
         for q in range(n):
             d = state.descriptor(q)
             if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
-                mat_devs[q] = _site_matrix_devs(blocks[q], cones[q], q, d)
-            for comp, op, mat_dev, mean in zip(COMPONENTS, d.triple, mat_devs[q], means[3 * q : 3 * q + 3]):
-                dev = abs(vacuum_expectation(op, math.inf) - mean)
+                engine = [vacuum_expectation(op, math.inf) for op in d.triple]
+                sites[q] = _site_matrix_devs(blocks[q], cones[q], q, d), engine
+            for comp, mat_dev, engine_mean, mean in zip(COMPONENTS, *sites[q], means[3 * q : 3 * q + 3]):
+                dev = abs(engine_mean - mean)
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

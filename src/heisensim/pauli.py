@@ -27,10 +27,12 @@ An operator is built from ``((x, z), coeff)`` terms, or from
 operator product.  Construction merges like keys with order-insensitive
 ``fsum`` and every result drops coefficients below
 :data:`DROP_TOLERANCE`, so sums are always in canonical form.  Masks
-``(x, z)`` are constructor input only; terms are read back as letters in
-dict order (:func:`_lettered`, which the oracle's ``expand`` maps onto
-its register).  ``repr`` and ``to_json`` sort them by (qubit index, letter),
-which ranks X < Y < Z, each time, so equal operators serialise identically.
+``(x, z)`` are constructor input; terms are read back in dict order, as
+letters (:func:`_lettered`) or, for the dense oracle, as masks moved onto
+a register of the oracle's choosing (:func:`_register_masks`), so the key
+format stays known to this module alone.  ``repr`` and ``to_json`` sort the
+letters by (qubit index, letter), which ranks X < Y < Z, each time, so
+equal operators serialise identically.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to evaluate concurrently.
@@ -194,6 +196,25 @@ def _lettered(op: "PauliSum") -> list[tuple[LetterMap, complex]]:
         x, z = key >> n, key & low
         bits = enumerate(bin(x | z)[:1:-1])  # (qubit, "0" or "1"), lowest qubit first
         terms.append((tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1"), c))
+    return terms
+
+
+def _register_masks(op: "PauliSum", register: tuple[int, ...]) -> list[tuple[int, int, complex]]:
+    """(x, z, coefficient) per term of ``op`` in dict order, bit i of both masks on qubit ``register[i]``.
+
+    ``register`` lists distinct qubits of ``op`` and holds every qubit where it acts.
+    """
+    n, low, terms = op.n_qubits, (1 << op.n_qubits) - 1, []
+    moves = [(q, 1 << i) for i, q in enumerate(register)]  # qubit q's bit goes to bit i
+    for key, c in op._terms.items():
+        x, z = key >> n, key & low
+        x_reg = z_reg = 0
+        for q, b in moves:
+            if x >> q & 1:
+                x_reg |= b
+            if z >> q & 1:
+                z_reg |= b
+        terms.append((x_reg, z_reg, c))
     return terms
 
 

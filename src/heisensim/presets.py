@@ -39,7 +39,8 @@ def _parsed(name: str) -> Circuit:
 
 def get_preset(name: str) -> Circuit:
     """A bundled circuit; each call returns a new one with its own ``labels`` dict."""
-    return Circuit(*_parsed(name))
+    n_qubits, steps, labels = _parsed(name)  # checked once, as the file was parsed
+    return Circuit._from_checked(n_qubits, steps, dict(labels or {}))
 
 
 def preset_fr() -> Circuit:

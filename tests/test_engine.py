@@ -661,6 +661,22 @@ def test_relabelling_qubits_moves_every_key_and_keeps_every_bit(circuit, vectori
                 assert _term_bits(op_image) == _term_bits(op, perm)
 
 
+# No shrink phase, as in the loop-and-kernel test above: each shrink step reruns both routes
+@given(parallel_circuits(), st.data())
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_relabelling_random_parallel_circuits_keeps_every_bit(circuit, data):
+    n = circuit.n_qubits
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    moved = hs.Circuit(n, tuple(s._replace(qubits=tuple(perm[q] for q in s.qubits)) for s in circuit.steps))
+    for crossover in (math.inf, 0):  # every product in the loop, then every product in the kernel
+        with mock.patch.object(pauli, "_CROSSOVER", crossover):
+            pairs = zip(hs.run_circuit(circuit), hs.run_circuit(moved), strict=True)
+            for state, image in pairs:
+                for q in range(n):
+                    for op, op_image in zip(state.descriptor(q).triple, image.descriptor(perm[q]).triple):
+                        assert _term_bits(op_image) == _term_bits(op, perm)
+
+
 @pytest.mark.parametrize("vectorised", [False, True], ids=["loop", "kernel"])
 @pytest.mark.parametrize("circuit", _INVARIANT_CIRCUITS, ids=_INVARIANT_IDS)
 def test_one_gate_per_slot_keeps_the_final_descriptors(circuit, vectorised, request):

@@ -35,6 +35,17 @@ def test_preset_calls_return_fresh_circuits():
     assert hs.preset_fr().labels[0] == "R"
 
 
+def test_preset_calls_check_no_gate(monkeypatch):
+    # the preset's gates were admitted once, as its file was parsed; a call copies them unchecked
+    hs.get_preset("fr")  # parsed here if no earlier test read it
+    calls = []
+    monkeypatch.setattr(engine, "check_step", lambda *args: calls.append(args))
+    first, second = hs.get_preset("fr"), hs.get_preset("fr")
+    assert calls == []
+    assert first == second and len(first.steps) == 12
+    assert first.labels == second.labels and first.labels is not second.labels
+
+
 def test_parse_checks_each_gate_once(monkeypatch):
     # the parser admits each gate line as it reads it; the circuit it builds is not checked again
     circuit = random_circuit(random.Random(3), 6, 50)

@@ -6,8 +6,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heisensim as hs
+from heisensim import oracle
 from heisensim.oracle import (
     conjugate_descriptor,
     cross_check,
@@ -15,7 +18,7 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import PauliSum, _support_mask
+from heisensim.pauli import _I_POWERS, PauliSum, _lettered, _register_masks, _support_mask
 
 from conftest import (
     LETTER_MATRICES, A, R, S, U_R, W_B, canonical_terms, gate_unitary, random_circuit, random_parallel_circuit, term,
@@ -125,6 +128,60 @@ def test_expand_wide_operator_on_register_bit_for_bit(register):
     for coeff, letters in strings:  # distinct keys keep their input order in the dict
         reference += coeff * kron_chain(*(LETTER_MATRICES[letters.get(q, "I")] for q in register))
     assert np.array_equal(expand(a, register), reference)
+
+
+def _lettered_masks(op, register):
+    # the letters route: each term's letters, in dict order, mapped onto the register's bits by hand
+    bit = {q: 1 << i for i, q in enumerate(register)}
+    return [
+        (sum(bit[q] for q, letter in letters if letter != "Z"), sum(bit[q] for q, letter in letters if letter != "X"), c)
+        for letters, c in _lettered(op)
+    ]
+
+
+def _lettered_scatter(ops, register):
+    # the letters route's scatter: the same signed rows, with masks from _lettered_masks
+    terms = [(k, *t) for k, op in enumerate(ops) for t in _lettered_masks(op, register)]
+    which = np.array([k for k, _, _, _ in terms], dtype=np.intp)
+    x = np.array([x for _, x, _, _ in terms], dtype=np.int64)
+    z = np.array([z for _, _, z, _ in terms], dtype=np.int64)
+    cols = np.arange(2 ** len(register))
+    signs = 1 - 2 * (np.bitwise_count(cols & z[:, None]).astype(np.int64) & 1)
+    coeffs = np.array([c for _, _, _, c in terms], dtype=complex) * np.array(_I_POWERS)[np.bitwise_count(x & z) % 4]
+    out = np.zeros((len(ops), len(cols), len(cols)), dtype=complex)
+    np.add.at(out, (which[:, None], cols ^ x[:, None], cols), coeffs[:, None] * signs)
+    return out
+
+
+@st.composite
+def operators_on_a_register(draw):
+    """One to three operators on 1-40 qubits and a register of at most 6 of them that holds their support.
+
+    The register is laid out as a site's: a cluster's qubits in any order,
+    then qubits outside the cluster in increasing order.
+    """
+    n = draw(st.integers(1, 40))
+    cluster = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True))
+    rest = [q for q in range(n) if q not in cluster]  # empty when the cluster is every qubit
+    outside = draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
+    register = tuple(cluster) + tuple(sorted(outside))
+    coeffs = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    strings = st.dictionaries(st.sampled_from(register), st.sampled_from("XYZ"))
+    ops = draw(st.lists(st.lists(st.tuples(coeffs, strings), max_size=12), min_size=1, max_size=3))
+    return tuple(PauliSum(n, [term(c, letters) for c, letters in op]) for op in ops), register
+
+
+# a Y on qubit 39 of a 40-qubit operator, on a register of 3 qubits in shuffled order
+@example(((PauliSum(40, [term(0.5 - 1j / 3, {39: "Y", 3: "X"}), term(1.5, {35: "Z"})]),), (35, 39, 3)))
+@given(operators_on_a_register())
+@settings(max_examples=200, deadline=None)
+def test_register_masks_and_scatter_equal_the_letters_route_bit_for_bit(case):
+    ops, register = case
+    for op in ops:
+        assert _register_masks(op, register) == _lettered_masks(op, register)
+    stack = oracle._scatter(ops, register)
+    assert stack.tobytes() == _lettered_scatter(ops, register).tobytes()
+    assert expand(ops[0], register).tobytes() == stack[0].tobytes()
 
 
 @pytest.mark.parametrize("register", [(0, 1, 1, 2), (2, 0), (0, 1, 3)])
@@ -299,6 +356,16 @@ def test_state_expectation_rejects_bad_letter_or_qubit(qubit, letter, error, siz
     psi = evolve_state(hs.Circuit(1, (hs.ry(0, 0.7),)))[-1] if size == 2 else np.full(size, np.prod(size) ** -0.5)
     with pytest.raises(error):
         state_expectation(psi, qubit, letter)
+
+
+def test_state_expectation_reads_a_list_of_amplitudes():
+    amplitudes = [0.6, 0.0, 0.0, -0.8]
+    for q in range(2):
+        for letter in "XYZ":
+            assert state_expectation(amplitudes, q, letter) == state_expectation(np.array(amplitudes), q, letter)
+    assert state_expectation([1, 0], 0, "Z") == 1.0
+    with pytest.raises(ValueError, match="^a state is one vector of amplitudes, got an array of shape \\(\\)$"):
+        state_expectation("10", 0, "Z")
 
 
 _PSI = np.array([1, 0, 0, 0], dtype=complex)
@@ -610,6 +677,36 @@ def test_cross_check_applies_each_gate_twice(circuit, monkeypatch):
     monkeypatch.setattr(oracle, "_apply_small", lambda *args: applied.append(1) or apply_small(*args))
     cross_check(hs.run_circuit(circuit), circuit)
     assert len(applied) == 2 * len(circuit.steps)
+
+
+def test_cross_check_reads_each_fresh_site_once(fr_circuit, fr_trace, fr_crosscheck, monkeypatch):
+    # 29 fresh sites on fr: each has its slab rule run once and its three engine
+    # means taken once; a site no gate touched carries both from the boundary before
+    site_calls, mean_calls = [], []
+    site_devs, mean = oracle._site_matrix_devs, oracle.vacuum_expectation
+    monkeypatch.setattr(oracle, "_site_matrix_devs", lambda *args: site_calls.append(1) or site_devs(*args))
+    monkeypatch.setattr(oracle, "vacuum_expectation", lambda *args: mean_calls.append(1) or mean(*args))
+    report = cross_check(fr_trace, fr_circuit)
+    assert (len(site_calls), len(mean_calls)) == (29, 87)
+    assert repr(report) == repr(fr_crosscheck)
+
+
+def test_conjugated_gives_the_same_bits_on_c_and_f_order_slabs(monkeypatch):
+    # A slab is unitary[:, idx], which numpy hands back in F order.  Signs
+    # multiplied into the slab itself (tempting for a Z, whose x = 0 moves no row) make the
+    # product's right operand F-ordered too, and on the (64, 8) slab of this
+    # circuit that product rounded 1.1e-16 away from the one on the gathered
+    # C-order copy, which DENSE_ROUTE_DIGESTS would catch.  _conjugated
+    # multiplies the signs into the gathered copy, whatever the slab's layout
+    circuit = random_circuit(random.Random(2), 6, 30)
+    calls = []
+    conjugated = oracle._conjugated
+    monkeypatch.setattr(oracle, "_conjugated", lambda *args: calls.append(args) or conjugated(*args))
+    cross_check(hs.run_circuit(circuit), circuit)
+    assert any(slab.shape == (64, 8) and letter == "Z" for slab, _, letter in calls)
+    for slab, qubit, letter in calls:
+        c_order = conjugated(np.ascontiguousarray(slab), qubit, letter)
+        assert conjugated(np.asfortranarray(slab), qubit, letter).tobytes() == c_order.tobytes()
 
 
 def _dense_route_circuits():
