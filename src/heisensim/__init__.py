@@ -3,11 +3,12 @@
 Propagates per-qubit observable triples (descriptors) through a circuit of
 rotations, Hadamards, controlled-nots, and controlled-Hadamards; detects
 entanglement and sharp/non-sharp foliations of qubit pairs; builds the
-branching tree of foliation events; and cross-validates everything against
-a dense state-vector oracle.
+branching tree of foliation events; and cross-validates the descriptors by
+Pauli back-propagation, against a dense state-vector oracle in the tests.
 
-The oracle's names (``expand``, ``evolve_state``, ``cross_check``) are
-resolved on first use, so importing the package does not load numpy.
+``cross_check`` and the oracle's ``expand`` and ``evolve_state`` are
+resolved on first use, so importing the package loads neither; only the
+oracle loads numpy.
 """
 from .engine import (
     Circuit,
@@ -91,7 +92,7 @@ __all__ = [
     "report_rows",
     "tree_json_doc",
     "tree_to_dot",
-    # oracle
+    # check and oracle
     "expand",
     "evolve_state",
     "cross_check",
@@ -104,16 +105,16 @@ __all__ = [
     "FR_ANGLE",
 ]
 
-_ORACLE_NAMES = ("expand", "evolve_state", "cross_check")
+_LAZY_NAMES = {"expand": "oracle", "evolve_state": "oracle", "cross_check": "check"}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    if name in _LAZY_NAMES:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(globals()) + list(_ORACLE_NAMES)
+    return sorted(globals()) + list(_LAZY_NAMES)

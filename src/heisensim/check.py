@@ -1,0 +1,168 @@
+"""Cross-check of the engine's descriptors by Pauli back-propagation, without numpy.
+
+A descriptor component at boundary t is U^dagger sigma U for a bare Pauli
+sigma and the gates U of slots 0..t-1.  :func:`cross_check` rebuilds it apart
+from the engine's rules: it conjugates sigma by one gate at a time, latest
+slot first (Pauli propagation, Rudolph et al., arXiv:2505.21606), skipping
+the gates off its past light cone.  A gate on k qubits maps the letters P of
+a string on its qubits to strings Q with coefficients
+tr(Q^dagger G^dagger P G) / 2**k, read off the gate matrices of
+:func:`_gate_matrix`, which the dense oracle uses too.  The gates are real,
+so every coefficient is real.  The ``h``, ``cx`` and ``ch`` tables are built
+once per process, on first use, an ``ry`` table once per gate and check.
+Coefficients below :data:`DROP_TOLERANCE` drop after each gate, as the
+engine's do.  An operator is a dict from each string's masks ``(x, z)``,
+as ``pauli``'s term reader gives them, to its coefficient.
+"""
+from __future__ import annotations
+
+import math
+from math import fsum
+from typing import NamedTuple
+
+from .engine import COMPONENTS, Circuit, GateStep, Trace
+from .pauli import DROP_TOLERANCE, _term_masks, vacuum_expectation
+
+__all__ = ["CrossCheckReport", "cross_check"]
+
+_ROOT_HALF = 1 / math.sqrt(2)
+_H = ((_ROOT_HALF, _ROOT_HALF), (_ROOT_HALF, -_ROOT_HALF))
+# 4x4 matrices indexed by (control_bit * 2 + target_bit)
+_FIXED_MATRICES = {
+    "h": _H,
+    "cx": ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0)),
+    "ch": ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, *_H[0]), (0.0, 0.0, *_H[1])),
+}
+_FIXED_TABLES: dict[str, tuple] = {}  # filled on first use, never at import
+
+
+def _gate_matrix(step: GateStep) -> tuple[tuple[float, ...], ...]:
+    """The real matrix of ``step``; ``step.qubits[0]`` owns the most significant bit of its index."""
+    if step.kind == "ry":
+        c, s = math.cos(step.angle / 2), math.sin(step.angle / 2)
+        return ((c, -s), (s, c))
+    return _FIXED_MATRICES[step.kind]  # KeyError for a kind without a matrix here
+
+
+def _conjugation_table(g: tuple[tuple[float, ...], ...]) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """(px ^ qx, pz ^ qz, c) per string Q in G^T P G = sum c Q, for each local P of masks px | pz << k.
+
+    With X^x Z^z |b> = (-1)^{popcount(b & z)} |b ^ x> and P = i^{#Y} X^px Z^pz,
+    c = i^{#Y(P) - #Y(Q)} tr(Z^qz X^qx G^T X^px Z^pz G) / 2**k, which a real G
+    makes 0 when the two #Y differ in parity.  G^T I G = I exactly.
+    """
+    d = len(g)
+    table = [((0, 0, 1.0),)]
+    for px, pz in ((p % d, p // d) for p in range(1, d * d)):
+        row = []
+        for qx, qz in ((q % d, q // d) for q in range(d * d)):
+            if (turn := (px & pz).bit_count() - (qx & qz).bit_count()) & 1:
+                continue
+            c = fsum(
+                (-1) ** ((s & qz).bit_count() + ((a ^ px) & pz).bit_count()) * g[a][s ^ qx] * g[a ^ px][s]
+                for a in range(d)
+                for s in range(d)
+            ) / d
+            if abs(c) >= DROP_TOLERANCE:
+                row.append((px ^ qx, pz ^ qz, -c if turn & 2 else c))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _gate_rows(step: GateStep) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int, float], ...]]]:
+    """``step``'s qubit mask and its table on full-width masks.
+
+    The rows of a string's masks on the gate's qubits, ``(x & mask, z & mask)``,
+    list (dx, dz, c): the string becomes ``(x ^ dx, z ^ dz)`` with its coefficient times c.
+    """
+    if step.angle is not None:
+        table = _conjugation_table(_gate_matrix(step))
+    elif (table := _FIXED_TABLES.get(step.kind)) is None:
+        table = _FIXED_TABLES[step.kind] = _conjugation_table(_gate_matrix(step))
+    d = 1 << len(step.qubits)
+    spread = [sum(1 << q for i, q in enumerate(reversed(step.qubits)) if local >> i & 1) for local in range(d)]
+    rows = {}
+    for p, entries in enumerate(table):
+        rows[spread[p % d], spread[p // d]] = tuple((spread[dx], spread[dz], c) for dx, dz, c in entries)
+    return spread[-1], rows
+
+
+def _conjugated(terms: dict, mask: int, rows: dict) -> dict:
+    """G^dagger A G for the operator ``terms`` and a gate of qubit ``mask`` and ``rows``."""
+    out: dict[tuple[int, int], float] = {}
+    for (x, z), c in terms.items():
+        for dx, dz, t in rows[x & mask, z & mask]:
+            key = (x ^ dx, z ^ dz)
+            out[key] = out.get(key, 0.0) + c * t
+    return {key: c for key, c in out.items() if abs(c) >= DROP_TOLERANCE}
+
+
+def _propagated(slots: list, qubit: int, comp: str) -> dict:
+    """U^dagger sigma U for the bare Pauli ``comp`` on ``qubit``, U the gates of ``slots`` in order.
+
+    ``slots`` holds each slot's ``_gate_rows``; the latest slot conjugates first.
+    """
+    terms, cone = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}, 1 << qubit
+    for slot in reversed(slots):
+        for mask, rows in slot:
+            if cone & mask:
+                cone |= mask
+                terms = _conjugated(terms, mask, rows)
+    return terms
+
+
+def _deviations(op, reference: dict) -> tuple[float, float]:
+    """|engine mean - reference mean| and the largest coefficient gap between ``op`` and ``reference``.
+
+    The engine's mean is read without the Hermiticity guard, so an imaginary
+    residue shows up as a coefficient gap; a NaN one still raises.
+    """
+    engine = {(x, z): c for x, z, c in _term_masks(op)}
+    gaps = (abs(engine.get(key, 0.0) - reference.get(key, 0.0)) for key in engine.keys() | reference.keys())
+    mean = fsum(c for (x, _), c in reference.items() if not x)
+    return abs(vacuum_expectation(op, math.inf) - mean), max(gaps, default=0.0)
+
+
+class CrossCheckReport(NamedTuple):
+    max_expectation_dev: float
+    max_matrix_dev: float
+    worst_site: dict
+
+    def to_json(self) -> dict:
+        return {"format_version": 1, **self._asdict(), "worst_site": dict(self.worst_site)}
+
+
+def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
+    """Compare the engine trace against Pauli back-propagation of the bare Paulis.
+
+    For every boundary, qubit and component this measures the gap between
+    the vacuum expectations of the engine's operator and of U^dagger sigma U
+    (``max_expectation_dev``), and the largest gap between their Pauli
+    coefficients (``max_matrix_dev``); both should sit at numerical noise.
+    A site whose qubit no gate of the previous slot touched, and whose
+    engine descriptor is the very object of the previous boundary, keeps its
+    previous deviations: for a gate G acting off q, G^dagger sigma_q G = sigma_q
+    exactly.  Only a trace that does not fit the circuit raises.
+    """
+    if len(trace) != circuit.max_slot + 2:
+        raise ValueError("trace and circuit disagree on slot count")
+    n = circuit.n_qubits
+    if trace[0].n_qubits != n:
+        raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
+    groups = circuit.slot_groups()
+    slots = [[_gate_rows(step) for step in group] for group in groups]
+    sites: dict[int, list[tuple[float, float]]] = {}  # each qubit's deviations, per component
+    max_exp = max_mat = 0.0
+    worst = {"slot": 0, "qubit": 0, "component": "x"}
+    for t, state in enumerate(trace):
+        touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
+        for q in range(n):
+            d = state.descriptor(q)
+            if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
+                sites[q] = [_deviations(op, _propagated(slots[:t], q, comp)) for comp, op in zip(COMPONENTS, d.triple)]
+            for comp, (dev, mat_dev) in zip(COMPONENTS, sites[q]):
+                if max(dev, mat_dev) > max(max_exp, max_mat):
+                    worst = {"slot": t, "qubit": q, "component": comp}
+                max_exp = max(max_exp, dev)
+                max_mat = max(max_mat, mat_dev)
+    return CrossCheckReport(max_exp, max_mat, worst)

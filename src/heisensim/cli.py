@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--circuit", metavar="PATH", help="circuit description file")
     run.add_argument("--report", choices=("table", "json"), help="print the foliation table or the trace JSON")
     run.add_argument("--tree", metavar="PATH", help="write the branching tree (.dot or .json)")
-    run.add_argument("--check", action="store_true", help="cross-check against the dense oracle")
+    run.add_argument("--check", action="store_true", help="cross-check the engine by Pauli back-propagation")
     run.add_argument("--tolerance", default=None, help="verdict/check tolerance, finite and > 0 (default 1e-9)")
     run.add_argument(
         "--watch",
@@ -156,11 +156,6 @@ def _run(args) -> int:
     tol = _tolerance(args.tolerance)
 
     circuit = _load_circuit(args)
-    if args.check:  # numpy is loaded only for the dense oracle
-        from .oracle import SIZE_CAP, cross_check
-
-        if circuit.n_qubits > SIZE_CAP:
-            raise SystemExit(f"--check: dense oracle capped at {SIZE_CAP} qubits, circuit has {circuit.n_qubits}")
     watch = default_watch_pairs(circuit) if args.watch is None else _resolve_watch(args.watch, circuit)
     trace = run_circuit(circuit)
 
@@ -181,6 +176,8 @@ def _run(args) -> int:
             _write_text(args.tree, tree_to_dot(tree))
 
     if args.check:
+        from .check import cross_check  # only --check loads the check
+
         report = cross_check(trace, circuit)
         ok = report.max_expectation_dev <= tol and report.max_matrix_dev <= tol
         site = report.worst_site

@@ -5,7 +5,7 @@ time 0 equals its local (sigma_x, sigma_y, sigma_z) and thereafter evolves
 under the circuit while the global state stays pinned to the all-zeros
 vector.  Gates act through closed-form update rules on the pre-gate
 components.  The private table ``_GATES`` is the one definition of a gate
-kind (arity, angle, :meth:`Circuit.gate_text` template, rule); the oracle
+kind (arity, angle, :meth:`Circuit.gate_text` template, rule); ``check``
 keeps its own gate matrices on purpose, as the independent cross-check:
 
 * ``ry(phi)``:   x' = x cos(phi) + z sin(phi),  y' = y,

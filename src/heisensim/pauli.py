@@ -28,9 +28,9 @@ operator product.  Construction merges like keys with order-insensitive
 ``fsum`` and every result drops coefficients below
 :data:`DROP_TOLERANCE`, so sums are always in canonical form.  Masks
 ``(x, z)`` are constructor input; terms are read back in dict order, as
-letters (:func:`_lettered`) or, for the dense oracle, as masks moved onto
-a register of the oracle's choosing (:func:`_register_masks`), so the key
-format stays known to this module alone.  ``repr`` and ``to_json`` sort the
+masks (:func:`_term_masks`, for the dense oracle and the back-propagation
+check) or as letters (:func:`_lettered`), so the key format stays known to
+this module alone.  ``repr`` and ``to_json`` sort the
 letters by (qubit index, letter), which ranks X < Y < Z, each time, so
 equal operators serialise identically.
 
@@ -189,32 +189,18 @@ def _support_mask(*ops: "PauliSum") -> int:
 LetterMap = tuple[tuple[int, str], ...]
 
 
+def _term_masks(op: "PauliSum") -> list[tuple[int, int, complex]]:
+    """(x, z, coefficient) per term of ``op`` in dict order, bit q of both masks on qubit q."""
+    n, low = op.n_qubits, (1 << op.n_qubits) - 1
+    return [(key >> n, key & low, c) for key, c in op._terms.items()]
+
+
 def _lettered(op: "PauliSum") -> list[tuple[LetterMap, complex]]:
     """(letters, coefficient) per term of ``op`` in dict order, each string's letters in qubit order."""
-    n, low, terms = op.n_qubits, (1 << op.n_qubits) - 1, []
-    for key, c in op._terms.items():
-        x, z = key >> n, key & low
+    terms = []
+    for x, z, c in _term_masks(op):
         bits = enumerate(bin(x | z)[:1:-1])  # (qubit, "0" or "1"), lowest qubit first
         terms.append((tuple((q, _LETTER_OF[(x >> q & 1) + 2 * (z >> q & 1)]) for q, bit in bits if bit == "1"), c))
-    return terms
-
-
-def _register_masks(op: "PauliSum", register: tuple[int, ...]) -> list[tuple[int, int, complex]]:
-    """(x, z, coefficient) per term of ``op`` in dict order, bit i of both masks on qubit ``register[i]``.
-
-    ``register`` lists distinct qubits of ``op`` and holds every qubit where it acts.
-    """
-    n, low, terms = op.n_qubits, (1 << op.n_qubits) - 1, []
-    moves = [(q, 1 << i) for i, q in enumerate(register)]  # qubit q's bit goes to bit i
-    for key, c in op._terms.items():
-        x, z = key >> n, key & low
-        x_reg = z_reg = 0
-        for q, b in moves:
-            if x >> q & 1:
-                x_reg |= b
-            if z >> q & 1:
-                z_reg |= b
-        terms.append((x_reg, z_reg, c))
     return terms
 
 

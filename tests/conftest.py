@@ -47,12 +47,10 @@ def commutes(a, b, tol=DEFAULT_TOLERANCE):
 
 def gate_unitary(step, n_qubits):
     """Full 2^n x 2^n unitary of one gate: the oracle's own walk and embedding
-    carry the identity, one block on every qubit in order, across a one-gate
-    circuit, so tests of it pin the oracle's tensor-axis mapping."""
-    register = tuple(range(n_qubits))
-    identity = np.eye(2 ** n_qubits, dtype=complex)
-    *_, (_, blocks, _) = oracle._walk(hs.Circuit(n_qubits, (step,)), dict.fromkeys(register, (register, identity)))
-    return blocks[0][1]
+    carry the identity across a one-gate circuit, so tests of it pin the
+    oracle's tensor-axis mapping."""
+    *_, unitary = oracle._walk(hs.Circuit(n_qubits, (step,)), np.eye(2 ** n_qubits, dtype=complex))
+    return unitary
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ import heisensim as hs
 from heisensim.cli import render_table
 from heisensim.engine import trace_json_doc
 from heisensim.foliation import NON_SHARP, SHARP, ZeroWeightBranch, tree_to_dot
+from heisensim.oracle import state_expectation
 from heisensim.pauli import PauliSum, vacuum_expectation
 
 from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, chain, gate_unitary, random_circuit
@@ -149,7 +150,17 @@ def test_state_profile_after_lab_one(fr_states):
     assert all(p <= TOL for p in marginal.values())
 
 
-def test_engine_matches_state_vector_everywhere(fr_crosscheck):
+def _assert_engine_means_match_states(trace, states, tol):
+    # every component's vacuum value against the evolved state's expectation, at every boundary
+    assert len(trace) == len(states)
+    for state, psi in zip(trace, states):
+        for d in state.descriptors:
+            for comp, op in zip("XYZ", d.triple):
+                assert abs(vacuum_expectation(op) - state_expectation(psi, d.qubit, comp)) <= tol
+
+
+def test_engine_matches_state_vector_everywhere(fr_trace, fr_states, fr_crosscheck):
+    _assert_engine_means_match_states(fr_trace, fr_states, TOL)
     assert fr_crosscheck.max_expectation_dev <= TOL
     assert fr_crosscheck.max_matrix_dev <= TOL
 
@@ -335,7 +346,9 @@ def test_chain_tree_events(k):
 
 def test_chain_of_three_labs_matches_state_vector():
     circuit = chain(3)
-    report = hs.cross_check(hs.run_circuit(circuit), circuit)
+    trace = hs.run_circuit(circuit)
+    _assert_engine_means_match_states(trace, hs.evolve_state(circuit), 1e-12)
+    report = hs.cross_check(trace, circuit)
     assert report.max_expectation_dev <= 1e-12
     assert report.max_matrix_dev <= 1e-12
 

@@ -12,9 +12,8 @@ import pytest
 
 import heisensim
 from heisensim.cli import TOLERANCE_ENV, main, render_table
-from heisensim.oracle import SIZE_CAP
 
-from conftest import random_circuit
+from conftest import chain, random_circuit
 
 
 def run_cli(capsys, *argv):
@@ -270,12 +269,27 @@ def test_check_fails_beyond_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
-def test_check_refuses_circuit_above_dense_cap(tmp_path, capsys):
-    big = tmp_path / "big.qc"
-    big.write_text(f"qubits {SIZE_CAP + 1}\nh 0\n")
-    with pytest.raises(SystemExit, match=rf"capped at {SIZE_CAP} qubits, circuit has {SIZE_CAP + 1}"):
-        main(["run", "--circuit", str(big), "--report", "table", "--check"])
-    assert capsys.readouterr().out == ""
+def test_check_passes_on_sixteen_qubit_chain(tmp_path, capsys):
+    # the back-propagation check has no width cap: chain(4) holds 16 qubits
+    path = tmp_path / "chain4.qc"
+    path.write_text(heisensim.serialize_circuit(chain(4)), encoding="utf-8")
+    code, out = run_cli(capsys, "run", "--circuit", str(path), "--check")
+    assert code == 0
+    assert out.endswith("OK: tolerance 1e-09\n") and len(out.splitlines()) == 4
+
+
+def test_check_fails_on_a_wrong_engine_rule(monkeypatch, capsys):
+    # the check takes its tables from the gate matrices, not from the engine's rules:
+    # a Hadamard rule that keeps y instead of negating it must fail it
+    from heisensim import engine
+
+    def wrong_hadamard(d):
+        return (engine.Descriptor(d.qubit, d.z, d.y, d.x),)
+
+    monkeypatch.setitem(engine._GATES, "h", engine._GATES["h"][:3] + (wrong_hadamard,))
+    code, out = run_cli(capsys, "run", "--preset", "fr", "--check")
+    assert code == 1
+    assert out.endswith("FAIL: tolerance 1e-09\n")
 
 
 def test_table_and_tree_share_one_fold(tmp_path, monkeypatch, capsys):
@@ -313,7 +327,7 @@ def _src_env():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only --check needs the dense oracle; the package resolves its names on first use.
+    # the package resolves the check's and the dense oracle's names on first use.
     # format_weight needs no Fraction, so decimal's cold start stays off the CLI path too.
     # The records are named tuples and only the JSON outputs import json; a module that
     # the bare interpreter already holds (a site hook's) is not the package's to load
@@ -326,6 +340,7 @@ def test_cli_import_leaves_numpy_unloaded():
         "loaded = {'dataclasses', 'json'} & (set(sys.modules) - bare)\n"
         "assert not loaded, f'importing the CLI loaded {sorted(loaded)}'\n"
         "assert set(heisensim.__all__) <= set(dir(heisensim)), 'dir() misses exported names'\n"
+        "assert 'heisensim.check' not in sys.modules, 'importing the CLI loaded the check'\n"
         "from heisensim import oracle\n"
         "for name in ('cross_check', 'evolve_state', 'expand'):\n"
         "    assert getattr(heisensim, name) is getattr(oracle, name), name\n"
@@ -351,18 +366,21 @@ def test_reading_a_preset_leaves_inspect_unloaded():
 
 
 def test_fr_run_leaves_numpy_unloaded():
-    # every fr product is far below the vector product's crossover, and a table needs no json
+    # every fr product is far below the vector product's crossover, the check
+    # back-propagates Paulis without numpy, and neither output needs json
     code = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "from heisensim.cli import main\n"
         "assert main(['run', '--preset', 'fr', '--report', 'table']) == 0\n"
+        "assert main(['run', '--preset', 'fr', '--check']) == 0\n"
         "assert 'numpy' not in sys.modules, 'run --preset fr loaded numpy'\n"
-        "assert 'json' not in set(sys.modules) - bare, 'a table run loaded json'\n"
+        "assert 'json' not in set(sys.modules) - bare, 'a table or check run loaded json'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (Path(__file__).parent / "golden" / "fr_report.txt").read_text()
+    golden = Path(__file__).parent / "golden"
+    assert proc.stdout == (golden / "fr_report.txt").read_text() + (golden / "fr_check.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", [["--report", "table"], ["--check"]], ids=["table", "check"])

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
-from heisensim import oracle, pauli
+from heisensim import check, pauli
 from heisensim.engine import GATE_KINDS, trace_json_doc
 from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
@@ -439,7 +439,7 @@ def test_gate_kind_defined_across_layers(kind):
     circuit = hs.Circuit(2, (step,), {0: "P", 1: "Q"})
     assert circuit.gate_text(step) == text
     assert parse_circuit(serialize_circuit(circuit)) == circuit
-    assert oracle._small_matrix(step).shape == (2 ** len(qubits),) * 2
+    assert np.array(check._gate_matrix(step)).shape == (2 ** len(qubits),) * 2
     report = hs.cross_check(hs.run_circuit(circuit), circuit)
     assert report.max_expectation_dev <= 1e-12
     assert report.max_matrix_dev <= 1e-12
@@ -448,7 +448,7 @@ def test_gate_kind_defined_across_layers(kind):
 def test_oracle_has_no_matrix_for_unknown_kind():
     # GateStep admits only the engine's kinds, so a stand-in step carries the unknown one
     with pytest.raises(KeyError, match="swap"):
-        oracle._small_matrix(SimpleNamespace(kind="swap", qubits=(0, 1), angle=None))
+        check._gate_matrix(SimpleNamespace(kind="swap", qubits=(0, 1), angle=None))
 
 
 def test_gate_step_rejects_self_control():

@@ -1,4 +1,4 @@
-"""Dense-route tests: expansions, unitaries, state evolution, cross-checks."""
+"""Dense-route tests (expansions, unitaries, state evolution) and the back-propagation cross-check."""
 import hashlib
 import math
 import random
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
-from heisensim import oracle
+from heisensim import check, oracle
 from heisensim.oracle import (
     conjugate_descriptor,
     cross_check,
@@ -18,10 +18,10 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import _I_POWERS, PauliSum, _lettered, _register_masks, _support_mask
+from heisensim.pauli import _I_POWERS, PauliSum, _lettered, _term_masks, vacuum_expectation
 
 from conftest import (
-    LETTER_MATRICES, A, R, S, U_R, W_B, canonical_terms, gate_unitary, random_circuit, random_parallel_circuit, term,
+    LETTER_MATRICES, A, R, S, U_R, W_B, chain, gate_unitary, random_circuit, random_parallel_circuit, term,
 )
 
 
@@ -89,112 +89,72 @@ def test_expand_matches_kron_chain_with_y_letters():
 def test_expand_size_cap():
     with pytest.raises(ValueError):
         expand(PauliSum.identity(13))
-    with pytest.raises(ValueError):
-        expand(PauliSum.identity(20), tuple(range(13)))
 
 
 @pytest.mark.parametrize("register", [None, (3, 0, 2, 1), (5, 1, 3, 0, 2)])
 def test_expand_sums_terms_in_dict_order_bit_for_bit(register):
     # np.add.at documents no order for repeated indices.  The 16 terms of each
-    # x mask hit the same entries, so only a sum in dict order gives these bits
+    # x mask hit the same entries, so only a sum in dict order gives these bits.
+    # Bit i of each string's masks sits on qubit register[i], on an operator
+    # one qubit wider than the register's largest
     on = register or range(4)
+    n = max(on) + 1
+
+    def moved(mask):
+        return sum(1 << q for i, q in enumerate(on) if mask >> i & 1)
+
     strings = [
-        ((x, z), complex(math.sqrt(2 + 3 * z + x), math.pi / (1 + z + 5 * x))) for x in (5, 11) for z in range(16)
+        ((moved(x), moved(z)), complex(math.sqrt(2 + 3 * z + x), math.pi / (1 + z + 5 * x)))
+        for x in (5, 11)
+        for z in range(16)
     ]
-    a = PauliSum(max(on) + 1, strings)
-    n = a.n_qubits
-    reference = np.zeros((2 ** len(on),) * 2, dtype=complex)
+    a = PauliSum(n, strings)
+    reference = np.zeros((2 ** n,) * 2, dtype=complex)
     for key, coeff in a._terms.items():  # the letter of qubit q is bit n + q (x) plus twice bit q (z) of the key
-        letters = ["IXZY"[(key >> n + q & 1) + 2 * (key >> q & 1)] for q in on]
+        letters = ["IXZY"[(key >> n + q & 1) + 2 * (key >> q & 1)] for q in range(n)]
         reference += coeff * kron_chain(*(LETTER_MATRICES[letter] for letter in letters))
-    assert np.array_equal(expand(a, register), reference)
+    assert np.array_equal(expand(a), reference)
 
 
-@pytest.mark.parametrize("register", [(39, 3, 35), (np.int64(3), 35, 39)])
-def test_expand_wide_operator_on_register_bit_for_bit(register):
-    # a key x << 40 | z does not fit an int64; expand reads each term's letters on the register.
-    # Three terms share the x mask of qubit 3 and two that of qubits 3 and 39, so their sums show the order
-    strings = [
-        (complex(math.sqrt(2), 1 / 3), {3: "X", 35: "Z"}),
-        (complex(-math.pi, 0.5), {3: "X"}),
-        (complex(1 / 7, -math.e), {3: "X", 39: "Y"}),
-        (complex(0.25, math.sqrt(7)), {35: "Y", 39: "Z"}),
-        (complex(math.sqrt(3), -1 / 9), {3: "Y", 35: "Z", 39: "X"}),
-        (complex(-2 / 3, math.sqrt(5)), {3: "Y"}),
-        (complex(math.sqrt(11), 1 / 13), {35: "Z", 39: "Z"}),
-    ]
-    a = PauliSum(40, [term(coeff, letters) for coeff, letters in strings])
-    reference = np.zeros((8, 8), dtype=complex)
-    for coeff, letters in strings:  # distinct keys keep their input order in the dict
-        reference += coeff * kron_chain(*(LETTER_MATRICES[letters.get(q, "I")] for q in register))
-    assert np.array_equal(expand(a, register), reference)
+def _lettered_masks(op):
+    # the letters route: each term's letters, in dict order, turned into masks by hand
+    def mask(letters, other):
+        return sum(1 << q for q, letter in letters if letter != other)
+
+    return [(mask(letters, "Z"), mask(letters, "X"), c) for letters, c in _lettered(op)]
 
 
-def _lettered_masks(op, register):
-    # the letters route: each term's letters, in dict order, mapped onto the register's bits by hand
-    bit = {q: 1 << i for i, q in enumerate(register)}
-    return [
-        (sum(bit[q] for q, letter in letters if letter != "Z"), sum(bit[q] for q, letter in letters if letter != "X"), c)
-        for letters, c in _lettered(op)
-    ]
-
-
-def _lettered_scatter(ops, register):
+def _lettered_expansion(op):
     # the letters route's scatter: the same signed rows, with masks from _lettered_masks
-    terms = [(k, *t) for k, op in enumerate(ops) for t in _lettered_masks(op, register)]
-    which = np.array([k for k, _, _, _ in terms], dtype=np.intp)
-    x = np.array([x for _, x, _, _ in terms], dtype=np.int64)
-    z = np.array([z for _, _, z, _ in terms], dtype=np.int64)
-    cols = np.arange(2 ** len(register))
+    terms = _lettered_masks(op)
+    x = np.array([x for x, _, _ in terms], dtype=np.int64)
+    z = np.array([z for _, z, _ in terms], dtype=np.int64)
+    cols = np.arange(2 ** op.n_qubits)
     signs = 1 - 2 * (np.bitwise_count(cols & z[:, None]).astype(np.int64) & 1)
-    coeffs = np.array([c for _, _, _, c in terms], dtype=complex) * np.array(_I_POWERS)[np.bitwise_count(x & z) % 4]
-    out = np.zeros((len(ops), len(cols), len(cols)), dtype=complex)
-    np.add.at(out, (which[:, None], cols ^ x[:, None], cols), coeffs[:, None] * signs)
+    coeffs = np.array([c for _, _, c in terms], dtype=complex) * np.array(_I_POWERS)[np.bitwise_count(x & z) % 4]
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    np.add.at(out, (cols ^ x[:, None], cols), coeffs[:, None] * signs)
     return out
 
 
 @st.composite
-def operators_on_a_register(draw):
-    """One to three operators on 1-40 qubits and a register of at most 6 of them that holds their support.
-
-    The register is laid out as a site's: a cluster's qubits in any order,
-    then qubits outside the cluster in increasing order.
-    """
-    n = draw(st.integers(1, 40))
-    cluster = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True))
-    rest = [q for q in range(n) if q not in cluster]  # empty when the cluster is every qubit
-    outside = draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
-    register = tuple(cluster) + tuple(sorted(outside))
+def operators(draw):
+    """An operator of up to 12 terms on 1-40 qubits, on at most 6 about half the time."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(7, 40)))
     coeffs = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-    strings = st.dictionaries(st.sampled_from(register), st.sampled_from("XYZ"))
-    ops = draw(st.lists(st.lists(st.tuples(coeffs, strings), max_size=12), min_size=1, max_size=3))
-    return tuple(PauliSum(n, [term(c, letters) for c, letters in op]) for op in ops), register
+    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"))
+    return PauliSum(n, [term(c, letters) for c, letters in draw(st.lists(st.tuples(coeffs, strings), max_size=12))])
 
 
-# a Y on qubit 39 of a 40-qubit operator, on a register of 3 qubits in shuffled order
-@example(((PauliSum(40, [term(0.5 - 1j / 3, {39: "Y", 3: "X"}), term(1.5, {35: "Z"})]),), (35, 39, 3)))
-@given(operators_on_a_register())
+# a Y on qubit 39 of a 40-qubit operator
+@example(PauliSum(40, [term(0.5 - 1j / 3, {39: "Y", 3: "X"}), term(1.5, {35: "Z"})]))
+@given(operators())
 @settings(max_examples=200, deadline=None)
-def test_register_masks_and_scatter_equal_the_letters_route_bit_for_bit(case):
-    ops, register = case
-    for op in ops:
-        assert _register_masks(op, register) == _lettered_masks(op, register)
-    stack = oracle._scatter(ops, register)
-    assert stack.tobytes() == _lettered_scatter(ops, register).tobytes()
-    assert expand(ops[0], register).tobytes() == stack[0].tobytes()
-
-
-@pytest.mark.parametrize("register", [(0, 1, 1, 2), (2, 0), (0, 1, 3)])
-def test_expand_rejects_register_that_repeats_or_misses_a_qubit(register):
-    a = PauliSum(3, [term(0.5, {0: "X", 2: "Z"}), term(1.0, {1: "Y"})])
-    with pytest.raises(ValueError, match="register"):
-        expand(a, register)
-
-
-@pytest.mark.parametrize("register", [(0, 7), (0, -1), (2, 0)], ids=["past-end", "negative", "past-end-first"])
-def test_expand_rejects_register_qubit_outside_operator(register):
-    with pytest.raises(ValueError, match="register .* names one outside the operator"):
-        expand(PauliSum.single(2, 0, "X"), register)
+def test_term_masks_and_expand_equal_the_letters_route_bit_for_bit(op):
+    # the one term reader serves expand and the back-propagation check
+    assert _term_masks(op) == _lettered_masks(op)
+    if op.n_qubits <= 6:
+        assert expand(op).tobytes() == _lettered_expansion(op).tobytes()
 
 
 # -- gate unitaries ------------------------------------------------------------
@@ -374,8 +334,6 @@ _PSI = np.array([1, 0, 0, 0], dtype=complex)
 @pytest.mark.parametrize(
     "call, bad",
     [
-        (lambda: expand(PauliSum.single(2, 0, "X"), (False, True)), False),
-        (lambda: expand(PauliSum.single(2, 0, "X"), (0.0, 1.0)), 0.0),
         (lambda: conjugate_descriptor(hs.get_preset("fr"), True), True),
         (lambda: conjugate_descriptor(hs.get_preset("fr"), 2.0), 2.0),
         (lambda: state_expectation(_PSI, True, "Z"), True),
@@ -383,7 +341,7 @@ _PSI = np.array([1, 0, 0, 0], dtype=complex)
         (lambda: evolve_state(hs.Circuit(2, (hs.h(0),)), cap=True), True),
         (lambda: evolve_state(hs.Circuit(2, (hs.h(0),)), cap=12.5), 12.5),
     ],
-    ids=["expand-bool", "expand-float", "conjugate-bool", "conjugate-float", "state-bool", "state-float",
+    ids=["conjugate-bool", "conjugate-float", "state-bool", "state-float",
          "cap-bool", "cap-float"],
 )
 def test_entry_points_refuse_bools_and_floats_as_integers(call, bad):
@@ -524,7 +482,7 @@ def test_cross_check_finds_fault_at_any_qubit(fr_circuit, fr_trace, qubit):
 
 def test_cross_check_finds_stale_descriptor_at_touched_qubit(fr_circuit, fr_trace):
     # an engine that skipped slot 5's h on R would hand on R's previous
-    # descriptor object unchanged; the dense route must still compare it
+    # descriptor object unchanged; the check must still compare it
     descriptors = list(fr_trace[6].descriptors)
     descriptors[R] = fr_trace[5].descriptor(R)
     trace = list(fr_trace)
@@ -534,10 +492,24 @@ def test_cross_check_finds_stale_descriptor_at_touched_qubit(fr_circuit, fr_trac
     assert report.worst_site["slot"] == 6 and report.worst_site["qubit"] == R
 
 
+def test_cross_check_finds_a_term_the_engine_dropped(fr_circuit, fr_trace):
+    # a term the back-propagated operator holds and the engine's lacks is a gap of its whole coefficient
+    d = fr_trace[6].descriptor(R)
+    x, z, c = max(_term_masks(d.z), key=lambda t: abs(t[2]))
+    descriptors = list(fr_trace[6].descriptors)
+    descriptors[R] = d._replace(z=d.z - PauliSum(8, [((x, z), c)]))
+    trace = list(fr_trace)
+    trace[6] = hs.NetworkState(fr_trace[6].time, tuple(descriptors))
+    report = cross_check(trace, fr_circuit)
+    assert report.max_matrix_dev == pytest.approx(abs(c), abs=1e-12)
+    assert report.worst_site == {"slot": 6, "qubit": R, "component": "z"}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cross_check_fault_sweep_on_parallel_slots(seed):
-    # a 1e-6 term on qubit q+4 mod 5 often lies off q's light cone: the site's
-    # register must still hold it, on every qubit, early, midway and last
+    # a 1e-6 term on qubit q+4 mod 5 often lies off q's light cone, where the
+    # back-propagated operator has no term: it must still count, on every qubit,
+    # early, midway and last
     circuit = random_parallel_circuit(random.Random(seed), 5, 8)
     trace = hs.run_circuit(circuit)
     for t in sorted({1, len(trace) // 2, len(trace) - 1}):
@@ -549,7 +521,7 @@ def test_cross_check_fault_sweep_on_parallel_slots(seed):
 
 
 def test_cross_check_ten_qubit_random_circuit():
-    # on the full register every site would cost a 1024 x 1024 product
+    # ten qubits, twenty gates of every kind
     circuit = random_circuit(random.Random(3), 10, 20)
     report = cross_check(hs.run_circuit(circuit), circuit)
     assert report.max_expectation_dev <= 1e-9
@@ -558,7 +530,7 @@ def test_cross_check_ten_qubit_random_circuit():
 
 def test_cross_check_reports_coefficient_drift_instead_of_raising():
     # 200 random gates drift the engine's coefficients past the Hermiticity
-    # guard; the dense check measures the drift rather than stopping at it
+    # guard; the check measures the drift rather than stopping at it
     circuit = random_circuit(random.Random(0), 3, 200)
     report = cross_check(hs.run_circuit(circuit), circuit)
     for dev in (report.max_expectation_dev, report.max_matrix_dev):
@@ -575,7 +547,7 @@ def test_cross_check_reports_an_imaginary_residue_as_a_matrix_deviation(fr_circu
 
 def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_trace):
     # A's past light cone at boundary 4 is {R, A, S}; a wrong 1e-6 (X + Y) on
-    # W_B must be compared there too, where its largest entry is |1 + i| 1e-6
+    # W_B must be compared there too, where each of its two coefficients is 1e-6 off
     d = fr_trace[4].descriptor(A)
     wrong = PauliSum.single(8, W_B, "X", 1e-6) + PauliSum.single(8, W_B, "Y", 1e-6)
     descriptors = list(fr_trace[4].descriptors)
@@ -583,130 +555,34 @@ def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_t
     trace = list(fr_trace)
     trace[4] = hs.NetworkState(fr_trace[4].time, tuple(descriptors))
     report = cross_check(trace, fr_circuit)
-    assert report.max_matrix_dev == pytest.approx(math.sqrt(2) * 1e-6, abs=1e-12)
+    assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-12)
     assert report.worst_site == {"slot": 4, "qubit": A, "component": "x"}
 
 
-def _spectator_circuit(n_slots):
-    # qubit 2 joins 0's cluster through qubit 1 after 1's last gate with 0, so
-    # 0's light cone {0, 1, 3} stays narrower than its cluster {0, 1, 2, 3}
-    steps = [hs.cx(0, 1, slot=0), hs.cx(1, 2, slot=1)]
-    for slot in range(2, n_slots):
-        steps.append(hs.cx(0, 3, slot=slot) if slot % 2 else hs.ry(0, 0.1 * slot, slot=slot))
-        steps.append(hs.h(2, slot=slot))
-    return hs.Circuit(4, tuple(steps))
-
-
-@pytest.mark.parametrize(
-    "circuit",
-    [random_circuit(random.Random(0), 4, 60), _spectator_circuit(40)],
-    ids=["cones-fill-register", "cone-inside-cluster"],
-)
-def test_cross_check_deep_circuit_applies_each_gate_a_few_times(circuit, monkeypatch):
-    # a site's cone is not rebuilt from slot 0: the gate applications, the
-    # state walk's included, stay proportional to the circuit's gate count
-    from heisensim import oracle
-
-    applied = []
-    apply_small = oracle._apply_small
-    monkeypatch.setattr(oracle, "_apply_small", lambda *args: applied.append(1) or apply_small(*args))
-    trace = hs.run_circuit(circuit)
-    report = cross_check(trace, circuit)
-    assert report.max_expectation_dev <= 1e-9 and report.max_matrix_dev <= 1e-9
-    assert len(applied) <= 5 * len(circuit.steps)
-    last = len(trace) - 1
-    for q in range(4):
-        report = cross_check(_with_fault(trace, last, q), circuit)
-        assert report.max_matrix_dev == pytest.approx(1e-6, abs=1e-9), q
-        assert report.worst_site == {"slot": last, "qubit": q, "component": "x"}, q
-
-
-def _backward_cone(groups, t, qubit):
-    # frontier walk from (t, qubit) back to slot 0: a gate meeting the frontier joins it
-    frontier = 1 << qubit
-    for group in reversed(groups[:t]):
-        frontier |= sum(mask for mask in (sum(1 << q for q in step.qubits) for step in group) if mask & frontier)
-    return frontier
-
-
-def _assert_walk_cones_match_backward_frontier_walk(circuit, blocks):
-    from heisensim import oracle
-
-    groups = circuit.slot_groups()
-    for t, (group, blocks, cones) in enumerate(oracle._walk(circuit, blocks)):
-        assert group == (groups[t - 1] if t else ())
-        for q in range(circuit.n_qubits):
-            assert cones[q] == _backward_cone(groups, t, q), (t, q)
-            assert cones[q] & ~sum(1 << p for p in blocks[q][0]) == 0, (t, q)
-    assert t == len(groups)
-
-
-_CONE_CIRCUITS = pytest.mark.parametrize(
-    "circuit",
-    [random_parallel_circuit(random.Random(seed), 5, 8) for seed in range(4)] + [_spectator_circuit(40)],
-    ids=[f"parallel-{seed}" for seed in range(4)] + ["spectator"],
-)
-
-
-@_CONE_CIRCUITS
-def test_cluster_walk_cones_match_backward_frontier_walk(circuit):
-    # the cross-check's walk: one identity block per qubit, joined by the gates
-    blocks = {q: ((q,), np.eye(2)) for q in range(circuit.n_qubits)}
-    _assert_walk_cones_match_backward_frontier_walk(circuit, blocks)
-
-
-@_CONE_CIRCUITS
-def test_whole_register_walk_cones_match_backward_frontier_walk(circuit):
-    # the state and unitary walks: one block holds every qubit from the start
-    register = tuple(range(circuit.n_qubits))
-    blocks = dict.fromkeys(register, (register, np.eye(2 ** circuit.n_qubits)))
-    _assert_walk_cones_match_backward_frontier_walk(circuit, blocks)
-
-
-@pytest.mark.parametrize(
-    "circuit",
-    [hs.preset_fr(), random_circuit(random.Random(0), 4, 60), random_parallel_circuit(random.Random(1), 5, 8)],
-    ids=["fr", "random", "parallel"],
-)
-def test_cross_check_applies_each_gate_twice(circuit, monkeypatch):
-    # once in the state walk and once in the cluster walk, never again
-    from heisensim import oracle
-
-    applied = []
-    apply_small = oracle._apply_small
-    monkeypatch.setattr(oracle, "_apply_small", lambda *args: applied.append(1) or apply_small(*args))
-    cross_check(hs.run_circuit(circuit), circuit)
-    assert len(applied) == 2 * len(circuit.steps)
-
-
 def test_cross_check_reads_each_fresh_site_once(fr_circuit, fr_trace, fr_crosscheck, monkeypatch):
-    # 29 fresh sites on fr: each has its slab rule run once and its three engine
-    # means taken once; a site no gate touched carries both from the boundary before
-    site_calls, mean_calls = [], []
-    site_devs, mean = oracle._site_matrix_devs, oracle.vacuum_expectation
-    monkeypatch.setattr(oracle, "_site_matrix_devs", lambda *args: site_calls.append(1) or site_devs(*args))
-    monkeypatch.setattr(oracle, "vacuum_expectation", lambda *args: mean_calls.append(1) or mean(*args))
+    # 29 fresh sites on fr: each has its three components back-propagated once and
+    # its three engine means taken once; a site no gate touched carries both over
+    propagated, means = [], []
+    propagate, mean = check._propagated, check.vacuum_expectation
+    monkeypatch.setattr(check, "_propagated", lambda *args: propagated.append(1) or propagate(*args))
+    monkeypatch.setattr(check, "vacuum_expectation", lambda *args: means.append(1) or mean(*args))
     report = cross_check(fr_trace, fr_circuit)
-    assert (len(site_calls), len(mean_calls)) == (29, 87)
+    assert (len(propagated), len(means)) == (87, 87)
     assert repr(report) == repr(fr_crosscheck)
 
 
-def test_conjugated_gives_the_same_bits_on_c_and_f_order_slabs(monkeypatch):
-    # A slab is unitary[:, idx], which numpy hands back in F order.  Signs
-    # multiplied into the slab itself (tempting for a Z, whose x = 0 moves no row) make the
-    # product's right operand F-ordered too, and on the (64, 8) slab of this
-    # circuit that product rounded 1.1e-16 away from the one on the gathered
-    # C-order copy, which DENSE_ROUTE_DIGESTS would catch.  _conjugated
-    # multiplies the signs into the gathered copy, whatever the slab's layout
-    circuit = random_circuit(random.Random(2), 6, 30)
-    calls = []
-    conjugated = oracle._conjugated
-    monkeypatch.setattr(oracle, "_conjugated", lambda *args: calls.append(args) or conjugated(*args))
-    cross_check(hs.run_circuit(circuit), circuit)
-    assert any(slab.shape == (64, 8) and letter == "Z" for slab, _, letter in calls)
-    for slab, qubit, letter in calls:
-        c_order = conjugated(np.ascontiguousarray(slab), qubit, letter)
-        assert conjugated(np.asfortranarray(slab), qubit, letter).tobytes() == c_order.tobytes()
+def test_cross_check_builds_fixed_gate_tables_once_per_process(fr_circuit, fr_trace, monkeypatch):
+    # the h, cx and ch tables are built on first use and kept; an ry table once per gate and check
+    monkeypatch.setattr(check, "_FIXED_TABLES", {})
+    built = []
+    table = check._conjugation_table
+    monkeypatch.setattr(check, "_conjugation_table", lambda g: built.append(len(g)) or table(g))
+    rotations = sum(step.kind == "ry" for step in fr_circuit.steps)
+    cross_check(fr_trace, fr_circuit)
+    assert set(check._FIXED_TABLES) == {"h", "cx", "ch"}
+    assert len(built) == 3 + rotations
+    cross_check(fr_trace, fr_circuit)
+    assert len(built) == 3 + 2 * rotations
 
 
 def _dense_route_circuits():
@@ -717,26 +593,30 @@ def _dense_route_circuits():
         yield f"parallel-{seed}", random_parallel_circuit(random.Random(seed), 5, 8)
 
 
-# SHA-256 over the raw bytes of every evolve_state state, every
-# conjugate_descriptor matrix at every boundary (qubit order, then x, y, z)
-# and the repr of the cross_check report, computed before the state walk,
-# the unitary walk and the cluster walk became one generator.
+_DENSE_ROUTE_CASES = pytest.mark.parametrize(
+    "name, circuit", [pytest.param(*case, id=case[0]) for case in _dense_route_circuits()]
+)
+
+
+# SHA-256 over the raw bytes of every evolve_state state and every
+# conjugate_descriptor matrix at every boundary (qubit order, then x, y, z),
+# computed before the dense route became a test reference only.
 DENSE_ROUTE_DIGESTS = {
-    "fr": "4b432f4b8ff52397e0d379d286812bdb662d794a5d20a45b4a2af542f48bb7ae",
-    "random-0": "c1bf524ed3e00b0c1455496ed3268b014b1e4dbac8e7d077d67da7fc3b84b645",
-    "random-1": "1fa9334caaba4b3542ce67a51641d2552d7fc52aa7008ff12a77e854e6e600a8",
-    "random-2": "30e8ae3c6afc192c112b987762b6cdaaa6a128c6571d8f601659b28342a8ca7f",
-    "random-3": "a7a250934582caf961136995d6aa85eacb7c441eba0cdfc3c930e290484e517b",
-    "random-4": "0d64b41f43f7ffaeb7a57a05046f1c2fc83c5f3568730217e8f4a8f288a0c0ec",
-    "random-5": "492397957309911a2b098d1105a4014b4b5f685d39efebd4a6f5191791efc606",
-    "parallel-0": "b38c800e13f72c8fe06d79c269cdf4f25cb161a48340b69d0339a3b4b055592a",
-    "parallel-1": "845d623857a3f0946733404dcaf058e3e78e2b5b7c6470b82b612ebf87566ed0",
-    "parallel-2": "ae74b0335e026c3ed51f5d8907889b70b272d6ef92f9838d2fb9f429f727df35",
-    "parallel-3": "ef111c93d5cdc804efd915de2a727cbb22701917c16e1dc1c1a001729755de8d",
+    "fr": "78395512e8fd54fe5f61f9052a1bcc798c1c2b448fd9f39971958927f8d91cbb",
+    "random-0": "c02ff47423beddcffca1100a0dc3b69b9b50bb716233cc5c6a2d722e6647bb80",
+    "random-1": "669eb52c713c049929d6b87a980a0a35117bb290569c2ca6f0f9935d14c81abe",
+    "random-2": "6abe0c2de365b6e8f3c853a95167b1e759ecd2c0b1d0d979b46b7216dc01d0cb",
+    "random-3": "5226b42832007b27526dd88ecadf270e4460d7060d3a7d3c12e691770cb8b4d5",
+    "random-4": "e6e3c1a0bbc1ad15b73158f16bde287561e2edb2e38de6ad622c05ac122c110f",
+    "random-5": "1724228c50a73dbbbb140943ef299c9a201325b44896506198baf5a313908c13",
+    "parallel-0": "e78abc71683177a5d1ee6164aa7ceddb46b4028e3fd20c9c26cec8d5e86e0c38",
+    "parallel-1": "6d532f922311a1504ffba046883339d3b72e3f996dec0c9bcdfe47b2725ef379",
+    "parallel-2": "9c6f7a723a1256cc3eaec652b7ff24778aefd883933715ce6a3593548422ff1f",
+    "parallel-3": "541f44c98a931b550ca1f12dc4f830bc69db9e677b78e74e9dfc6cfa667cca06",
 }
 
 
-@pytest.mark.parametrize("name, circuit", [pytest.param(*case, id=case[0]) for case in _dense_route_circuits()])
+@_DENSE_ROUTE_CASES
 def test_dense_route_bytes_pinned(name, circuit):
     digest = hashlib.sha256()
     for psi in evolve_state(circuit):
@@ -745,68 +625,61 @@ def test_dense_route_bytes_pinned(name, circuit):
         for triple in conjugate_descriptor(circuit, t):
             for comp in "xyz":
                 digest.update(triple[comp].tobytes())
-    digest.update(repr(cross_check(hs.run_circuit(circuit), circuit)).encode())
     assert digest.hexdigest() == DENSE_ROUTE_DIGESTS[name]
 
 
-def _per_component_devs(cluster, cone, qubit, descriptor):
-    # the site route one component at a time: expand it, conjugate sigma, subtract
-    from heisensim import oracle
-
-    register, unitary = cluster
-    support = _support_mask(*descriptor.triple)
-    inside = [i for i, q in enumerate(register) if (cone | support) >> q & 1]
-    slab = unitary[:, np.flatnonzero((np.arange(len(unitary)) & ~sum(1 << i for i in inside)) == 0)]
-    outside = [q for q in range(descriptor.x.n_qubits) if support >> q & 1 and q not in register]
-    on = tuple(register[i] for i in inside) + tuple(outside)
-    devs = []
-    for comp, op in zip("xyz", descriptor.triple):
-        conjugated = oracle._conjugated(slab, register.index(qubit), comp.upper())
-        if outside:
-            conjugated = np.kron(np.eye(2 ** len(outside)), conjugated)
-        devs.append(float(np.max(np.abs(expand(op, on) - conjugated))))
-    return devs
-
-
-@pytest.mark.parametrize("name, circuit", [pytest.param(*case, id=case[0]) for case in _dense_route_circuits()])
-def test_site_scatter_equals_per_component_route_bit_for_bit(name, circuit, monkeypatch):
-    from heisensim import oracle
-
-    site_devs, sites = oracle._site_matrix_devs, []
-
-    def site_devs_against_reference(*args):
-        devs = site_devs(*args)
-        assert devs == _per_component_devs(*args)
-        sites.append(devs)
-        return devs
-
-    monkeypatch.setattr(oracle, "_site_matrix_devs", site_devs_against_reference)
-    cross_check(hs.run_circuit(circuit), circuit)
-    assert len(sites) >= circuit.n_qubits
+# The repr of each cross_check report, as the back-propagation check first gave it.
+CROSS_CHECK_REPRS = {
+    "fr": "CrossCheckReport(max_expectation_dev=4.440892098500626e-16, max_matrix_dev=3.3306690738754696e-16, "
+    "worst_site={'slot': 6, 'qubit': 2, 'component': 'z'})",
+    "random-0": "CrossCheckReport(max_expectation_dev=8.881784197001252e-16, max_matrix_dev=8.881784197001252e-16, "
+    "worst_site={'slot': 20, 'qubit': 1, 'component': 'x'})",
+    "random-1": "CrossCheckReport(max_expectation_dev=8.881784197001252e-16, max_matrix_dev=9.992007221626409e-16, "
+    "worst_site={'slot': 23, 'qubit': 3, 'component': 'z'})",
+    "random-2": "CrossCheckReport(max_expectation_dev=4.440892098500626e-16, max_matrix_dev=4.440892098500626e-16, "
+    "worst_site={'slot': 20, 'qubit': 4, 'component': 'x'})",
+    "random-3": "CrossCheckReport(max_expectation_dev=6.661338147750939e-16, max_matrix_dev=6.661338147750939e-16, "
+    "worst_site={'slot': 22, 'qubit': 1, 'component': 'y'})",
+    "random-4": "CrossCheckReport(max_expectation_dev=5.551115123125783e-16, max_matrix_dev=1.1102230246251565e-15, "
+    "worst_site={'slot': 24, 'qubit': 1, 'component': 'y'})",
+    "random-5": "CrossCheckReport(max_expectation_dev=7.771561172376096e-16, max_matrix_dev=6.106226635438361e-16, "
+    "worst_site={'slot': 16, 'qubit': 5, 'component': 'z'})",
+    "parallel-0": "CrossCheckReport(max_expectation_dev=5.551115123125783e-16, max_matrix_dev=7.771561172376096e-16, "
+    "worst_site={'slot': 6, 'qubit': 2, 'component': 'y'})",
+    "parallel-1": "CrossCheckReport(max_expectation_dev=4.440892098500626e-16, max_matrix_dev=1.3322676295501878e-15, "
+    "worst_site={'slot': 6, 'qubit': 0, 'component': 'y'})",
+    "parallel-2": "CrossCheckReport(max_expectation_dev=5.551115123125783e-16, max_matrix_dev=4.440892098500626e-16, "
+    "worst_site={'slot': 7, 'qubit': 0, 'component': 'x'})",
+    "parallel-3": "CrossCheckReport(max_expectation_dev=6.661338147750939e-16, max_matrix_dev=8.881784197001252e-16, "
+    "worst_site={'slot': 4, 'qubit': 3, 'component': 'y'})",
+}
 
 
-def test_cross_check_expands_each_fresh_site_on_cone_and_support(fr_circuit, fr_trace, monkeypatch):
-    # a check that fell back to whole clusters would pass every value test;
-    # the width of each site's scatter shows the register it was read on
-    from heisensim import oracle
+@_DENSE_ROUTE_CASES
+def test_cross_check_repr_pinned(name, circuit):
+    assert repr(cross_check(hs.run_circuit(circuit), circuit)) == CROSS_CHECK_REPRS[name]
 
-    widths = []
-    scatter = oracle._scatter
 
-    def scatter_recording_width(ops, register):
-        assert len(ops) == 3
-        widths.append(len(register))
-        return scatter(ops, register)
+def _propagated_sums(circuit, t):
+    # the back-propagated components at boundary t, as PauliSums keyed (qubit, component)
+    slots = [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()[:t]]
+    n = circuit.n_qubits
+    return {(q, comp): PauliSum(n, check._propagated(slots, q, comp).items()) for q in range(n) for comp in "xyz"}
 
-    monkeypatch.setattr(oracle, "_scatter", scatter_recording_width)
-    cross_check(fr_trace, fr_circuit)
-    groups = fr_circuit.slot_groups()
-    expected = []
-    for t, state in enumerate(fr_trace):
-        touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
-        for q, d in enumerate(state.descriptors):
-            if t == 0 or q in touched or d is not fr_trace[t - 1].descriptor(q):
-                support = sum({1 << k for op in d.triple for _, letters in canonical_terms(op) for k in letters})
-                expected.append((_backward_cone(groups, t, q) | support).bit_count())
-    assert widths == expected
-    assert min(widths) == 1 and max(widths) < fr_circuit.n_qubits
+
+@_DENSE_ROUTE_CASES
+def test_back_propagation_agrees_with_dense_conjugation(name, circuit):
+    # each back-propagated component, expanded, is the dense U^dagger sigma U at every boundary
+    for t in range(circuit.max_slot + 2):
+        dense = conjugate_descriptor(circuit, t)
+        for (q, comp), propagated in _propagated_sums(circuit, t).items():
+            assert np.max(np.abs(expand(propagated) - dense[q][comp])) <= 1e-12, (t, q, comp)
+
+
+def test_back_propagation_agrees_with_state_vector_on_chain_of_three_labs():
+    # on 12 qubits the dense conjugation of one boundary would hold 36 complex 4096 x 4096
+    # matrices, 9.7 GB: here each component's vacuum value meets the evolved state's instead
+    circuit = chain(3)
+    for t, psi in enumerate(evolve_state(circuit)):
+        for (q, comp), propagated in _propagated_sums(circuit, t).items():
+            assert abs(vacuum_expectation(propagated) - state_expectation(psi, q, comp.upper())) <= 1e-12, (t, q, comp)
