@@ -44,6 +44,8 @@ One fold of that machine, :func:`foliation_timeline`, feeds both the
 table (:func:`report_rows`) and the tree (:func:`build_branch_tree`).  The
 fold evaluates a pair afresh only when one of its two descriptors changed
 since the previous boundary and carries the earlier report over otherwise.
+It reads each descriptor's means and supports once per fold, however many
+pairs share that descriptor; the two-point expectations stay per pair.
 The tree's events are the fold's status changes, read off the timeline.
 """
 from __future__ import annotations
@@ -140,8 +142,14 @@ class FoliationReport(NamedTuple):
     witness: EntanglementWitness
 
 
+def _profile(descriptor: Descriptor, guard: float) -> tuple[list[float], int, int]:
+    """The x, y and z vacuum means of ``descriptor``, its z support mask and its full support mask."""
+    ops = descriptor.triple
+    return [vacuum_expectation(op, guard) for op in ops], _support_mask(descriptor.z), _support_mask(*ops)
+
+
 def sharp_foliation(
-    state: NetworkState, control: int, target: int, tol: float = DEFAULT_TOLERANCE
+    state: NetworkState, control: int, target: int, tol: float = DEFAULT_TOLERANCE, *, _profiles: dict | None = None
 ) -> FoliationReport:
     """Instantaneous foliation verdict for an ordered pair.
 
@@ -151,18 +159,22 @@ def sharp_foliation(
     factorisation; when all nine factorise it records the (z, z) values
     with ``entangled=False``.  An expectation whose imaginary part exceeds
     ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`;
-    a NaN, negative or infinite ``tol`` raises ValueError.
+    a NaN, negative or infinite ``tol`` raises ValueError.  ``_profiles`` is
+    :func:`foliation_timeline`'s cache of each descriptor's means and supports
+    for one fold and one ``tol``; a direct call builds both profiles afresh.
     """
     dc, dt = state.descriptor(control), state.descriptor(target)
     if control == target:
         raise ValueError("foliation test needs two distinct qubits")
-    ops_c, ops_t = dc.triple, dt.triple
     # each mean and pair is read once, under one Hermiticity guard whichever pair ends the scan
     guard = min(_checked(tol), DEFAULT_TOLERANCE)
-    means_c = [vacuum_expectation(op, guard) for op in ops_c]
-    means_t = [vacuum_expectation(op, guard) for op in ops_t]
+    profiles = {} if _profiles is None else _profiles
+    for d in (dc, dt):
+        if id(d) not in profiles:  # the entry holds d, so no other object takes its id while the cache lives
+            profiles[id(d)] = (d, *_profile(d, guard))
+    (_, means_c, z_support_c, support_c), (_, means_t, z_support_t, support_t) = profiles[id(dc)], profiles[id(dt)]
     # the scan: the first component pair violating factorisation is the witness
-    pairs = _cartesian(zip(COMPONENTS, ops_c, means_c), zip(COMPONENTS, ops_t, means_t))
+    pairs = _cartesian(zip(COMPONENTS, dc.triple, means_c), zip(COMPONENTS, dt.triple, means_t))
     for (i, a, mean_a), (j, b, mean_b) in pairs:
         joint = pair_expectation(a, b, guard)
         product = mean_a * mean_b
@@ -178,12 +190,10 @@ def sharp_foliation(
     # partner's z component acting on the other's qubit
     sharp = abs(zz - 1.0) <= tol
     if (sharp or abs(zz + 1.0) <= tol) and (
-        abs(zz - z_mean_c * z_mean_t) > tol
-        or _support_mask(dt.z) >> control & 1
-        or _support_mask(dc.z) >> target & 1
+        abs(zz - z_mean_c * z_mean_t) > tol or z_support_t >> control & 1 or z_support_c >> target & 1
     ):
         verdict = SHARP if sharp else ANTI_SHARP
-    elif violated or _support_mask(*ops_c) & _support_mask(*ops_t):
+    elif violated or support_c & support_t:
         verdict = NON_SHARP  # one bubble: entangled, or the supports meet
     else:
         verdict = UNENTANGLED
@@ -289,6 +299,7 @@ def foliation_timeline(
     status = {pair: _TRUNK for pair in watch}
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
+    profiles: dict = {}  # each descriptor's means and supports, read once in this fold
     previous: NetworkState | None = None
     for state in trace:
         slot_reports = {}
@@ -304,7 +315,7 @@ def foliation_timeline(
             ):
                 report = reports[-1][pair]._replace(slot=state.time)
             else:
-                report = sharp_foliation(state, control, target, tol)
+                report = sharp_foliation(state, control, target, tol, _profiles=profiles)
             slot_reports[pair] = report
             if report.verdict in (SHARP, ANTI_SHARP):
                 status[pair] = _STATUS_SHARP

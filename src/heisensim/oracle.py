@@ -35,6 +35,9 @@ __all__ = [
 
 SIZE_CAP = 12
 
+# Bytes of dense matrices :func:`conjugate_descriptor` may hold at once.
+_CONJUGATE_BYTES = 1 << 30
+
 
 def _check_cap(n_qubits: int, cap: int):
     if n_qubits > cap:
@@ -108,8 +111,7 @@ def _pauli_rows(array: np.ndarray, x, z) -> np.ndarray:
     """rows with sigma A = i^{#Y} rows, for the single-qubit Pauli sigma of masks x and z.
 
     rows[r] = (-1)^{popcount((r ^ x) & z)} A[r ^ x]; A is a state vector or a
-    matrix whose rows are indexed by the basis.  Columns of masks give a stack,
-    rows[k] for the k-th Pauli.
+    matrix whose rows are indexed by the basis.
     """
     rows = np.arange(array.shape[0]) ^ x
     return np.where(rows & z, -1, 1).reshape(rows.shape + (1,) * (array.ndim - 1)) * array[rows]
@@ -121,24 +123,21 @@ def _conjugated(total: np.ndarray, qubit: int, letter: str) -> np.ndarray:
     return 1j * product if letter == "Y" else product
 
 
-def _expectations(psi: np.ndarray, qubits, letters) -> list[float]:
-    """<psi| sigma |psi> for the Pauli letters[k] on qubits[k], each k: one gather for all."""
-    x, z = np.array([_masks(q, letter) for q, letter in zip(qubits, letters)]).T[..., None]
-    rows = _pauli_rows(psi, x, z)
-    return [float(np.vdot(psi, 1j * row if letter == "Y" else row).real) for letter, row in zip(letters, rows)]
-
-
 def conjugate_descriptor(circuit: Circuit, upto_slot: int) -> list[dict[str, np.ndarray]]:
     """Dense descriptor triples at boundary ``upto_slot`` via conjugation.
 
     Returns one ``{"x": matrix, "y": ..., "z": ...}`` per qubit, each equal
     to U^dagger sigma U for the ordered product U of all gates in slots
-    0..upto_slot-1.
+    0..upto_slot-1.  It holds 3n + 1 complex 2^n x 2^n matrices at once, and
+    refuses with ValueError, before it allocates, when they pass 1 GiB (from
+    n = 11).
     """
-    _check_cap(circuit.n_qubits, SIZE_CAP)
+    n = circuit.n_qubits
+    _check_cap(n, SIZE_CAP)
+    if (size := (3 * n + 1) * 16 << 2 * n) > _CONJUGATE_BYTES:
+        raise ValueError(f"dense conjugation on {n} qubits needs {size} bytes, over the {_CONJUGATE_BYTES}-byte limit")
     if not 0 <= (upto_slot := _integer(upto_slot)) <= circuit.max_slot + 1:
         raise IndexError(f"boundary {upto_slot} out of range (0..{circuit.max_slot + 1})")
-    n = circuit.n_qubits
     total = next(islice(_walk(circuit, np.eye(2 ** n)), upto_slot, None))
     return [{comp: _conjugated(total, q, comp.upper()).astype(complex) for comp in COMPONENTS} for q in range(n)]
 
@@ -153,4 +152,5 @@ def state_expectation(psi: np.ndarray, qubit: int, letter: str) -> float:
         raise ValueError(f"a state of {len(psi)} amplitudes is no register of qubits: the length must be 2**n, n >= 1")
     if not 0 <= (qubit := _integer(qubit)) < len(psi).bit_length() - 1:
         raise IndexError(f"qubit {qubit} is outside a state of {len(psi)} amplitudes")
-    return _expectations(psi, [qubit], [letter])[0]
+    row = _pauli_rows(psi, *_masks(qubit, letter))
+    return float(np.vdot(psi, 1j * row if letter == "Y" else row).real)

@@ -388,7 +388,10 @@ def _rotated_pair(x: PauliSum, z: PauliSum, c: float, s: float) -> tuple[PauliSu
 
 def _real_expectation(vals: list[complex], tol: float) -> float:
     """Sum of ``vals``, which must be real up to ``tol``."""
-    re, im = (fsum(v.real for v in vals), fsum(v.imag for v in vals)) if vals else (0.0, 0.0)  # most are empty
+    if len(vals) == 1:  # what fsum gives for one value: the value, with -0.0 turned into 0.0
+        re, im = vals[0].real + 0.0, vals[0].imag + 0.0
+    else:
+        re, im = (fsum(v.real for v in vals), fsum(v.imag for v in vals)) if vals else (0.0, 0.0)  # most are empty
     if not abs(im) <= tol:  # one comparison on the hot path, which also catches a NaN tolerance
         if not tol >= 0:
             raise ValueError(f"tolerance must be a number >= 0, got {tol!r}")
@@ -413,10 +416,22 @@ def pair_expectation(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -
     A product term has x mask 0 only when its two factors share their x
     mask, so only those pairs are multiplied, with :func:`_loop_product`'s phase
     at x = 0: i^{3 #Y1 + popcount(x & z2)}.  Each z key receives the same
-    additions in the same order as in ``@``, so every sum rounds alike.
+    additions in the same order as in ``@``, so every sum rounds alike.  A
+    right operand of one term gives each matching left term a z key of its
+    own, and its value is the one product c1 * c2 * phase: the ``0j +`` of
+    ``@`` only turns -0.0 into 0.0, which both sums do anyway.
     """
     a._check_dim(b)
     n = a.n_qubits
+    if len(b._terms) == 1:
+        [(k2, c2)] = b._terms.items()
+        x2 = k2 >> n
+        y2 = (x2 & k2).bit_count()
+        vals = []
+        for k1, c1 in a._terms.items():
+            if k1 >> n == x2 and abs(c := c1 * c2 * _I_POWERS[(3 * (x2 & k1).bit_count() + y2) & 3]) >= DROP_TOLERANCE:
+                vals.append(c)
+        return _real_expectation(vals, tol)
     right: dict[int, list[tuple[int, complex]]] = {}
     for k2, c2 in b._terms.items():
         right.setdefault(k2 >> n, []).append((k2, c2))

@@ -398,5 +398,5 @@ def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
         assert len(proc.stdout.splitlines()) == 4 and proc.stdout.endswith("FAIL: tolerance 1e-09\n")
         return
     assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.strip().splitlines()
-    assert line.startswith("the engine's coefficients drifted: imaginary residue ")
+    # the fold's first error, the same whether each verdict reads its means afresh or once per fold
+    assert proc.stderr == "the engine's coefficients drifted: imaginary residue 1.24301e-09 in expectation value\n"

@@ -490,6 +490,56 @@ def test_timeline_carry_over_equals_fresh_evaluation(circuit, watch):
             assert report == hs.sharp_foliation(state, control, target)
 
 
+_DRIFTING = random_circuit(random.Random(0), 3, 200)  # trips the guard at every tolerance below
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-30, 1e-9, 0.3])
+@pytest.mark.parametrize(
+    "circuit, watch",
+    [
+        pytest.param(chain(3), hs.default_watch_pairs(chain(3)), id="chain3"),
+        *_carry_over_cases(),
+        pytest.param(_DRIFTING, hs.default_watch_pairs(_DRIFTING), id="drifting"),
+    ],
+)
+def test_fold_reports_equal_fresh_verdicts(circuit, watch, tol):
+    # the fold reads each descriptor's means and supports once: every report it gives, carried
+    # over or not, has the repr of a fresh sharp_foliation at that boundary, and where a fresh
+    # evaluation trips the guard the fold raises that first error
+    trace = hs.run_circuit(circuit)
+    fresh = []
+    try:
+        for state in trace:
+            fresh.append([repr(hs.sharp_foliation(state, control, target, tol)) for control, target in watch])
+    except HermiticityError as error:
+        with pytest.raises(HermiticityError, match=f"^{re.escape(str(error))}$"):
+            foliation_timeline(trace, watch, tol)
+        return
+    _, reports = foliation_timeline(trace, watch, tol)
+    assert [[repr(report) for report in slot_reports.values()] for slot_reports in reports] == fresh
+
+
+def test_fr_fold_reads_each_descriptor_once(fr_trace, fr_watch, monkeypatch):
+    # 41 fresh verdicts read the means of 29 distinct descriptors, three each, and 333 pairs
+    from heisensim import foliation
+
+    calls = {"sharp_foliation": 0, "vacuum_expectation": 0, "pair_expectation": 0}
+
+    def counting(name):
+        original = getattr(foliation, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(foliation, name, counting(name))
+    foliation_timeline(fr_trace, fr_watch)
+    assert calls == {"sharp_foliation": 41, "vacuum_expectation": 87, "pair_expectation": 333}
+
+
 @pytest.mark.parametrize("circuit, watch", list(_carry_over_cases()))
 def test_entangled_is_the_verdict_witness(circuit, watch):
     for state in hs.run_circuit(circuit):

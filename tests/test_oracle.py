@@ -275,27 +275,24 @@ def _single_expectation(psi, qubit, letter):
     return float(np.vdot(psi, (1j if x & z else 1) * ((1 - 2 * (rows & z != 0)) * psi[rows])).real)
 
 
-def _assert_batched_expectations_bit_for_bit(psi):
-    from heisensim import oracle
-
+def _assert_single_pauli_route_bit_for_bit(psi):
     n = len(psi).bit_length() - 1
-    sites = [(q, letter) for q in range(n) for letter in "XYZ"]
-    batched = oracle._expectations(psi, *zip(*sites))
-    assert batched == [state_expectation(psi, q, letter) for q, letter in sites]
-    assert batched == [_single_expectation(psi, q, letter) for q, letter in sites]
+    for q in range(n):
+        for letter in "XYZ":
+            assert state_expectation(psi, q, letter).hex() == _single_expectation(psi, q, letter).hex(), (q, letter)
 
 
-def test_batched_expectations_equal_single_pauli_route_on_complex_states():
+def test_state_expectation_equals_single_pauli_route_on_complex_states():
     rng = np.random.default_rng(37)
     for n in range(1, 11):
         for _ in range(3):
             psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-            _assert_batched_expectations_bit_for_bit(psi / np.linalg.norm(psi))
+            _assert_single_pauli_route_bit_for_bit(psi / np.linalg.norm(psi))
 
 
-def test_batched_expectations_equal_single_pauli_route_on_fr_boundaries(fr_states):
+def test_state_expectation_equals_single_pauli_route_on_fr_boundaries(fr_states):
     for psi in fr_states:
-        _assert_batched_expectations_bit_for_bit(psi)
+        _assert_single_pauli_route_bit_for_bit(psi)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +376,21 @@ def test_conjugate_descriptor_matches_engine_full(fr_circuit, fr_trace):
 def test_conjugate_descriptor_rejects_boundary_out_of_range(fr_circuit, upto_slot):
     with pytest.raises(IndexError, match=rf"boundary {upto_slot} out of range \(0\.\.7\)"):
         conjugate_descriptor(fr_circuit, upto_slot)
+
+
+@pytest.mark.parametrize("k, n, size", [(3, 12, 9932111872), (None, 11, 2281701376)], ids=["chain3", "eleven"])
+def test_conjugate_descriptor_refuses_past_one_gib(k, n, size):
+    # 3n + 1 complex 2^n x 2^n matrices: 0.5 GB at 10 qubits passes, 2.3 GB at 11 and 9.9 GB at 12 do not
+    circuit = chain(k) if k else hs.Circuit(n, (hs.h(0),))
+    message = f"dense conjugation on {n} qubits needs {size} bytes, over the 1073741824-byte limit"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        conjugate_descriptor(circuit, 0)
+
+
+def test_conjugate_descriptor_admits_ten_qubits():
+    # 0.5 GB passes the memory check: a boundary out of range is the next refusal, before any allocation
+    with pytest.raises(IndexError, match=r"^boundary 2 out of range \(0\.\.1\)$"):
+        conjugate_descriptor(hs.Circuit(10, (hs.h(0),)), 2)
 
 
 def test_heisenberg_schrodinger_duality():

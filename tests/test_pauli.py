@@ -649,5 +649,51 @@ def test_pair_expectation_matches_product_route_on_descriptors(seed):
             assert _outcome(pair_expectation, a, b, DEFAULT_TOLERANCE) == _outcome(_product_route, a, b, DEFAULT_TOLERANCE)
 
 
+@st.composite
+def one_term_right_operands(draw):
+    """A right operand of one term, and a left operand repeating its x mask, some masks past bit 64.
+
+    Parts take signed zeros and left coefficients sit on both sides of the drop tolerance, so
+    some products fall below it.
+    """
+    n = draw(st.sampled_from((2, 66, 131)))
+    masks = st.integers(0, 2**n - 1) | st.sampled_from((1 << n - 1, 2**n - 1))
+    real = st.floats(0.25, 4) | st.floats(-4, -0.25) | st.sampled_from((0.0, -0.0, 1.0, -1.0))
+    # often real coefficients, so that the guard passes as often as it trips
+    imag = st.sampled_from((0.0, -0.0)) if draw(st.booleans()) else real
+    coeff = st.builds(complex, real, imag)
+    small = st.builds(complex, st.sampled_from((DROP_TOLERANCE, -1.2e-12, 1.5e-12, -3e-12, 5e-12)), imag)
+    x, z, c = draw(masks), draw(masks), draw(coeff.filter(lambda c: abs(c) >= DROP_TOLERANCE))
+    zs = draw(st.lists(masks, min_size=1, max_size=6, unique=True))
+    left = {(x, z1): draw(coeff | small) for z1 in zs}
+    for key in draw(st.lists(st.tuples(masks, masks), max_size=3)):  # other x masks, most not matching
+        left.setdefault(key, draw(coeff))
+    return _from_masks(n, list(left.items())), _from_masks(n, [((x, z), c)])
+
+
+@given(one_term_right_operands(), st.sampled_from((0.0, DEFAULT_TOLERANCE, 10.0)))
+@settings(max_examples=300)
+def test_pair_expectation_one_term_path_matches_product_route(pair, tol):
+    a, b = pair
+    assert len(b) == 1
+    assert _outcome(pair_expectation, a, b, tol) == _outcome(_product_route, a, b, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "value",
+    [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(-2.5e-310, 0.0),
+     complex(math.inf, -0.0), complex(-math.inf, 0.0), complex(1.5, math.inf), complex(-1.5, 2e-308)],
+)
+def test_real_expectation_of_one_value_equals_fsum(value, tol):
+    def fsum_route(vals, tol):
+        re, im = math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
+        if not abs(im) <= tol:
+            raise HermiticityError
+        return re
+
+    assert _outcome(pauli._real_expectation, [value], tol) == _outcome(fsum_route, [value], tol)
+
+
 def test_drop_tolerance_below_comparison_tolerance():
     assert DROP_TOLERANCE < 1e-9
