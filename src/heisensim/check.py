@@ -4,15 +4,16 @@ A descriptor component at boundary t is U^dagger sigma U for a bare Pauli
 sigma and the gates U of slots 0..t-1.  :func:`cross_check` rebuilds it apart
 from the engine's rules: it conjugates sigma by one gate at a time, latest
 slot first (Pauli propagation, Rudolph et al., arXiv:2505.21606), skipping
-the gates off its past light cone.  A gate on k qubits maps the letters P of
-a string on its qubits to strings Q with coefficients
-tr(Q^dagger G^dagger P G) / 2**k, read off the gate matrices of
-:func:`_gate_matrix`, which the dense oracle uses too.  The gates are real,
-so every coefficient is real.  The ``h``, ``cx`` and ``ch`` tables are built
-once per process, on first use, an ``ry`` table once per gate and check.
-Coefficients below :data:`DROP_TOLERANCE` drop after each gate, as the
-engine's do.  An operator is a dict from each string's masks ``(x, z)``,
-as ``pauli``'s term reader gives them, to its coefficient.
+the gates off its past light cone, walked once per site for its three
+components.  A gate on k qubits maps the letters P of a string on its qubits
+to strings Q with coefficients tr(Q^dagger G^dagger P G) / 2**k, read off the
+gate matrices of :func:`_gate_matrix`, which the dense oracle uses too.  The
+gates are real, so every coefficient is real.  The ``h``, ``cx`` and ``ch``
+tables are built once per process, on first use, an ``ry`` table once per
+distinct gate and check.  A carried-over site is neither back-propagated nor
+compared again.  Coefficients below :data:`DROP_TOLERANCE` drop after each
+gate, as the engine's do.  An operator is a dict from each string's masks
+``(x, z)``, as ``pauli``'s term reader gives them, to its coefficient.
 """
 from __future__ import annotations
 
@@ -97,17 +98,21 @@ def _conjugated(terms: dict, mask: int, rows: dict) -> dict:
     return {key: c for key, c in out.items() if abs(c) >= DROP_TOLERANCE}
 
 
-def _propagated(slots: list, qubit: int, comp: str) -> dict:
-    """U^dagger sigma U for the bare Pauli ``comp`` on ``qubit``, U the gates of ``slots`` in order.
+def _cone(slots: list, qubit: int) -> list:
+    """Each ``(mask, rows)`` of ``slots`` on ``qubit``'s past light cone, latest slot first."""
+    gates, cone = [], 1 << qubit
+    for mask, rows in (gate for slot in reversed(slots) for gate in slot):
+        if cone & mask:
+            cone |= mask
+            gates.append((mask, rows))
+    return gates
 
-    ``slots`` holds each slot's ``_gate_rows``; the latest slot conjugates first.
-    """
-    terms, cone = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}, 1 << qubit
-    for slot in reversed(slots):
-        for mask, rows in slot:
-            if cone & mask:
-                cone |= mask
-                terms = _conjugated(terms, mask, rows)
+
+def _propagated(cone: list, qubit: int, comp: str) -> dict:
+    """U^dagger sigma U for the bare Pauli ``comp`` on ``qubit``, U the gates of its ``cone`` (see :func:`_cone`)."""
+    terms = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}
+    for mask, rows in cone:
+        terms = _conjugated(terms, mask, rows)
     return terms
 
 
@@ -117,10 +122,18 @@ def _deviations(op, reference: dict) -> tuple[float, float]:
     The engine's mean is read without the Hermiticity guard, so an imaginary
     residue shows up as a coefficient gap; a NaN one still raises.
     """
-    engine = {(x, z): c for x, z, c in _term_masks(op)}
-    gaps = (abs(engine.get(key, 0.0) - reference.get(key, 0.0)) for key in engine.keys() | reference.keys())
+    gap, left = 0.0, len(reference)
+    for x, z, c in _term_masks(op):
+        if (r := reference.get((x, z))) is not None:
+            left -= 1
+            c -= r
+        if (size := abs(c)) > gap:
+            gap = size
+    if left:  # a reference term the engine lacks is a gap of its whole coefficient
+        engine = {(x, z) for x, z, _ in _term_masks(op)}
+        gap = max(gap, max(abs(r) for key, r in reference.items() if key not in engine))
     mean = fsum(c for (x, _), c in reference.items() if not x)
-    return abs(vacuum_expectation(op, math.inf) - mean), max(gaps, default=0.0)
+    return abs(vacuum_expectation(op, math.inf) - mean), gap
 
 
 class CrossCheckReport(NamedTuple):
@@ -139,28 +152,29 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     the vacuum expectations of the engine's operator and of U^dagger sigma U
     (``max_expectation_dev``), and the largest gap between their Pauli
     coefficients (``max_matrix_dev``); both should sit at numerical noise.
-    A site whose qubit no gate of the previous slot touched, and whose
-    engine descriptor is the very object of the previous boundary, keeps its
-    previous deviations: for a gate G acting off q, G^dagger sigma_q G = sigma_q
-    exactly.  Only a trace that does not fit the circuit raises.
+    A site (t, q) whose qubit no gate of slot t - 1 touched, and whose engine
+    descriptor is the very object of boundary t - 1, has its deviations
+    counted already (for G acting off q, G^dagger sigma_q G = sigma_q
+    exactly) and is skipped.  Only a trace that does not fit the circuit raises.
     """
     if len(trace) != circuit.max_slot + 2:
         raise ValueError("trace and circuit disagree on slot count")
-    n = circuit.n_qubits
-    if trace[0].n_qubits != n:
-        raise ValueError(f"trace has {trace[0].n_qubits} qubits, circuit has {n}")
-    groups = circuit.slot_groups()
-    slots = [[_gate_rows(step) for step in group] for group in groups]
-    sites: dict[int, list[tuple[float, float]]] = {}  # each qubit's deviations, per component
+    for t, state in enumerate(trace):
+        if (width := len(state.descriptors)) != circuit.n_qubits:
+            raise ValueError(f"trace has {width} qubits, circuit has {circuit.n_qubits}, at boundary {t}")
+    distinct = {(step.kind, step.qubits, step.angle): step for step in circuit.steps}
+    rows = {key: _gate_rows(step) for key, step in distinct.items()}  # equal gates share one table
+    slots = [[rows[step.kind, step.qubits, step.angle] for step in group] for group in circuit.slot_groups()]
     max_exp = max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
     for t, state in enumerate(trace):
-        touched = {q for step in groups[t - 1] for q in step.qubits} if t else set()
-        for q in range(n):
-            d = state.descriptor(q)
-            if t == 0 or q in touched or d is not trace[t - 1].descriptor(q):
-                sites[q] = [_deviations(op, _propagated(slots[:t], q, comp)) for comp, op in zip(COMPONENTS, d.triple)]
-            for comp, (dev, mat_dev) in zip(COMPONENTS, sites[q]):
+        touched = sum(mask for mask, _ in slots[t - 1]) if t else 0  # a slot's gates are disjoint
+        for q, d in enumerate(state.descriptors):
+            if t and not touched >> q & 1 and d is trace[t - 1].descriptors[q]:
+                continue  # its deviations are already in the maxima, and worst moves only on a strict >
+            cone = _cone(slots[:t], q)
+            for comp, op in zip(COMPONENTS, d.triple):
+                dev, mat_dev = _deviations(op, _propagated(cone, q, comp))
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

@@ -6,6 +6,10 @@ string's key, the integer ``x << n | z`` on n qubits, to its coefficient:
 bit q of mask x is set for X or Y on qubit q, bit q of z for Z or Y, so the
 string is i^{#Y} X^x Z^z with #Y = popcount(x & z) (Aaronson & Gottesman,
 quant-ph/0406196).  Python integers have no width, so any n works alike.
+A string with even #Y is a real symmetric matrix, one with odd #Y i times a
+real antisymmetric one.  Every gate is real, so each descriptor component
+U^T sigma U keeps its class exactly: x and z even, y odd, every coefficient
+real and every y mean 0.0.  A complex gate (S, T or rz) would break this grading.
 
 :func:`_loop_product` is the product rule: a product's key is the XOR of
 its factors' keys.  A product of at least :data:`_CROSSOVER` term pairs on

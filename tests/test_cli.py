@@ -269,13 +269,14 @@ def test_check_fails_beyond_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
-def test_check_passes_on_sixteen_qubit_chain(tmp_path, capsys):
-    # the back-propagation check has no width cap: chain(4) holds 16 qubits
-    path = tmp_path / "chain4.qc"
-    path.write_text(heisensim.serialize_circuit(chain(4)), encoding="utf-8")
-    code, out = run_cli(capsys, "run", "--circuit", str(path), "--check")
+def test_check_passes_on_sixteen_qubit_chain(capsys):
+    # the back-propagation check has no width cap: chain(4) holds 16 qubits.  The
+    # circuit file is committed beside its golden, and it is chain(4) serialized
+    golden = Path(__file__).parent / "golden"
+    assert (golden / "chain4.qc").read_text(encoding="utf-8") == heisensim.serialize_circuit(chain(4))
+    code, out = run_cli(capsys, "run", "--circuit", str(golden / "chain4.qc"), "--check")
     assert code == 0
-    assert out.endswith("OK: tolerance 1e-09\n") and len(out.splitlines()) == 4
+    assert out.encode() == (golden / "chain4_check.txt").read_bytes()
 
 
 def test_check_fails_on_a_wrong_engine_rule(monkeypatch, capsys):
@@ -395,7 +396,7 @@ def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
     assert proc.returncode == 1
     if mode == ["--check"]:
         assert proc.stderr == ""
-        assert len(proc.stdout.splitlines()) == 4 and proc.stdout.endswith("FAIL: tolerance 1e-09\n")
+        assert proc.stdout.encode() == (Path(__file__).parent / "golden" / "drift_check.txt").read_bytes()
         return
     assert "Traceback" not in proc.stderr
     # the fold's first error, the same whether each verdict reads its means afresh or once per fold

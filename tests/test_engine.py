@@ -19,7 +19,7 @@ from heisensim import check, pauli
 from heisensim.engine import GATE_KINDS, trace_json_doc
 from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
-from heisensim.pauli import PauliSum, vacuum_expectation
+from heisensim.pauli import PauliSum, _term_masks, vacuum_expectation
 
 from conftest import A, B, R, S, allclose, chain, commutes, random_circuit, random_parallel_circuit, term
 
@@ -689,3 +689,44 @@ def test_one_gate_per_slot_keeps_the_final_descriptors(circuit, vectorised, requ
     for q in range(circuit.n_qubits):
         for op, op_serial in zip(final.descriptor(q).triple, serial_final.descriptor(q).triple):
             assert _term_bits(op_serial) == _term_bits(op)
+
+
+def _retimed(circuit: hs.Circuit, delays) -> hs.Circuit:
+    """``circuit`` with each gate, in list order, put ``delays[i]`` slots after the latest
+    gate on its qubits: each qubit keeps its gates in order, and a slot's gates stay disjoint."""
+    free = [0] * circuit.n_qubits  # the first slot each qubit is free in
+    steps = []
+    for step, delay in zip(circuit.steps, delays, strict=True):
+        slot = max(free[q] for q in step.qubits) + delay
+        for q in step.qubits:
+            free[q] = slot + 1
+        steps.append(step._replace(slot=slot))
+    return hs.Circuit(circuit.n_qubits, tuple(sorted(steps, key=lambda s: s.slot)))
+
+
+# No shrink phase, as in the loop-and-kernel test above: each shrink step reruns both routes
+@given(parallel_circuits(), st.data())
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_retiming_random_parallel_circuits_keeps_the_final_descriptors(circuit, data):
+    # each qubit meets its gates in the same order, so every operator comes from the
+    # same operands by the same operations, whatever slots the gates land in
+    delays = data.draw(st.lists(st.integers(0, 2), min_size=len(circuit.steps), max_size=len(circuit.steps)))
+    retimed = _retimed(circuit, delays)
+    for crossover in (math.inf, 0):  # every product in the loop, then every product in the kernel
+        with mock.patch.object(pauli, "_CROSSOVER", crossover):
+            final, retimed_final = hs.run_circuit(circuit)[-1], hs.run_circuit(retimed)[-1]
+        for q in range(circuit.n_qubits):
+            for op, op_retimed in zip(final.descriptor(q).triple, retimed_final.descriptor(q).triple):
+                assert _term_bits(op_retimed) == _term_bits(op)
+
+
+@pytest.mark.parametrize("circuit", [hs.preset_fr()] + _INVARIANT_CIRCUITS, ids=["fr"] + _INVARIANT_IDS)
+def test_real_gates_keep_every_component_in_its_y_grading(circuit):
+    # every gate matrix is real, so U is real orthogonal: x and z hold only strings
+    # with an even number of Y letters and y only odd ones, every coefficient is
+    # real, and no odd string has x mask 0, so every y mean is exactly 0.0
+    for state in hs.run_circuit(circuit):
+        for d in state.descriptors:
+            for parity, op in zip((0, 1, 0), d.triple):
+                assert all((x & z).bit_count() % 2 == parity and c.imag == 0 for x, z, c in _term_masks(op))
+            assert repr(vacuum_expectation(d.y)) == "0.0"

@@ -460,6 +460,15 @@ def test_cross_check_rejects_trace_of_other_width(n_trace):
         cross_check(hs.run_circuit(circuit(n_trace)), circuit(3))
 
 
+@pytest.mark.parametrize("width", [7, 9], ids=["short", "long"])
+def test_cross_check_rejects_a_later_boundary_of_other_width(fr_circuit, fr_trace, width):
+    # boundary 0 fits; boundary 5 has one descriptor too few, or is a whole 9-qubit state
+    trace = list(fr_trace)
+    trace[5] = hs.NetworkState(5, fr_trace[5].descriptors[:7] if width == 7 else hs.init_network(9).descriptors)
+    with pytest.raises(ValueError, match=f"^trace has {width} qubits, circuit has 8, at boundary 5$"):
+        cross_check(trace, fr_circuit)
+
+
 def test_cross_check_rejects_trace_of_other_length():
     circuit = hs.Circuit(2, (hs.h(0), hs.cx(0, 1, slot=1)))
     trace = hs.run_circuit(circuit)
@@ -584,7 +593,7 @@ def test_cross_check_reads_each_fresh_site_once(fr_circuit, fr_trace, fr_crossch
 
 
 def test_cross_check_builds_fixed_gate_tables_once_per_process(fr_circuit, fr_trace, monkeypatch):
-    # the h, cx and ch tables are built on first use and kept; an ry table once per gate and check
+    # the h, cx and ch tables are built on first use and kept; an ry table once per distinct gate and check
     monkeypatch.setattr(check, "_FIXED_TABLES", {})
     built = []
     table = check._conjugation_table
@@ -595,6 +604,54 @@ def test_cross_check_builds_fixed_gate_tables_once_per_process(fr_circuit, fr_tr
     assert len(built) == 3 + rotations
     cross_check(fr_trace, fr_circuit)
     assert len(built) == 3 + 2 * rotations
+
+
+def test_cross_check_builds_gate_rows_once_per_distinct_gate(fr_circuit, fr_trace, fr_crosscheck, monkeypatch):
+    # fr's 12 steps hold 10 distinct gates: cx 0 1 and cx 2 3 each act in two slots
+    built = []
+    rows = check._gate_rows
+    monkeypatch.setattr(check, "_gate_rows", lambda step: built.append(step) or rows(step))
+    report = cross_check(fr_trace, fr_circuit)
+    assert (len(built), len(fr_circuit.steps)) == (10, 12)
+    assert repr(report) == repr(fr_crosscheck)
+
+
+def _brute_force_check(trace, circuit):
+    """``cross_check`` with no carry-over and no reuse: each component of every site at every
+    boundary walks every slot for itself, and its gaps are taken key by key over both operators."""
+    max_exp = max_mat = 0.0
+    worst = {"slot": 0, "qubit": 0, "component": "x"}
+    slots = [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()]
+    for t, state in enumerate(trace):
+        for q in range(circuit.n_qubits):
+            for comp in "xyz":
+                reference, cone = {(int(comp != "z") << q, int(comp != "x") << q): 1.0}, 1 << q
+                for slot in reversed(slots[:t]):
+                    for mask, rows in slot:
+                        if cone & mask:
+                            cone |= mask
+                            reference = check._conjugated(reference, mask, rows)
+                op = state.descriptor(q).component(comp)
+                engine = {(x, z): c for x, z, c in _term_masks(op)}
+                keys = engine.keys() | reference.keys()
+                mat_dev = max((abs(engine.get(k, 0.0) - reference.get(k, 0.0)) for k in keys), default=0.0)
+                mean = math.fsum(c for (x, _), c in reference.items() if not x)
+                dev = abs(vacuum_expectation(op, math.inf) - mean)
+                if max(dev, mat_dev) > max(max_exp, max_mat):
+                    worst = {"slot": t, "qubit": q, "component": comp}
+                max_exp, max_mat = max(max_exp, dev), max(max_mat, mat_dev)
+    return check.CrossCheckReport(max_exp, max_mat, worst)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [hs.preset_fr(), chain(3), hs.Circuit(3, random_circuit(random.Random(0), 3, 200).steps[:120])],
+    ids=["fr", "chain3", "drifting-120"],
+)
+def test_cross_check_equals_brute_force_reference(circuit):
+    # carrying sites over, one cone walk per site and one table per distinct gate change no bit
+    trace = hs.run_circuit(circuit)
+    assert repr(cross_check(trace, circuit)) == repr(_brute_force_check(trace, circuit))
 
 
 def _dense_route_circuits():
@@ -676,7 +733,11 @@ def _propagated_sums(circuit, t):
     # the back-propagated components at boundary t, as PauliSums keyed (qubit, component)
     slots = [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()[:t]]
     n = circuit.n_qubits
-    return {(q, comp): PauliSum(n, check._propagated(slots, q, comp).items()) for q in range(n) for comp in "xyz"}
+    return {
+        (q, comp): PauliSum(n, check._propagated(check._cone(slots, q), q, comp).items())
+        for q in range(n)
+        for comp in "xyz"
+    }
 
 
 @_DENSE_ROUTE_CASES
