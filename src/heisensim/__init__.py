@@ -15,6 +15,7 @@ from .engine import (
     Descriptor,
     GateStep,
     NetworkState,
+    RunTooLarge,
     SlotError,
     ch,
     cx,
@@ -68,6 +69,7 @@ __all__ = [
     "Descriptor",
     "NetworkState",
     "SlotError",
+    "RunTooLarge",
     "ry",
     "h",
     "cx",

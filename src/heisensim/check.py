@@ -11,9 +11,10 @@ gate matrices of :func:`_gate_matrix`, which the dense oracle uses too.  The
 gates are real, so every coefficient is real.  The ``h``, ``cx`` and ``ch``
 tables are built once per process, on first use, an ``ry`` table once per
 distinct gate and check.  A carried-over site is neither back-propagated nor
-compared again.  Coefficients below :data:`DROP_TOLERANCE` drop after each
-gate, as the engine's do.  An operator is a dict from each string's masks
-``(x, z)``, as ``pauli``'s term reader gives them, to its coefficient.
+compared again.  Coefficients below :data:`DROP_TOLERANCE` drop as the next
+gate reads them and after the last; a small one adds nothing either way, so
+the result is bit for bit that of the engine's drop after every gate.  An
+operator is a dict from each string's masks ``(x, z)`` to its coefficient.
 """
 from __future__ import annotations
 
@@ -89,13 +90,14 @@ def _gate_rows(step: GateStep) -> tuple[int, dict[tuple[int, int], tuple[tuple[i
 
 
 def _conjugated(terms: dict, mask: int, rows: dict) -> dict:
-    """G^dagger A G for the operator ``terms`` and a gate of qubit ``mask`` and ``rows``."""
+    """G^dagger A G for a gate of ``mask`` and ``rows``, skipping each term of ``terms`` below the drop tolerance."""
     out: dict[tuple[int, int], float] = {}
     for (x, z), c in terms.items():
-        for dx, dz, t in rows[x & mask, z & mask]:
-            key = (x ^ dx, z ^ dz)
-            out[key] = out.get(key, 0.0) + c * t
-    return {key: c for key, c in out.items() if abs(c) >= DROP_TOLERANCE}
+        if abs(c) >= DROP_TOLERANCE:
+            for dx, dz, t in rows[x & mask, z & mask]:
+                key = (x ^ dx, z ^ dz)
+                out[key] = out.get(key, 0.0) + c * t
+    return out
 
 
 def _cone(slots: list, qubit: int) -> list:
@@ -109,30 +111,26 @@ def _cone(slots: list, qubit: int) -> list:
 
 
 def _propagated(cone: list, qubit: int, comp: str) -> dict:
-    """U^dagger sigma U for the bare Pauli ``comp`` on ``qubit``, U the gates of its ``cone`` (see :func:`_cone`)."""
+    """U^dagger sigma U for the Pauli ``comp`` on ``qubit``, U the gates of ``cone``; small terms drop at the end."""
     terms = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}
     for mask, rows in cone:
         terms = _conjugated(terms, mask, rows)
-    return terms
+    return {key: c for key, c in terms.items() if abs(c) >= DROP_TOLERANCE}
 
 
 def _deviations(op, reference: dict) -> tuple[float, float]:
     """|engine mean - reference mean| and the largest coefficient gap between ``op`` and ``reference``.
 
-    The engine's mean is read without the Hermiticity guard, so an imaginary
-    residue shows up as a coefficient gap; a NaN one still raises.
+    The engine's mean is read without the Hermiticity guard, so an imaginary residue
+    shows up as a coefficient gap; a NaN one still raises.  ``reference`` is consumed.
     """
-    gap, left = 0.0, len(reference)
+    mean, gap = fsum(c for (x, _), c in reference.items() if not x), 0.0
     for x, z, c in _term_masks(op):
-        if (r := reference.get((x, z))) is not None:
-            left -= 1
-            c -= r
+        if (size := abs(c - reference.pop((x, z), 0.0))) > gap:
+            gap = size
+    for c in reference.values():  # what the pass left, the terms op lacks, each a gap of its whole coefficient
         if (size := abs(c)) > gap:
             gap = size
-    if left:  # a reference term the engine lacks is a gap of its whole coefficient
-        engine = {(x, z) for x, z, _ in _term_masks(op)}
-        gap = max(gap, max(abs(r) for key, r in reference.items() if key not in engine))
-    mean = fsum(c for (x, _), c in reference.items() if not x)
     return abs(vacuum_expectation(op, math.inf) - mean), gap
 
 
@@ -162,8 +160,10 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     for t, state in enumerate(trace):
         if (width := len(state.descriptors)) != circuit.n_qubits:
             raise ValueError(f"trace has {width} qubits, circuit has {circuit.n_qubits}, at boundary {t}")
-    distinct = {(step.kind, step.qubits, step.angle): step for step in circuit.steps}
-    rows = {key: _gate_rows(step) for key, step in distinct.items()}  # equal gates share one table
+    rows = {}  # equal gates share one table
+    for step in circuit.steps:
+        if (key := (step.kind, step.qubits, step.angle)) not in rows:
+            rows[key] = _gate_rows(step)
     slots = [[rows[step.kind, step.qubits, step.angle] for step in group] for group in circuit.slot_groups()]
     max_exp = max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}

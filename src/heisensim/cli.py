@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .engine import Circuit, _is_ascii_number, run_circuit, trace_json_doc
+from .engine import Circuit, RunTooLarge, _is_ascii_number, run_circuit, trace_json_doc
 from .foliation import (
     ReportRow,
     build_branch_tree,
@@ -150,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except HermiticityError as exc:
         raise SystemExit(f"the engine's coefficients drifted: {exc}")
+    except RunTooLarge as exc:
+        raise SystemExit(f"refused: {exc}")
 
 
 def _run(args) -> int:

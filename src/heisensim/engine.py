@@ -42,6 +42,7 @@ __all__ = [
     "GATE_KINDS",
     "GateStep",
     "SlotError",
+    "RunTooLarge",
     "Circuit",
     "Descriptor",
     "NetworkState",
@@ -81,6 +82,13 @@ class SlotError(ValueError):
 
     def __str__(self) -> str:
         return f"slot {self.slot}: {self.args[1]}"
+
+
+class RunTooLarge(ValueError):
+    """A run that :func:`run_circuit` refuses before it allocates: its estimated bytes pass ``_RUN_BYTES``."""
+
+
+_RUN_BYTES = 1 << 30  # 1 GiB
 
 
 class _GateFields(NamedTuple):
@@ -346,8 +354,18 @@ def run_circuit(circuit: Circuit) -> Trace:
     after every gate in slots 0..t-1, so a last gate in slot k yields k + 2
     states.  A slot's gates act on disjoint qubits, so in any order they write
     into one copy of the previous descriptors, from which one state is built.
+
+    Before anything is allocated, a run whose fresh network and per-boundary
+    records would pass 1 GiB raises :class:`RunTooLarge`.  The estimate counts
+    the network's keys (about n + q bits for qubit q of n) and objects, and per
+    boundary a state's tuple, its slot group and a fold's record of one pair;
+    term growth is not counted.
     """
-    trace = [init_network(circuit.n_qubits)]
+    n, boundaries = circuit.n_qubits, circuit.max_slot + 2
+    if (size := n * (n // 2 + 1536) + boundaries * (1024 + 8 * n)) > _RUN_BYTES:
+        limit = f"over the {_RUN_BYTES}-byte limit"
+        raise RunTooLarge(f"a run of {n} qubits over {boundaries} slot boundaries needs about {size} bytes, {limit}")
+    trace = [init_network(n)]
     for slot, group in enumerate(circuit.slot_groups()):
         descriptors = list(trace[-1].descriptors)
         for step in group:

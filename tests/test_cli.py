@@ -384,6 +384,31 @@ def test_fr_run_leaves_numpy_unloaded():
     assert proc.stdout == (golden / "fr_report.txt").read_text() + (golden / "fr_check.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "text, estimate",
+    [
+        ("qubits 1000000\nh 0\n", "1000000 qubits over 2 slot boundaries needs about 501552002048"),
+        ("qubits 2\n@1000000000 h 0\n", "2 qubits over 1000000002 slot boundaries needs about 1040000005154"),
+    ],
+    ids=["wide", "deep"],
+)
+def test_run_past_one_gib_exits_with_one_line(text, estimate, tmp_path):
+    # a two-line file is refused before the run allocates; the child caps its own address
+    # space at 2 GB, so a refusal that went missing ends in a MemoryError, not a memory kill
+    path = tmp_path / "large.qc"
+    path.write_text(text, encoding="utf-8")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from heisensim.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = [sys.executable, "-c", code, "run", "--circuit", str(path), "--report", "table"]
+    proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"refused: a run of {estimate} bytes, over the 1073741824-byte limit\n"
+
+
 @pytest.mark.parametrize("mode", [["--report", "table"], ["--check"]], ids=["table", "check"])
 def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
     # 200 random gates on 3 qubits drift the engine's coefficients past the

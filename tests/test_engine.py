@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
-from heisensim import check, pauli
+from heisensim import check, engine, pauli
 from heisensim.engine import GATE_KINDS, trace_json_doc
 from heisensim.lang import parse_circuit, serialize_circuit
 from heisensim.oracle import conjugate_descriptor, expand, state_expectation
@@ -221,8 +222,6 @@ class _TwoArgumentError(Exception):
 
 
 def test_run_circuit_names_failing_slot_and_chains_cause(fr_circuit, monkeypatch):
-    from heisensim import engine
-
     arity, takes_angle, text, rule = engine._GATES["cx"]
 
     def failing(dc, dt):  # cx(S, B) first acts in slot 3
@@ -237,6 +236,34 @@ def test_run_circuit_names_failing_slot_and_chains_cause(fr_circuit, monkeypatch
     assert info.value.slot == 3
     assert "slot 3" in str(info.value) and "7: no such rule" in str(info.value)
     assert isinstance(info.value.__cause__, _TwoArgumentError)
+
+
+@pytest.mark.parametrize(
+    "circuit, estimate",
+    [
+        (hs.Circuit(10**6, (hs.h(0),)), "1000000 qubits over 2 slot boundaries needs about 501552002048"),
+        (hs.Circuit(2, (hs.h(0, 10**9),)), "2 qubits over 1000000002 slot boundaries needs about 1040000005154"),
+    ],
+    ids=["wide", "deep"],
+)
+def test_run_circuit_refuses_a_run_past_one_gib_before_it_allocates(circuit, estimate, monkeypatch):
+    # the fresh network of 10**6 qubits holds about 0.5 TB of keys, and 10**9 empty
+    # slots a record each: neither the network nor the slot groups may be built
+    def allocating(*args):
+        raise AssertionError("the run allocated before it was refused")
+
+    monkeypatch.setattr(engine, "init_network", allocating)
+    monkeypatch.setattr(hs.Circuit, "slot_groups", allocating)
+    tracemalloc.start()
+    try:
+        message = f"^a run of {estimate} bytes, over the 1073741824-byte limit$"
+        with pytest.raises(hs.RunTooLarge, match=message) as info:
+            hs.run_circuit(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(info.value, ValueError)
+    assert peak < 1 << 16
 
 
 def test_gate_locality_shares_untouched_descriptors(fr_trace):
@@ -644,8 +671,18 @@ _INVARIANT_CIRCUITS = [chain(3)] + [random_parallel_circuit(random.Random(s), 6,
 _INVARIANT_IDS = ["chain3"] + [f"parallel{s}" for s in range(3)]
 
 
-@pytest.mark.parametrize("vectorised", [False, True], ids=["loop", "kernel"])
-@pytest.mark.parametrize("circuit", _INVARIANT_CIRCUITS, ids=_INVARIANT_IDS)
+_RELABELLING_CASES = [
+    pytest.param(circuit, vectorised, id=f"{name}-{'kernel' if vectorised else 'loop'}")
+    for circuit, name in zip(_INVARIANT_CIRCUITS, _INVARIANT_IDS)
+    for vectorised in (False, True)
+] + [  # kept out of _INVARIANT_CIRCUITS, so the other tests that read it stay fast
+    pytest.param(chain(7), False, id="chain7-loop"),  # 28 qubits
+    pytest.param(chain(7), True, id="chain7-kernel"),
+    pytest.param(chain(8), False, id="chain8-loop"),  # 32 qubits: the kernel takes at most 31
+]
+
+
+@pytest.mark.parametrize("circuit, vectorised", _RELABELLING_CASES)
 def test_relabelling_qubits_moves_every_key_and_keeps_every_bit(circuit, vectorised, request):
     # a relabelling maps keys one to one and keeps every popcount, pair order
     # and summation order, so qubit perm[q] gets q's terms moved, bit for bit

@@ -18,7 +18,7 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import _I_POWERS, PauliSum, _lettered, _term_masks, vacuum_expectation
+from heisensim.pauli import _I_POWERS, DROP_TOLERANCE, PauliSum, _lettered, _term_masks, vacuum_expectation
 
 from conftest import (
     LETTER_MATRICES, A, R, S, U_R, W_B, chain, gate_unitary, random_circuit, random_parallel_circuit, term,
@@ -618,7 +618,8 @@ def test_cross_check_builds_gate_rows_once_per_distinct_gate(fr_circuit, fr_trac
 
 def _brute_force_check(trace, circuit):
     """``cross_check`` with no carry-over and no reuse: each component of every site at every
-    boundary walks every slot for itself, and its gaps are taken key by key over both operators."""
+    boundary walks every slot for itself, drops its coefficients below the drop tolerance after
+    every gate, and takes its gaps key by key over both operators."""
     max_exp = max_mat = 0.0
     worst = {"slot": 0, "qubit": 0, "component": "x"}
     slots = [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()]
@@ -631,6 +632,7 @@ def _brute_force_check(trace, circuit):
                         if cone & mask:
                             cone |= mask
                             reference = check._conjugated(reference, mask, rows)
+                            reference = {k: c for k, c in reference.items() if abs(c) >= DROP_TOLERANCE}
                 op = state.descriptor(q).component(comp)
                 engine = {(x, z): c for x, z, c in _term_masks(op)}
                 keys = engine.keys() | reference.keys()
@@ -643,15 +645,47 @@ def _brute_force_check(trace, circuit):
     return check.CrossCheckReport(max_exp, max_mat, worst)
 
 
+# tiny angles: coefficients below the drop tolerance appear between gates and are carried to the next
+TINY_ANGLES = hs.Circuit(
+    3,
+    (
+        hs.ry(0, 2e-7, 0), hs.ry(1, 2e-7, 0), hs.cx(0, 1, 1), hs.ry(0, 2e-7, 2),
+        hs.ry(1, 3e-7, 2), hs.ch(1, 2, 3), hs.cx(0, 2, 4), hs.ry(2, 2e-7, 5),
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "circuit",
-    [hs.preset_fr(), chain(3), hs.Circuit(3, random_circuit(random.Random(0), 3, 200).steps[:120])],
-    ids=["fr", "chain3", "drifting-120"],
+    [hs.preset_fr(), chain(3), hs.Circuit(3, random_circuit(random.Random(0), 3, 200).steps[:120]), TINY_ANGLES],
+    ids=["fr", "chain3", "drifting-120", "tiny-angles"],
 )
 def test_cross_check_equals_brute_force_reference(circuit):
-    # carrying sites over, one cone walk per site and one table per distinct gate change no bit
+    # carrying sites over, one cone walk per site, one table per distinct gate and
+    # dropping small coefficients as the next gate reads them change no bit
     trace = hs.run_circuit(circuit)
     assert repr(cross_check(trace, circuit)) == repr(_brute_force_check(trace, circuit))
+
+
+def test_tiny_angles_leave_small_coefficients_between_gates(monkeypatch):
+    # the case above tests the drop only if gates leave coefficients below the tolerance:
+    # 68 in one check, 28 of which a next gate reads and 40 a cone's last gate leaves
+    made, read = [], []
+    conjugated = check._conjugated
+
+    def counting(terms, mask, rows):
+        read.extend(c for c in terms.values() if abs(c) < DROP_TOLERANCE)
+        out = conjugated(terms, mask, rows)
+        made.extend(c for c in out.values() if abs(c) < DROP_TOLERANCE)
+        return out
+
+    monkeypatch.setattr(check, "_conjugated", counting)
+    report = cross_check(hs.run_circuit(TINY_ANGLES), TINY_ANGLES)
+    assert (len(made), len(read)) == (68, 28)
+    assert repr(report) == (
+        "CrossCheckReport(max_expectation_dev=2.9999999976475914e-14, max_matrix_dev=3.999999998628107e-14, "
+        "worst_site={'slot': 6, 'qubit': 2, 'component': 'z'})"
+    )
 
 
 def _dense_route_circuits():
