@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .engine import Circuit, RunTooLarge, _is_ascii_number, run_circuit, trace_json_doc
+from .engine import _DEFAULT_LABEL, Circuit, RunTooLarge, _is_ascii_number, run_circuit, trace_json_doc
 from .foliation import (
     ReportRow,
     build_branch_tree,
@@ -86,8 +86,22 @@ def _load_circuit(args) -> Circuit:
         raise SystemExit(f"{args.circuit}: {exc}")
 
 
+def _resolve_name(name: str, circuit: Circuit, by_label: dict[str, int]) -> int:
+    """The qubit ``name`` addresses: a label, the default ``q<k>`` of an unlabelled qubit k, or an index."""
+    if name in by_label:
+        return by_label[name]
+    default = _DEFAULT_LABEL.fullmatch(name)
+    digits = (default[1] if default else name).lstrip("0") or "0"
+    # the length test runs first: int() refuses over 4300 digits
+    if (default or _is_ascii_number(name)) and len(digits) <= len(str(circuit.n_qubits)):
+        q = int(digits)
+        if q < circuit.n_qubits and not (default and q in (circuit.labels or ())):
+            return q
+    raise SystemExit(f"unknown qubit {name!r} in --watch")
+
+
 def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
-    by_name = {circuit.label(q): q for q in range(circuit.n_qubits)}
+    by_label = {name: q for q, name in (circuit.labels or {}).items()}  # no table over every qubit
     pairs = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -96,14 +110,7 @@ def _resolve_watch(spec: str, circuit: Circuit) -> tuple[tuple[int, int], ...]:
         names = [p.strip() for p in chunk.split(",")]
         if len(names) != 2:
             raise SystemExit(f"bad watch pair {chunk!r} (expected 'C,T')")
-        resolved = []
-        for name in names:
-            if name in by_name:
-                resolved.append(by_name[name])
-            elif _is_ascii_number(name) and int(name) < circuit.n_qubits:
-                resolved.append(int(name))
-            else:
-                raise SystemExit(f"unknown qubit {name!r} in --watch")
+        resolved = [_resolve_name(name, circuit, by_label) for name in names]
         if resolved[0] == resolved[1]:
             raise SystemExit(f"watch pair {chunk!r} names one qubit twice")
         pair = tuple(resolved)

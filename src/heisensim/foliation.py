@@ -5,10 +5,14 @@ components violates expectation factorisation,
 ``<q_i q'_j> != <q_i><q'_j>`` over the nine component pairs.  That scan
 is part of the verdict: :func:`sharp_foliation`, the one pair evaluator,
 reads the two descriptors once and returns the first violation as its
-witness, and :func:`entangled` is that witness.  Every two-point
-expectation comes from :func:`~heisensim.pauli.pair_expectation`, which
-reads ``<0|q_i q'_j|0>`` off the term pairs with equal x masks and never
-forms the operator product.
+witness, and :func:`entangled` is that witness.  When both descriptors
+keep the real-gate grading of :mod:`heisensim.pauli`, the four mixed
+pairs (x,y), (y,x), (y,z) and (z,y) read 0.0 against a product of +-0.0
+and cannot violate it, so the scan reads the other five; a descriptor
+outside the grading gets all nine.  Every two-point expectation comes
+from :func:`~heisensim.pauli.pair_expectation`, which reads
+``<0|q_i q'_j|0>`` off the term pairs with equal x masks and never forms
+the operator product.
 
 A control/target pair admits a sharp foliation when the product of their z
 components is sharp, ``<q_Cz q_Tz> = +1`` (or -1, reported as anti-sharp
@@ -44,8 +48,9 @@ One fold of that machine, :func:`foliation_timeline`, feeds both the
 table (:func:`report_rows`) and the tree (:func:`build_branch_tree`).  The
 fold evaluates a pair afresh only when one of its two descriptors changed
 since the previous boundary and carries the earlier report over otherwise.
-It reads each descriptor's means and supports once per fold, however many
-pairs share that descriptor; the two-point expectations stay per pair.
+It reads each descriptor's means, supports and grading once per fold, in
+one pass over its terms, however many pairs share that descriptor; the
+two-point expectations stay per pair.
 The tree's events are the fold's status changes, read off the timeline.
 """
 from __future__ import annotations
@@ -55,7 +60,7 @@ from itertools import product as _cartesian
 from typing import NamedTuple
 
 from .engine import COMPONENTS, Circuit, Descriptor, NetworkState, Trace, projector
-from .pauli import DEFAULT_TOLERANCE, _integer, _support_mask, pair_expectation, vacuum_expectation
+from .pauli import DEFAULT_TOLERANCE, _graded_profile, _integer, pair_expectation, vacuum_expectation
 
 __all__ = [
     "SHARP",
@@ -142,10 +147,10 @@ class FoliationReport(NamedTuple):
     witness: EntanglementWitness
 
 
-def _profile(descriptor: Descriptor, guard: float) -> tuple[list[float], int, int]:
-    """The x, y and z vacuum means of ``descriptor``, its z support mask and its full support mask."""
-    ops = descriptor.triple
-    return [vacuum_expectation(op, guard) for op in ops], _support_mask(descriptor.z), _support_mask(*ops)
+#: The scan's component pairs, (x, y, z) x (x, y, z) as indices.  On two graded descriptors the
+#: mixed pairs (x,y), (y,x), (y,z) and (z,y) read 0.0 against a product of +-0.0, never a witness.
+_EVERY_PAIR = tuple(_cartesian(range(3), repeat=2))
+_GRADED_PAIRS = ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2))
 
 
 def sharp_foliation(
@@ -155,13 +160,16 @@ def sharp_foliation(
 
     The reported projector weights are the control-side branch weights
     ``<P_+1[q_Cz]>`` and ``<P_-1[q_Cz]>``.  The witness is the first of the
-    nine component pairs, in (x, y, z) x (x, y, z) order, that violates
-    factorisation; when all nine factorise it records the (z, z) values
-    with ``entangled=False``.  An expectation whose imaginary part exceeds
-    ``min(tol, DEFAULT_TOLERANCE)`` raises :class:`~heisensim.pauli.HermiticityError`;
-    a NaN, negative or infinite ``tol`` raises ValueError.  ``_profiles`` is
-    :func:`foliation_timeline`'s cache of each descriptor's means and supports
-    for one fold and one ``tol``; a direct call builds both profiles afresh.
+    component pairs, in (x, y, z) x (x, y, z) order, that violates
+    factorisation; when all factorise it records the (z, z) values with
+    ``entangled=False``.  The scan reads all nine pairs, or only the five
+    that can violate factorisation when both descriptors keep the
+    real-gate grading of :mod:`heisensim.pauli`.  An expectation whose
+    imaginary part exceeds ``min(tol, DEFAULT_TOLERANCE)`` raises
+    :class:`~heisensim.pauli.HermiticityError`; a NaN, negative or infinite
+    ``tol`` raises ValueError.  ``_profiles`` is :func:`foliation_timeline`'s
+    cache of each descriptor's means, supports and grading for one fold and
+    one ``tol``; a direct call builds both profiles afresh.
     """
     dc, dt = state.descriptor(control), state.descriptor(target)
     if control == target:
@@ -171,29 +179,29 @@ def sharp_foliation(
     profiles = {} if _profiles is None else _profiles
     for d in (dc, dt):
         if id(d) not in profiles:  # the entry holds d, so no other object takes its id while the cache lives
-            profiles[id(d)] = (d, *_profile(d, guard))
-    (_, means_c, z_support_c, support_c), (_, means_t, z_support_t, support_t) = profiles[id(dc)], profiles[id(dt)]
+            profiles[id(d)] = (d, *_graded_profile(d.triple, guard))
+    (_, means_c, masks_c, graded_c), (_, means_t, masks_t, graded_t) = profiles[id(dc)], profiles[id(dt)]
     # the scan: the first component pair violating factorisation is the witness
-    pairs = _cartesian(zip(COMPONENTS, dc.triple, means_c), zip(COMPONENTS, dt.triple, means_t))
-    for (i, a, mean_a), (j, b, mean_b) in pairs:
-        joint = pair_expectation(a, b, guard)
-        product = mean_a * mean_b
+    ops_c, ops_t = dc.triple, dt.triple
+    for i, j in _GRADED_PAIRS if graded_c and graded_t else _EVERY_PAIR:
+        joint = pair_expectation(ops_c[i], ops_t[j], guard)
+        product = means_c[i] * means_t[j]
         violated = abs(joint - product) > tol
         if violated:
             break
-    witness = EntanglementWitness((control, target), (i, j), joint, product, violated)
+    witness = EntanglementWitness((control, target), (COMPONENTS[i], COMPONENTS[j]), joint, product, violated)
     # a scan that got as far as (z, z) has already read <q_Cz q_Tz>
-    zz = joint if i == j == "z" else pair_expectation(dc.z, dt.z, guard)
-    z_mean_c, z_mean_t = means_c[-1], means_t[-1]
+    zz = joint if i == j == 2 else pair_expectation(dc.z, dt.z, guard)
+    z_mean_c, z_mean_t = means_c[2], means_t[2]
 
     # correlation: the (z, z) factorisation violation, or a record -- one
     # partner's z component acting on the other's qubit
     sharp = abs(zz - 1.0) <= tol
     if (sharp or abs(zz + 1.0) <= tol) and (
-        abs(zz - z_mean_c * z_mean_t) > tol or z_support_t >> control & 1 or z_support_c >> target & 1
+        abs(zz - z_mean_c * z_mean_t) > tol or masks_t[2] >> control & 1 or masks_c[2] >> target & 1
     ):
         verdict = SHARP if sharp else ANTI_SHARP
-    elif violated or support_c & support_t:
+    elif violated or (masks_c[0] | masks_c[1] | masks_c[2]) & (masks_t[0] | masks_t[1] | masks_t[2]):
         verdict = NON_SHARP  # one bubble: entangled, or the supports meet
     else:
         verdict = UNENTANGLED
@@ -299,7 +307,7 @@ def foliation_timeline(
     status = {pair: _TRUNK for pair in watch}
     statuses: list[dict[tuple[int, int], str]] = []
     reports: list[dict[tuple[int, int], FoliationReport]] = []
-    profiles: dict = {}  # each descriptor's means and supports, read once in this fold
+    profiles: dict = {}  # each descriptor's means, supports and grading, read once in this fold
     previous: NetworkState | None = None
     for state in trace:
         slot_reports = {}

@@ -10,6 +10,8 @@ A string with even #Y is a real symmetric matrix, one with odd #Y i times a
 real antisymmetric one.  Every gate is real, so each descriptor component
 U^T sigma U keeps its class exactly: x and z even, y odd, every coefficient
 real and every y mean 0.0.  A complex gate (S, T or rz) would break this grading.
+:func:`_graded_profile` reads a descriptor's three vacuum means, its supports
+and whether it keeps the grading in one pass over its terms.
 
 :func:`_loop_product` is the product rule: a product's key is the XOR of
 its factors' keys.  A product of at least :data:`_CROSSOVER` term pairs on
@@ -181,15 +183,6 @@ def _vector_product(left: dict[int, complex], right: dict[int, complex], n: int)
     return dict(zip(known[keep].tolist(), coeffs.tolist()))
 
 
-def _support_mask(*ops: "PauliSum") -> int:
-    """Bit q is set when a term of any of ``ops`` acts on qubit q."""
-    mask = 0
-    for op in ops:
-        keys = reduce(operator.or_, op._terms, 0)
-        mask |= (keys >> op.n_qubits | keys) & ((1 << op.n_qubits) - 1)
-    return mask
-
-
 LetterMap = tuple[tuple[int, str], ...]
 
 
@@ -274,7 +267,8 @@ class PauliSum:
     @property
     def support(self) -> frozenset[int]:
         """Qubits on which any stored term acts non-trivially."""
-        rest = _support_mask(self)
+        keys = reduce(operator.or_, self._terms, 0)
+        rest = (keys >> self.n_qubits | keys) & ((1 << self.n_qubits) - 1)
         return frozenset(q for q in range(rest.bit_length()) if rest >> q & 1)
 
     def __len__(self):
@@ -412,6 +406,26 @@ def vacuum_expectation(a: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:
     a NaN or negative ``tol`` raises ValueError.
     """
     return _real_expectation([c for k, c in a._terms.items() if not k >> a.n_qubits], tol)
+
+
+def _graded_profile(ops: Iterable[PauliSum], tol: float) -> tuple[list[float], list[int], bool]:
+    """The vacuum means and support masks of a descriptor's (x, y, z), reading each term once.
+
+    Each mean is :func:`vacuum_expectation`'s, errors included, in component order.  ``graded``
+    holds when every coefficient is real and x and z hold only even-#Y strings, y only odd ones.
+    """
+    means, masks, graded = [], [], True
+    for op, odd in zip(ops, (0, 1, 0)):
+        n, keys, vals = op.n_qubits, 0, []
+        for k, c in op._terms.items():
+            keys |= k
+            if not (x := k >> n):
+                vals.append(c)
+            if graded and (c.imag or (x & k).bit_count() & 1 != odd):
+                graded = False
+        means.append(_real_expectation(vals, tol))
+        masks.append((keys >> n | keys) & ((1 << n) - 1))
+    return means, masks, graded
 
 
 def pair_expectation(a: PauliSum, b: PauliSum, tol: float = DEFAULT_TOLERANCE) -> float:

@@ -125,6 +125,30 @@ def test_watch_rejects_unknown_names(capsys):
     # a Unicode digit is no qubit index
     with pytest.raises(SystemExit, match="unknown qubit '²' in --watch"):
         main(["run", "--preset", "fr", "--report", "table", "--watch", "²,1"])
+    # a labelled qubit keeps no default name, and an index past int's parsing limit is out of range too
+    for name in ("q0", "8", "0" * 5000 + "8", "1" * 5000, "q" + "1" * 5000):
+        with pytest.raises(SystemExit, match=f"^unknown qubit '{name}' in --watch$"):
+            main(["run", "--preset", "fr", "--report", "table", "--watch", f"{name},1"])
+
+
+def test_watch_resolves_default_names_and_zero_padded_indices():
+    text = "qubits 12\nlabel 3 C\ncx 3 10\nh 11\n"
+    circuit = heisensim.parse_circuit(text)
+    assert heisensim.cli._resolve_watch("C,q10;007,q11", circuit) == ((3, 10), (7, 11))
+
+
+def test_watch_on_a_million_qubits_builds_no_name_table():
+    # resolving a name reads the labels and the q<k> rule, never a table over every qubit
+    import tracemalloc
+
+    circuit = heisensim.Circuit(10**6, labels={5: "R"})
+    tracemalloc.start()
+    try:
+        assert heisensim.cli._resolve_watch("0,1;R,q999999", circuit) == ((0, 1), (5, 999999))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -187,25 +187,26 @@ def test_anti_sharp_verdict():
 
 
 def test_sharp_foliation_reads_each_mean_once(fr_trace, monkeypatch):
-    # three components per qubit; the verdict reuses the scan's two z means
+    # one profile per descriptor reads its three means; the verdict reuses the scan's two z means
     from heisensim import foliation
 
     calls = []
-    original = foliation.vacuum_expectation
+    original = foliation._graded_profile
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(foliation, "vacuum_expectation", counted)
+    monkeypatch.setattr(foliation, "_graded_profile", counted)
+    monkeypatch.setattr(foliation, "vacuum_expectation", None)  # no mean is read one component at a time
     assert hs.sharp_foliation(fr_trace[2], R, A).verdict == SHARP
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
-@pytest.mark.parametrize("time, reads", [(0, 9), (2, 2)], ids=["factorises", "xx-witness"])
+@pytest.mark.parametrize("time, reads", [(0, 5), (2, 2)], ids=["factorises", "xx-witness"])
 def test_sharp_foliation_pair_reads(fr_trace, monkeypatch, time, reads):
-    # a scan that reaches (z, z) reuses it as <q_Cz q_Tz>; an earlier witness
-    # leaves one more read for it
+    # graded descriptors scan five pairs, and a scan that reaches (z, z) reuses
+    # it as <q_Cz q_Tz>; an earlier witness leaves one more read for it
     from heisensim import foliation
 
     calls = []
@@ -520,10 +521,10 @@ def test_fold_reports_equal_fresh_verdicts(circuit, watch, tol):
 
 
 def test_fr_fold_reads_each_descriptor_once(fr_trace, fr_watch, monkeypatch):
-    # 41 fresh verdicts read the means of 29 distinct descriptors, three each, and 333 pairs
+    # 41 fresh verdicts read 29 distinct descriptors, one profile each, and 190 pairs
     from heisensim import foliation
 
-    calls = {"sharp_foliation": 0, "vacuum_expectation": 0, "pair_expectation": 0}
+    calls = {"sharp_foliation": 0, "_graded_profile": 0, "vacuum_expectation": 0, "pair_expectation": 0}
 
     def counting(name):
         original = getattr(foliation, name)
@@ -537,7 +538,86 @@ def test_fr_fold_reads_each_descriptor_once(fr_trace, fr_watch, monkeypatch):
     for name in calls:
         monkeypatch.setattr(foliation, name, counting(name))
     foliation_timeline(fr_trace, fr_watch)
-    assert calls == {"sharp_foliation": 41, "vacuum_expectation": 87, "pair_expectation": 333}
+    assert calls == {"sharp_foliation": 41, "_graded_profile": 29, "vacuum_expectation": 0, "pair_expectation": 190}
+
+
+@pytest.fixture
+def force_grading(monkeypatch):
+    """``force_grading(flag)`` makes every profile report ``graded=flag``, whatever its terms; None restores the reader."""
+    from heisensim import foliation
+
+    original = foliation._graded_profile
+
+    def force(flag):
+        def forced(ops, tol):
+            return (*original(ops, tol)[:2], flag)
+
+        monkeypatch.setattr(foliation, "_graded_profile", original if flag is None else forced)
+
+    return force
+
+
+def _fold_outcome(trace, watch, tol):
+    """The repr of every report of the fold, or the text of the first HermiticityError it raises."""
+    try:
+        _, reports = foliation_timeline(trace, watch, tol)
+    except HermiticityError as error:
+        return str(error)
+    return [[repr(report) for report in slot_reports.values()] for slot_reports in reports]
+
+
+_RANDOM_2 = random_circuit(random.Random(2), 8, 40)
+
+
+@pytest.mark.parametrize(
+    "circuit, watch",
+    [
+        pytest.param(chain(3), hs.default_watch_pairs(chain(3)), id="chain3"),
+        *_carry_over_cases(),
+        pytest.param(_RANDOM_2, hs.default_watch_pairs(_RANDOM_2), id="random-2"),
+        pytest.param(_DRIFTING, hs.default_watch_pairs(_DRIFTING), id="drifting"),
+    ],
+)
+def test_graded_scan_equals_nine_pair_scan(circuit, watch, force_grading):
+    # on graded descriptors the four skipped mixed pairs read 0.0 against +-0.0 and never raise:
+    # skipping them changes no report and no first error, even at tolerance 0
+    trace = hs.run_circuit(circuit)
+    for tol in (0.0, 1e-30, 1e-9, 0.3):
+        force_grading(None)
+        graded = _fold_outcome(trace, watch, tol)
+        force_grading(False)
+        assert graded == _fold_outcome(trace, watch, tol), tol
+
+
+def _hand_built(control_x, target_y):
+    """Two qubits, fresh but for the control's x and the target's y."""
+    control = hs.Descriptor(0, control_x, PauliSum.single(2, 0, "Y"), PauliSum.single(2, 0, "Z"))
+    target = hs.Descriptor(1, PauliSum.single(2, 1, "X"), target_y, PauliSum.single(2, 1, "Z"))
+    return hs.NetworkState(0, (control, target))
+
+
+_UNGRADED_STATES = [
+    # a y holding an even-#Y string with a real coefficient: (x, y) reads <(X0 X1)(0.5 X0 X1)> = 0.5
+    pytest.param(_hand_built(PauliSum(2, [((0b11, 0), 1.0)]), PauliSum(2, [((0b11, 0), 0.5)])), 0.5, id="even-y"),
+    # an x with an imaginary coefficient: (x, y) reads <(1e-3j X0 X1)(X0 Y1)> = -1e-3
+    pytest.param(
+        _hand_built(PauliSum(2, [((0b01, 0), 1.0), ((0b11, 0), 1e-3j)]), PauliSum(2, [((0b11, 0b10), 1.0)])),
+        -1e-3,
+        id="imaginary-x",
+    ),
+]
+
+
+@pytest.mark.parametrize("state, joint", _UNGRADED_STATES)
+def test_ungraded_descriptors_take_the_nine_pair_scan(state, joint, force_grading):
+    # a descriptor outside the real-gate grading scans all nine pairs and finds the (x, y) witness,
+    # against means 0 x 0, that the five-pair scan skips
+    report = hs.sharp_foliation(state, 0, 1)
+    assert report.witness == hs.EntanglementWitness((0, 1), ("x", "y"), joint, 0.0, True)
+    force_grading(False)
+    assert hs.sharp_foliation(state, 0, 1) == report
+    force_grading(True)
+    assert not hs.sharp_foliation(state, 0, 1).witness.entangled
 
 
 @pytest.mark.parametrize("circuit, watch", list(_carry_over_cases()))
