@@ -299,12 +299,7 @@ def init_network(n_qubits: int) -> NetworkState:
     """Fresh network: qubit k carries (X_k, Y_k, Z_k) at time 0."""
     if (n_qubits := _integer(n_qubits)) < 1:
         raise ValueError("network needs at least one qubit")
-    single = PauliSum.single
-    descriptors = tuple(
-        Descriptor(q, single(n_qubits, q, "X"), single(n_qubits, q, "Y"), single(n_qubits, q, "Z"))
-        for q in range(n_qubits)
-    )
-    return NetworkState(0, descriptors)
+    return NetworkState(0, tuple(Descriptor(q, *letters) for q, letters in enumerate(PauliSum._letters(n_qubits))))
 
 
 def _rotated(d: Descriptor, angle: float) -> tuple[Descriptor]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 
 from .engine import _GATES, Circuit, GateStep, _is_ascii_number, check_label, check_step
 
@@ -71,9 +72,15 @@ _BINOPS = {
     ast.Div: lambda a, b: a / b,
     ast.Pow: lambda a, b: a ** b,
 }
+# A finite float as repr writes it, in ASCII with a point or an exponent: ``float`` reads it
+# to the bits of the same literal, so it needs no parse
+_REPR_FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)")
 
 
 def _eval_angle(expr: str, line: int) -> float:
+    if _REPR_FLOAT.fullmatch(expr) and math.isfinite(value := float(expr)):
+        return value
+
     def walk(node: ast.AST) -> float:
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # no bool
             return float(node.value)

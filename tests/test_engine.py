@@ -50,6 +50,15 @@ def test_init_network_single_qubit():
     assert state.time == 0
 
 
+@pytest.mark.parametrize("n_qubits", [1, 3, np.int64(20), 64])
+def test_init_network_builds_single_letters_bit_for_bit(n_qubits):
+    def bits(op):
+        return type(op.n_qubits), op.n_qubits, [(k, c.real.hex(), c.imag.hex()) for k, c in op._terms.items()]
+
+    for d in hs.init_network(n_qubits).descriptors:
+        assert [bits(op) for op in d.triple] == [bits(PauliSum.single(n_qubits, d.qubit, letter)) for letter in "XYZ"]
+
+
 def test_init_network_eight_disjoint_triples():
     state = hs.init_network(8)
     for q1 in range(8):
@@ -605,26 +614,32 @@ def test_trace_json_doc_serialises_each_operator_object_once(fr_circuit, fr_trac
 
 
 # SHA-256 of json.dumps(trace_json_doc(...)) for random_circuit(Random(seed),
-# n, 40), computed with the pure-Python product loop; the operators reach
+# n, gates), computed with the pure-Python product loop; the operators reach
 # 1620, 800 and 3601 terms per component, beyond the few-term operators the
 # fr goldens cover, and seed 2 on 8 qubits multiplies 2037 by 2432 terms.
+# Seed 9 on 20 qubits reaches 4000 terms, and 82% of its term pairs are in
+# products with a one-term operand or on disjoint supports, which skip the merge.
 LARGE_TRACE_DIGESTS = [
-    (4, 8, "24eee2d07d029e8f066ccf377f4723dd00b9d5317b4c63cf28592a7e66240843"),
-    (2, 12, "5e105bfb19445c9352c1ff60c1097e7bf2b4338595fdd22b1c34b275b7c9dee1"),
-    (2, 8, "4f345fe348478af78fc0302b0cf93e024473519797b4bdbef2293e5990ede3db"),
+    (4, 8, 40, "24eee2d07d029e8f066ccf377f4723dd00b9d5317b4c63cf28592a7e66240843"),
+    (2, 12, 40, "5e105bfb19445c9352c1ff60c1097e7bf2b4338595fdd22b1c34b275b7c9dee1"),
+    (2, 8, 40, "4f345fe348478af78fc0302b0cf93e024473519797b4bdbef2293e5990ede3db"),
+    (9, 20, 50, "ea47a4a89dceb1b3d4fdc46819ec68aa507c1e38d9093d4004d1f80425b33841"),
 ]
+_DIGEST_IDS = [f"{seed}-{n}-{digest}" for seed, n, _, digest in LARGE_TRACE_DIGESTS]
 
 
-@pytest.mark.parametrize("seed,n_qubits,digest", LARGE_TRACE_DIGESTS)
-def test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest):
-    circuit = random_circuit(random.Random(seed), n_qubits, 40)
+@pytest.mark.parametrize("seed,n_qubits,n_gates,digest", LARGE_TRACE_DIGESTS, ids=_DIGEST_IDS)
+def test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, n_gates, digest):
+    circuit = random_circuit(random.Random(seed), n_qubits, n_gates)
     text = json.dumps(trace_json_doc(circuit, hs.run_circuit(circuit)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("seed,n_qubits,digest", LARGE_TRACE_DIGESTS)
-def test_trace_json_bytes_pinned_with_every_product_vectorised(seed, n_qubits, digest, every_product_vectorised):
-    test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, digest)
+@pytest.mark.parametrize("seed,n_qubits,n_gates,digest", LARGE_TRACE_DIGESTS, ids=_DIGEST_IDS)
+def test_trace_json_bytes_pinned_with_every_product_vectorised(
+    seed, n_qubits, n_gates, digest, every_product_vectorised
+):
+    test_trace_json_bytes_pinned_on_large_operators(seed, n_qubits, n_gates, digest)
 
 
 @st.composite

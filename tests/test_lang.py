@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisensim as hs
@@ -272,6 +272,50 @@ def test_expression_domain_error_diagnostic():
     with pytest.raises(CircuitSyntaxError, match="line 2.*cannot evaluate"):
         parse_circuit("qubits 1\nry 0 arcsin(2)\n")
 
+
+
+def _walked(expr):
+    """``expr``'s angle as the expression walk gives it: in parentheses no number token matches."""
+    return lang._eval_angle(f"({expr})", 1)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+def test_repr_of_every_finite_float_reads_as_the_walk_reads_it(value):
+    assert lang._eval_angle(repr(value), 1).hex() == _walked(repr(value)).hex() == value.hex()
+
+
+@given(st.from_regex(r"-?[0-9]{1,30}(\.[0-9]{1,30}(e[+-][0-9]{1,4})?|e[+-][0-9]{1,4})", fullmatch=True))
+def test_number_tokens_read_as_the_walk_reads_them(token):
+    # leading zeros, more digits than repr writes, underflow and overflow: the overflow
+    # is not finite and takes the walk, which gives inf as well
+    assert lang._eval_angle(token, 1).hex() == _walked(token).hex()
+
+
+@pytest.mark.parametrize(
+    "expr,outcome",
+    [
+        ("1_0", 10.0),
+        ("00.5", 0.5),
+        ("1e-400", 0.0),
+        ("1E+5", 1e5),
+        ("007", "line 2, column 1: malformed expression '007'"),
+        ("inf", "line 2, column 1: unknown name 'inf'"),
+        ("nan", "line 2, column 1: unknown name 'nan'"),
+        ("\u0661", "line 2, column 1: malformed expression '\u0661'"),
+        ("\u0663.\u0665", "line 2, column 1: malformed expression '\u0663.\u0665'"),
+        ("1e+400", "line 2: ry angle must be finite, got inf"),
+    ],
+)
+def test_number_like_tokens_keep_their_value_or_message(expr, outcome):
+    # float() would read the Arabic-Indic 3.5, "inf" and "nan"; none of them is a literal
+    if isinstance(outcome, float):
+        assert parse_circuit(f"qubits 1\nry 0 {expr}\n").steps[0].angle.hex() == outcome.hex()
+    else:
+        with pytest.raises(CircuitSyntaxError, match=f"^{re.escape(outcome)}$"):
+            parse_circuit(f"qubits 1\nry 0 {expr}\n")
 
 # -- round trips ----------------------------------------------------------------
 

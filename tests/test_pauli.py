@@ -271,6 +271,126 @@ def test_vector_product_equals_loop_on_descriptors(rows):
             assert _bits(_kernel_product(a, b, rows)) == _loop_terms(a, b)
 
 
+# -- merge-free products: the merge's result, bit for bit ----------------------
+
+
+def _merged(left, right, n):
+    """The reference product: every term pair merged by key, with no branch that skips the merge."""
+    terms, pairs = {}, []
+    for k2, c2 in right.items():
+        pairs.append((k2, k2 >> n, (k2 >> n & k2).bit_count(), c2))
+    for k1, c1 in left.items():
+        y1 = (k1 >> n & k1).bit_count()
+        for k2, x2, y2, c2 in pairs:
+            key = k1 ^ k2
+            k = y1 + y2 - (key >> n & key).bit_count() + 2 * (k1 & x2).bit_count()
+            terms[key] = terms.get(key, 0j) + c1 * c2 * pauli._I_POWERS[k & 3]
+    return {k: c for k, c in terms.items() if abs(c) >= DROP_TOLERANCE}
+
+
+def _merged_bits(a, b):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in _merged(a._terms, b._terms, a.n_qubits).items()]
+
+
+# one-term operands and disjoint supports skip the merge; the other three merge.  "x-apart" has
+# disjoint x masks but a letter with a Z on one qubit of both operands, "z-apart" the other way round
+_ROUTES = ("one-left", "one-right", "disjoint", "overlap", "x-apart", "z-apart")
+
+
+@st.composite
+def routed_operands(draw):
+    """A route and two operands that take it, on 1 to 64 qubits, keys spanning a few XOR generators."""
+    n = draw(st.sampled_from((1, 4, 20, 31, 32, 64)))
+    route = draw(st.sampled_from(_ROUTES if n > 1 else tuple(r for r in _ROUTES if r != "disjoint")))
+    full = (1 << n) - 1
+    a = draw(st.integers(0, n - 1))
+    b = (a + draw(st.integers(1, n - 1))) % n if n > 1 else a
+    # left's masks lie in `side`, right's outside it, in x, z or both as the route says; qubit a is
+    # left's and b right's.  The shared qubit of the merging routes is a.  At n = 1, `side` is every
+    # qubit, so z-apart's right z and x-apart's right x are empty there
+    side = draw(st.integers(0, full)) & ~(1 << b) | 1 << a
+    apart = {"disjoint": (True, True), "x-apart": (True, False), "z-apart": (False, True)}.get(route, (False, False))
+    inside = tuple(side if split else full for split in apart)
+    outside = tuple(full & ~side if split else full for split in apart)
+    if route == "disjoint":
+        forced = ((1 << a, 1 << a), (1 << b, 0))
+    elif route == "x-apart":
+        forced = ((1 << a, 1 << a), (0, 1 << a))  # a Y on a in left, a Z on a in right
+    elif route == "z-apart":
+        forced = ((1 << a, 1 << a), (1 << a, 0))  # a Y on a in left, an X on a in right
+    else:
+        forced = ((1 << a, 0), (1 << a, 1 << a))
+    masks = st.integers(0, full) | st.sampled_from((1 << n - 1, full))
+    plain = st.floats(0.25, 4) | st.floats(-4, -0.25)
+    # signed zeros; 1e-6 and its neighbours put products in and about the drop band; 1e-160
+    # against 1e150 makes a subnormal part in a kept coefficient
+    real = plain | st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-6, -1e-6, 1.0000001e-6, 9.999999e-7, 1e-160, 1e150))
+    imag = plain | st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-6, 1e-160))
+
+    def one(allowed, gen, single):
+        pool = {(0, 0)}
+        for gx, gz in [gen, *draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=3))]:
+            pool |= {(x ^ gx & allowed[0], z ^ gz & allowed[1]) for x, z in pool}
+        count = {"min_size": 1, "max_size": 1} if single else {"min_size": 2, "max_size": 11}
+        keys = draw(st.lists(st.sampled_from(sorted(pool)), unique=True, **count))
+        if not single and gen not in keys:  # the key that puts a letter on the route's qubit, at any place
+            keys.insert(draw(st.integers(0, len(keys))), gen)
+        return _from_masks(n, [(key, complex(draw(real), draw(imag))) for key in keys])
+
+    return route, one(inside, forced[0], route == "one-left"), one(outside, forced[1], route == "one-right")
+
+
+@given(routed_operands(), st.sampled_from(("loop", 1, 2, None)))
+@settings(max_examples=600)
+def test_merge_free_products_equal_the_merge_bit_for_bit(operands, rows):
+    # through the loop, then through the kernel a chunk of 1 or 2 left rows at a time or
+    # in one chunk; 32 and 64 qubits stay in the loop.  The kernel numbers keys (np.unique)
+    # exactly when the product can merge.  A term that falls in the drop band can move a
+    # product to another route, so the merge is read off the operands
+    _, a, b = operands
+    if rows == "loop":
+        with mock.patch.object(pauli, "_CROSSOVER", math.inf):
+            product = a @ b
+    else:
+        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+            product = _kernel_product(a, b, rows)
+        assert unique.called == (a.n_qubits <= 31 and len(a) > 1 < len(b) and bool(a.support & b.support))
+    assert _bits(product) == _merged_bits(a, b)
+
+
+@pytest.mark.parametrize("crossover", [math.inf, 0], ids=["loop", "kernel"])
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ([((0, 0), 1.5e308)], [((1, 0), 1 + 1j), ((0, 1), 1.0)]),
+        ([((1, 0), 1 + 1j), ((0, 1), 1.0)], [((0, 0), 1.5e308)]),
+        ([((1, 0), 1.5e308), ((0, 1), 1.0)], [((2, 0), 1 + 1j), ((0, 2), 1.0)]),
+        ([((1, 0), 1.5e308), ((0, 1), 1.0)], [((1, 0), 1 + 1j), ((0, 1), 1.0)]),
+    ],
+    ids=["one-left", "one-right", "disjoint", "overlap"],
+)
+def test_overflowing_product_raises_on_every_route(left, right, crossover):
+    # finite parts, infinite modulus: abs raises in the merge, and in each branch that skips it
+    a, b = PauliSum(2, left), PauliSum(2, right)
+    with pytest.raises(OverflowError, match="^absolute value too large$"):
+        _merged(a._terms, b._terms, 2)
+    with mock.patch.object(pauli, "_CROSSOVER", crossover):
+        with pytest.raises(OverflowError, match="^absolute value too large$"):
+            a @ b
+
+
+@pytest.mark.parametrize("crossover", [math.inf, 0], ids=["loop", "kernel"])
+def test_disjoint_product_keeps_the_phase_factor_on_an_infinite_part(crossover):
+    # 1e200 * 1e200 is inf + 0j, and times i^0 = 1 + 0j it is inf + nan j (inf * 0 is nan):
+    # a branch that left the phase out would give inf + 0j
+    a = PauliSum(2, [((1, 0), 1e200), ((0, 1), 1.0)])
+    b = PauliSum(2, [((2, 0), 1e200), ((0, 2), 1.0)])
+    with mock.patch.object(pauli, "_CROSSOVER", crossover):
+        product = a @ b
+    assert _bits(product) == _merged_bits(a, b)
+    assert _bits(product)[0] == (0b11 << 2, "inf", "nan")
+
+
 # -- rotation ----------------------------------------------------------------
 
 
