@@ -299,7 +299,7 @@ def init_network(n_qubits: int) -> NetworkState:
     """Fresh network: qubit k carries (X_k, Y_k, Z_k) at time 0."""
     if (n_qubits := _integer(n_qubits)) < 1:
         raise ValueError("network needs at least one qubit")
-    return NetworkState(0, tuple(Descriptor(q, *letters) for q, letters in enumerate(PauliSum._letters(n_qubits))))
+    return NetworkState(0, tuple(Descriptor(q, *letters) for q, letters in enumerate(PauliSum._fresh_triples(n_qubits))))
 
 
 def _rotated(d: Descriptor, angle: float) -> tuple[Descriptor]:

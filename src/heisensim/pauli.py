@@ -21,11 +21,11 @@ kernel's contract is bit identity with the loop: the same terms in the same
 dict order, with the same bits in every coefficient, signed zeros included.
 It takes the pairs in the loop's order, forms each complex product as
 CPython does, one ufunc per step, and sums each key in pair order.  Where
-no two pairs can give one key, both routes skip the merge: products with a
-one-term operand, and products whose operands act on disjoint qubits, as
-every update does outside the places where descriptors meet.  Each term is
-then its key's one sum, written as the merge writes it, so its bits are the
-merge's.
+no two pairs can give one key, both routes skip the merge, by the one rule
+of :func:`_merge_free`: products with a one-term operand, and products whose
+operands act on disjoint qubits, as every update does outside the places
+where descriptors meet.  Each term is then its key's one sum, written as
+the merge writes it, so its bits are the merge's.
 :func:`pair_expectation` specialises the loop to the term pairs with equal
 x masks, the only pairs whose product has an expectation in the all-zeros
 state.  :func:`_rotated_pair` gives the ``ry`` rule both rotated components,
@@ -108,10 +108,14 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
-def _disjoint(left: dict[int, complex], right: dict[int, complex], n: int) -> bool:
-    """No qubit carries a letter of both ``left`` and ``right``: their supports, x and z masks both, are disjoint."""
+def _merge_free(left: dict[int, complex], right: dict[int, complex], n: int) -> str | None:
+    """Why no two term pairs of ``left @ right`` share a key, the rule of both routes: ``"one"``, an operand
+    has one term (XOR with one key is a bijection); ``"disjoint"``, no qubit carries a letter of both operands,
+    x and z masks both (k1 ^ k2 = k1 | k2); ``None``, keys may meet and the product takes the merge."""
+    if len(left) == 1 or len(right) == 1:
+        return "one"
     a, b = reduce(operator.or_, left, 0), reduce(operator.or_, right, 0)
-    return not (a >> n | a) & (b >> n | b) & ((1 << n) - 1)
+    return None if (a >> n | a) & (b >> n | b) & ((1 << n) - 1) else "disjoint"
 
 
 def _loop_product(left: dict[int, complex], right: dict[int, complex], n: int) -> dict[int, complex]:
@@ -121,15 +125,15 @@ def _loop_product(left: dict[int, complex], right: dict[int, complex], n: int) -
     moving Z^z1 past X^x2 costs a sign per shared qubit.  As x2 < 2^n, z1 & x2
     is k1 & x2.  The x mask and #Y of each right term are read once.
 
-    Two kinds of product have no keys to merge, so they skip the merge: one with a
-    one-term operand (XOR with one key is a bijection), and one whose operands both
-    have several terms on disjoint supports (there k1 ^ k2 = k1 | k2, z1 & x2 = 0 and
-    #Y adds, so the phase is i^0 and no popcount is needed).  Each of their terms is
-    the merge's first and only sum, ``0j + c1 * c2 * phase``, drop-tested in pair
-    order, so its bits and dict position are the merge's.  The factor i^0 stays: the
-    product with it differs from its absence when a part is infinite (inf * 0 is nan).
+    The two kinds of product that :func:`_merge_free` finds have no keys to merge, so
+    they skip the merge: one with a one-term operand, and one whose operands both have
+    several terms on disjoint supports (there z1 & x2 = 0 and #Y adds, so the phase
+    is i^0 and no popcount is needed).  Each of their terms is the merge's first and
+    only sum, ``0j + c1 * c2 * phase``, drop-tested in pair order, so its bits and dict
+    position are the merge's.  The factor i^0 stays: the product with it differs from
+    its absence when a part is infinite (inf * 0 is nan).
     """
-    if len(left) > 1 < len(right) and _disjoint(left, right, n):
+    if (free := _merge_free(left, right, n)) == "disjoint":
         one = _I_POWERS[0]
         return {
             k1 | k2: c
@@ -140,7 +144,7 @@ def _loop_product(left: dict[int, complex], right: dict[int, complex], n: int) -
     terms, pairs = {}, []
     for k2, c2 in right.items():  # not a comprehension: on CPython 3.11 its call costs more for a few terms
         pairs.append((k2, k2 >> n, (k2 >> n & k2).bit_count(), c2))
-    if len(left) == 1 or len(right) == 1:
+    if free:  # a one-term operand
         for k1, c1 in left.items():
             y1 = (k1 >> n & k1).bit_count()
             for k2, x2, y2, c2 in pairs:
@@ -170,9 +174,9 @@ def _vector_product(left: dict[int, complex], right: dict[int, complex], n: int)
     (never ``-0.0``, so adding them to 0.0 is exact).  Keys are numbered in
     order of first occurrence.  The drop test is ``hypot``, as in ``abs``,
     and as ``abs`` it raises :class:`OverflowError` if a finite sum overflows.
-    A product with a one-term operand or on disjoint supports (see
-    :func:`_loop_product`) has no key twice, so it skips the numbering: each
-    total is its one term plus 0.0, as ``bincount`` gives it, in pair order.
+    A product that :func:`_merge_free` finds merge-free has no key twice, so
+    it skips the numbering: each total is its one term plus 0.0, as
+    ``bincount`` gives it, in pair order.
     """
     import numpy as np
 
@@ -189,7 +193,7 @@ def _vector_product(left: dict[int, complex], right: dict[int, complex], n: int)
     k2, re2, im2, y2 = arrays(right)
     x2 = k2 >> n
     phases = np.array(_I_POWERS)
-    free = len(left) == 1 or len(right) == 1 or _disjoint(left, right, n)
+    free = _merge_free(left, right, n)
     parts = []  # (keys, totals) of each chunk of a product with no keys to merge
     known = np.empty(0, dtype=np.int64)  # keys met so far, numbered in order of first occurrence
     total_re = total_im = np.empty(0)  # running sums by key number
@@ -303,16 +307,14 @@ class PauliSum:
         if (qubit := _integer(qubit)) < 0:
             raise DimensionMismatch(f"string on qubit {qubit} does not fit in {n_qubits} qubits")
         xb, zb = _BITS[letter]
-        # one canonical term, as the constructor stores it (fsum turns -0.0 into 0.0, and so does + 0j)
-        if type(n_qubits) is int and qubit < n_qubits and isfinite(c := complex(coeff) + 0j):
-            return cls._from_dict(n_qubits, {(xb << n_qubits | zb) << qubit: c} if abs(c) >= DROP_TOLERANCE else {})
-        return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])  # raises for the input at fault
+        return cls(n_qubits, [((xb << qubit, zb << qubit), coeff)])
 
     @classmethod
-    def _letters(cls, n_qubits: int) -> list[tuple["PauliSum", "PauliSum", "PauliSum"]]:
-        """(X_q, Y_q, Z_q) for each qubit q, as :meth:`single` builds them, for an int ``n_qubits`` >= 1."""
+    def _fresh_triples(cls, n_qubits: int) -> list[tuple["PauliSum", "PauliSum", "PauliSum"]]:
+        """(X_q, Y_q, Z_q) for each qubit q, equal to :meth:`single`'s bit for bit, for an int ``n_qubits`` >= 1."""
         n, new, one = n_qubits, cls._from_dict, 1 + 0j
-        return [(new(n, {1 << n << q: one}), new(n, {(1 << n | 1) << q: one}), new(n, {1 << q: one})) for q in range(n)]
+        x, y, z = (xb << n | zb for xb, zb in map(_BITS.get, "XYZ"))
+        return [(new(n, {x << q: one}), new(n, {y << q: one}), new(n, {z << q: one})) for q in range(n)]
 
     # -- views -------------------------------------------------------------
 
