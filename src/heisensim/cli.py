@@ -9,10 +9,15 @@ Examples::
 The default verdict/check tolerance is 1e-9, overridable with
 ``--tolerance`` or the ``HEISENSIM_TOLERANCE`` environment variable;
 either must be a finite number above zero.
+
+``main(argv)`` is safe to call repeatedly in one process: it builds its
+parser on the first call and reuses it.  ``build_parser()`` returns a
+fresh parser on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -72,6 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairs to analyse, e.g. 'R,A;S,B' (default: every pair sharing a gate)",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import.  parse_args writes only to the
+    # namespace it creates per call, so calls, concurrent ones too, share it read-only
+    return build_parser()
 
 
 def _load_circuit(args) -> Circuit:
@@ -152,7 +164,14 @@ def _write_text(path: str, text: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run ``heisensim`` on ``argv`` (default ``sys.argv[1:]``) and return its exit status.
+
+    Each call parses ``argv`` and reads ``HEISENSIM_TOLERANCE`` afresh.  Returns 0, or 1
+    when ``--check`` fails; bad input raises ``SystemExit`` with a one-line message
+    (status 1), or with status 2 for a usage error and 0 for ``--help``.  Calls may
+    repeat in one process: the parser is built on the first and reused.
+    """
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except HermiticityError as exc:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import heisensim
-from heisensim.cli import TOLERANCE_ENV, main, render_table
+from heisensim.cli import TOLERANCE_ENV, build_parser, main, render_table
 
 from conftest import chain, random_circuit
 
@@ -450,3 +450,161 @@ def test_coefficient_drift_exits_with_one_line(mode, tmp_path):
     assert "Traceback" not in proc.stderr
     # the fold's first error, the same whether each verdict reads its means afresh or once per fold
     assert proc.stderr == "the engine's coefficients drifted: imaginary residue 1.24301e-09 in expectation value\n"
+
+
+def _as_a_process(capsys, argv):
+    """``(status, stdout, stderr)`` of ``main(argv)`` in this process, as the
+    interpreter would report them: a string exit code goes to stderr, status 1."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    if isinstance(status, str):
+        status, err = 1, err + status + "\n"
+    return (0 if status is None else status), out, err
+
+
+def _fresh_process(argv):
+    """``(status, stdout, stderr)`` of ``python -m heisensim.cli argv`` in a fresh interpreter."""
+    argv = [sys.executable, "-m", "heisensim.cli", *argv]
+    proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # eight calls in one process share its parser: each must print and exit as in its
+    # own fresh process, so no option, environment value or output carries over.  Help
+    # and usage text wrap to the terminal width, pinned for both sides
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(TOLERANCE_ENV, raising=False)
+    table = ["run", "--preset", "fr", "--report", "table"]
+    dot = tmp_path / "fr.dot"
+
+    assert _as_a_process(capsys, [*table, "--tree", str(dot)]) == (0, (golden / "fr_report.txt").read_text(), "")
+    assert dot.read_bytes() == (golden / "fr_tree.dot").read_bytes()
+    dot.unlink()
+    assert _as_a_process(capsys, ["run", "--preset", "fr", "--check"]) == (0, (golden / "fr_check.txt").read_text(), "")
+
+    usage = _as_a_process(capsys, ["run"])
+    assert usage[0] == 2 and "error: one of the arguments --preset --circuit is required" in usage[2]
+    assert usage == _fresh_process(["run"])
+    help_ = _as_a_process(capsys, ["--help"])
+    assert help_[0] == 0 and help_[1].startswith("usage: heisensim [-h]")
+    assert help_ == _fresh_process(["--help"])
+
+    refusal = (1, "", "bad --tolerance value: 'nan' (need a finite number > 0)\n")
+    assert _as_a_process(capsys, [*table, "--tolerance", "nan"]) == refusal
+
+    watched = _as_a_process(capsys, [*table, "--watch", "S,B"])
+    assert watched[0] == 0 and watched[1] != (golden / "fr_report.txt").read_text()
+    assert watched == _fresh_process([*table, "--watch", "S,B"])
+
+    # the environment is read on the very next call, and the --watch above is gone
+    monkeypatch.setenv(TOLERANCE_ENV, "0.7")
+    loose = _as_a_process(capsys, table)
+    assert loose[0] == 0 and loose[1] not in (watched[1], (golden / "fr_report.txt").read_text())
+    assert loose == _fresh_process(table)
+
+    json_run = ["run", "--preset", "fr", "--report", "json"]
+    assert _as_a_process(capsys, json_run) == (0, (golden / "fr_trace.json").read_text(), "")
+    assert not dot.exists(), "a later call wrote the first call's --tree"
+
+
+def test_main_builds_one_parser_over_many_calls(tmp_path, monkeypatch, capsys):
+    from heisensim import cli
+
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["run", "--preset", "fr", "--report", "table", "--tree", str(tmp_path / "fr.dot")],
+            ["run", "--preset", "fr", "--check"],
+            ["run", "--preset", "fr", "--report", "json"],
+        ):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["run"])
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser_main_does_not_share(capsys):
+    from heisensim import cli
+
+    golden = Path(__file__).parent / "golden"
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert main(["run", "--preset", "fr", "--check"]) == 0
+    assert cli._parser() not in (first, second)
+    first.add_argument("--extra")
+    assert first.parse_args(["--extra", "1", "run", "--preset", "fr"]).extra == "1"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "fr", "--check", "--extra", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extra" in capsys.readouterr().err
+    assert run_cli(capsys, "run", "--preset", "fr", "--check") == (0, (golden / "fr_check.txt").read_text())
+
+
+def test_cli_import_builds_no_parser():
+    # importing the CLI must not build its parser (the benchmark's setup time counts
+    # the import); main builds it on its first call, the run subparser with it, and
+    # never again
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import heisensim.cli\n"
+        "assert made == [], f'importing the CLI built {made}'\n"
+        "for _ in range(3):\n"
+        "    assert heisensim.cli.main(['run', '--preset', 'fr', '--check']) == 0\n"
+        "assert made == ['heisensim', 'heisensim run'], f'three main() calls built {made}'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == 3 * (Path(__file__).parent / "golden" / "fr_check.txt").read_text()
+
+
+def test_threads_parse_with_the_shared_parser():
+    # more threads than cores parse distinct argv with the one parser main uses, with a
+    # short switch interval: each must get its own options back, none of another's
+    import threading
+
+    from heisensim import cli
+
+    def argv(k):
+        return ["run", "--circuit", f"c{k}.qc", "--watch", f"{k},{k + 1}", "--tolerance", str(k)]
+
+    wrong = []
+
+    def parse(k):
+        for _ in range(200):
+            args = cli._parser().parse_args(argv(k))
+            if (args.circuit, args.watch, args.tolerance, args.preset) != (f"c{k}.qc", f"{k},{k + 1}", str(k), None):
+                wrong.append((k, vars(args)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
