@@ -6,9 +6,9 @@ entanglement and sharp/non-sharp foliations of qubit pairs; builds the
 branching tree of foliation events; and cross-validates the descriptors by
 Pauli back-propagation, against a dense state-vector oracle in the tests.
 
-``cross_check`` and the oracle's ``expand`` and ``evolve_state`` are
-resolved on first use, so importing the package loads neither; only the
-oracle loads numpy.
+``cross_check`` is resolved on first use, so importing the package does not
+load :mod:`heisensim.check`; the dense oracle, which loads numpy, exports its
+names from :mod:`heisensim.oracle` only.
 """
 from .engine import (
     Circuit,
@@ -94,9 +94,7 @@ __all__ = [
     "report_rows",
     "tree_json_doc",
     "tree_to_dot",
-    # check and oracle
-    "expand",
-    "evolve_state",
+    # check
     "cross_check",
     # lang / presets
     "parse_circuit",
@@ -107,16 +105,13 @@ __all__ = [
     "FR_ANGLE",
 ]
 
-_LAZY_NAMES = {"expand": "oracle", "evolve_state": "oracle", "cross_check": "check"}
-
-
 def __getattr__(name: str):
-    if name in _LAZY_NAMES:
-        from importlib import import_module
+    if name == "cross_check":
+        from .check import cross_check
 
-        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+        return cross_check
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(globals()) + list(_LAZY_NAMES)
+    return sorted(globals()) + ["cross_check"]

@@ -100,22 +100,19 @@ def _conjugated(terms: dict, mask: int, rows: dict) -> dict:
     return out
 
 
-def _cone(slots: list, qubit: int) -> list:
-    """Each ``(mask, rows)`` of ``slots`` on ``qubit``'s past light cone, latest slot first."""
-    gates, cone = [], 1 << qubit
-    for mask, rows in (gate for slot in reversed(slots) for gate in slot):
-        if cone & mask:
-            cone |= mask
-            gates.append((mask, rows))
-    return gates
+def _site(slots: list, t: int, qubit: int) -> list[dict]:
+    """U^dagger sigma U for sigma = X, Y and Z on ``qubit``, U the gates of slots 0..t-1; small terms drop at the end.
 
-
-def _propagated(cone: list, qubit: int, comp: str) -> dict:
-    """U^dagger sigma U for the Pauli ``comp`` on ``qubit``, U the gates of ``cone``; small terms drop at the end."""
-    terms = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}
-    for mask, rows in cone:
-        terms = _conjugated(terms, mask, rows)
-    return {key: c for key, c in terms.items() if abs(c) >= DROP_TOLERANCE}
+    One walk, latest slot first, grows the past light cone and conjugates all three at each gate on it.
+    """
+    cone = 1 << qubit
+    x, y, z = {(cone, 0): 1.0}, {(cone, cone): 1.0}, {(0, cone): 1.0}
+    for s in range(t - 1, -1, -1):
+        for mask, rows in slots[s]:
+            if cone & mask:
+                cone |= mask
+                x, y, z = _conjugated(x, mask, rows), _conjugated(y, mask, rows), _conjugated(z, mask, rows)
+    return [{key: c for key, c in op.items() if abs(c) >= DROP_TOLERANCE} for op in (x, y, z)]
 
 
 def _deviations(op, reference: dict) -> tuple[float, float]:
@@ -153,7 +150,10 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
     A site (t, q) whose qubit no gate of slot t - 1 touched, and whose engine
     descriptor is the very object of boundary t - 1, has its deviations
     counted already (for G acting off q, G^dagger sigma_q G = sigma_q
-    exactly) and is skipped.  Only a trace that does not fit the circuit raises.
+    exactly) and is skipped.  A trace that does not fit the circuit raises
+    ValueError.  The engine's means are read without the Hermiticity guard, so
+    an imaginary residue counts as a coefficient gap, but a NaN one raises
+    :class:`~heisensim.pauli.HermiticityError`.
     """
     if len(trace) != circuit.max_slot + 2:
         raise ValueError("trace and circuit disagree on slot count")
@@ -172,9 +172,8 @@ def cross_check(trace: Trace, circuit: Circuit) -> CrossCheckReport:
         for q, d in enumerate(state.descriptors):
             if t and not touched >> q & 1 and d is trace[t - 1].descriptors[q]:
                 continue  # its deviations are already in the maxima, and worst moves only on a strict >
-            cone = _cone(slots[:t], q)
-            for comp, op in zip(COMPONENTS, d.triple):
-                dev, mat_dev = _deviations(op, _propagated(cone, q, comp))
+            for comp, op, reference in zip(COMPONENTS, d.triple, _site(slots, t, q)):
+                dev, mat_dev = _deviations(op, reference)
                 if max(dev, mat_dev) > max(max_exp, max_mat):
                     worst = {"slot": t, "qubit": q, "component": comp}
                 max_exp = max(max_exp, dev)

@@ -71,7 +71,7 @@ def fr_trace(fr_circuit):
 
 @pytest.fixture(scope="session")
 def fr_states(fr_circuit):
-    return hs.evolve_state(fr_circuit)
+    return oracle.evolve_state(fr_circuit)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ import heisensim as hs
 from heisensim.cli import render_table
 from heisensim.engine import trace_json_doc
 from heisensim.foliation import NON_SHARP, SHARP, ZeroWeightBranch, tree_to_dot
-from heisensim.oracle import state_expectation
+from heisensim.oracle import evolve_state, state_expectation
 from heisensim.pauli import PauliSum, vacuum_expectation
 
 from conftest import LETTER_MATRICES, A, B, R, S, U_A, U_R, W_B, W_S, chain, gate_unitary, random_circuit
@@ -347,7 +347,7 @@ def test_chain_tree_events(k):
 def test_chain_of_three_labs_matches_state_vector():
     circuit = chain(3)
     trace = hs.run_circuit(circuit)
-    _assert_engine_means_match_states(trace, hs.evolve_state(circuit), 1e-12)
+    _assert_engine_means_match_states(trace, evolve_state(circuit), 1e-12)
     report = hs.cross_check(trace, circuit)
     assert report.max_expectation_dev <= 1e-12
     assert report.max_matrix_dev <= 1e-12
@@ -359,7 +359,7 @@ def test_chain_of_three_labs_final_system_weights():
     expected = {0: 5 / 6, 2: 1 / 2 + math.sqrt(2) / 6, 4: 2 / 3}
     circuit = chain(3)
     final = hs.run_circuit(circuit)[-1]
-    psi = hs.evolve_state(circuit)[-1]
+    psi = evolve_state(circuit)[-1]
     basis = np.arange(len(psi))
     for q, weight in expected.items():
         assert abs(vacuum_expectation(hs.projector(final, q, +1)) - weight) <= 1e-12

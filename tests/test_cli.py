@@ -352,7 +352,7 @@ def _src_env():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # the package resolves the check's and the dense oracle's names on first use.
+    # the package resolves the check's cross_check on first use and exports none of the dense oracle.
     # format_weight needs no Fraction, so decimal's cold start stays off the CLI path too.
     # The records are named tuples and only the JSON outputs import json; a module that
     # the bare interpreter already holds (a site hook's) is not the package's to load
@@ -366,10 +366,23 @@ def test_cli_import_leaves_numpy_unloaded():
         "assert not loaded, f'importing the CLI loaded {sorted(loaded)}'\n"
         "assert set(heisensim.__all__) <= set(dir(heisensim)), 'dir() misses exported names'\n"
         "assert 'heisensim.check' not in sys.modules, 'importing the CLI loaded the check'\n"
-        "from heisensim import oracle\n"
-        "for name in ('cross_check', 'evolve_state', 'expand'):\n"
-        "    assert getattr(heisensim, name) is getattr(oracle, name), name\n"
-        "assert not hasattr(heisensim, 'conjugate_descriptor')\n"
+        "for name in ('expand', 'evolve_state', 'conjugate_descriptor'):\n"
+        "    assert not hasattr(heisensim, name), f'heisensim exports the oracle\\'s {name}'\n"
+        "assert 'heisensim.oracle' not in sys.modules, 'looking up an oracle name loaded the oracle'\n"
+        "import heisensim.check\n"
+        "assert heisensim.cross_check is heisensim.check.cross_check\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_leaves_numpy_and_the_oracle_unloaded():
+    # __all__ names the check's cross_check, which loads no numpy, and nothing of the dense oracle
+    code = (
+        "import sys\n"
+        "from heisensim import *\n"
+        "assert 'numpy' not in sys.modules, 'from heisensim import * loaded numpy'\n"
+        "assert 'heisensim.oracle' not in sys.modules, 'from heisensim import * loaded the oracle'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from heisensim.oracle import (
     expand,
     state_expectation,
 )
-from heisensim.pauli import _I_POWERS, DROP_TOLERANCE, PauliSum, _lettered, _term_masks, vacuum_expectation
+from heisensim.pauli import _I_POWERS, DROP_TOLERANCE, HermiticityError, PauliSum, _lettered, _term_masks, vacuum_expectation
 
 from conftest import (
     LETTER_MATRICES, A, R, S, U_R, W_B, chain, gate_unitary, random_circuit, random_parallel_circuit, term,
@@ -580,15 +581,29 @@ def test_cross_check_measures_off_cone_terms_on_their_own_qubit(fr_circuit, fr_t
     assert report.worst_site == {"slot": 4, "qubit": A, "component": "x"}
 
 
+def test_cross_check_raises_on_a_nan_imaginary_residue():
+    # the engine's means skip the Hermiticity guard, but a mean whose imaginary part is NaN
+    # still raises: inf * (1 + 0j) is inf + nanj, a vacuum term no product would keep
+    circuit = hs.Circuit(1, (hs.h(0),))
+    trace = list(hs.run_circuit(circuit))
+    bad = PauliSum.identity(1, 1e308) * 10.0 * (1 + 0j)
+    [(_, _, c)] = _term_masks(bad)
+    assert c.real == math.inf and math.isnan(c.imag)
+    d = trace[1].descriptor(0)
+    trace[1] = hs.NetworkState(trace[1].time, (d._replace(x=d.x + bad),))
+    with pytest.raises(HermiticityError, match="imaginary residue nan"):
+        cross_check(trace, circuit)
+
+
 def test_cross_check_reads_each_fresh_site_once(fr_circuit, fr_trace, fr_crosscheck, monkeypatch):
-    # 29 fresh sites on fr: each has its three components back-propagated once and
-    # its three engine means taken once; a site no gate touched carries both over
-    propagated, means = [], []
-    propagate, mean = check._propagated, check.vacuum_expectation
-    monkeypatch.setattr(check, "_propagated", lambda *args: propagated.append(1) or propagate(*args))
+    # 29 fresh sites on fr: each site's light cone is walked once for its three components,
+    # and its three engine means are taken once; a site no gate touched carries both over
+    walks, means = [], []
+    walk, mean = check._site, check.vacuum_expectation
+    monkeypatch.setattr(check, "_site", lambda *args: walks.append(args[1:]) or walk(*args))
     monkeypatch.setattr(check, "vacuum_expectation", lambda *args: means.append(1) or mean(*args))
     report = cross_check(fr_trace, fr_circuit)
-    assert (len(propagated), len(means)) == (87, 87)
+    assert (len(walks), len(set(walks)), len(means)) == (29, 29, 87)
     assert repr(report) == repr(fr_crosscheck)
 
 
@@ -763,15 +778,73 @@ def test_cross_check_repr_pinned(name, circuit):
     assert repr(cross_check(hs.run_circuit(circuit), circuit)) == CROSS_CHECK_REPRS[name]
 
 
+def _slots(circuit):
+    return [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()]
+
+
 def _propagated_sums(circuit, t):
-    # the back-propagated components at boundary t, as PauliSums keyed (qubit, component)
-    slots = [[check._gate_rows(step) for step in group] for group in circuit.slot_groups()[:t]]
-    n = circuit.n_qubits
+    # the back-propagated components at boundary t, as PauliSums keyed (qubit, component);
+    # the walk gets every slot, so one that read past slot t - 1 would show
+    slots, n = _slots(circuit), circuit.n_qubits
     return {
-        (q, comp): PauliSum(n, check._propagated(check._cone(slots, q), q, comp).items())
+        (q, comp): PauliSum(n, terms.items())
         for q in range(n)
-        for comp in "xyz"
+        for comp, terms in zip("xyz", check._site(slots, t, q))
     }
+
+
+def _two_step_site(slots, t, qubit):
+    """The x, y and z components on ``qubit`` at boundary t by the check's earlier route: list the
+    gates of the past light cone, latest slot first, walk that list once per component, then drop."""
+    gates, cone = [], 1 << qubit
+    for mask, rows in (gate for slot in reversed(slots[:t]) for gate in slot):
+        if cone & mask:
+            cone |= mask
+            gates.append((mask, rows))
+    out = []
+    for comp in "xyz":
+        terms = {(int(comp != "z") << qubit, int(comp != "x") << qubit): 1.0}
+        for mask, rows in gates:
+            terms = check._conjugated(terms, mask, rows)
+        out.append({key: c for key, c in terms.items() if abs(c) >= DROP_TOLERANCE})
+    return out
+
+
+def _walk_circuits():
+    yield "fr", hs.preset_fr()
+    yield "chain3", chain(3)
+    yield "chain4-golden", hs.parse_circuit((Path(__file__).parent / "golden" / "chain4.qc").read_text(encoding="utf-8"))
+    for seed in range(5):
+        yield f"parallel-{seed}", random_parallel_circuit(random.Random(seed), 5, 8)
+    yield "drifting-200", random_circuit(random.Random(0), 3, 200)
+
+
+@pytest.mark.parametrize("circuit", [pytest.param(circuit, id=name) for name, circuit in _walk_circuits()])
+def test_one_walk_per_site_equals_the_two_step_route(circuit, monkeypatch):
+    # at every boundary and qubit, one walk for the three components gives each component the
+    # gates, in the order, that its own walk over the listed cone gave, each reading as many
+    # terms (a drop between gates would read fewer), and every result keeps its bits and dict order
+    calls, conjugated = [], check._conjugated
+
+    def recording(terms, mask, rows):
+        calls.append((mask, len(terms)))
+        return conjugated(terms, mask, rows)
+
+    monkeypatch.setattr(check, "_conjugated", recording)
+    slots = _slots(circuit)
+    for t in range(circuit.max_slot + 2):
+        for q in range(circuit.n_qubits):
+            routes = []
+            for walk in (check._site, _two_step_site):
+                calls.clear()
+                ops = [[(key, c.hex()) for key, c in op.items()] for op in walk(slots, t, q)]
+                routes.append((ops, calls[:]))
+            (one, one_calls), (two, two_calls) = routes
+            assert one == two, (t, q)
+            per_component = len(two_calls) // 3
+            assert [one_calls[i::3] for i in range(3)] == [
+                two_calls[i * per_component : (i + 1) * per_component] for i in range(3)
+            ], (t, q)
 
 
 @_DENSE_ROUTE_CASES
